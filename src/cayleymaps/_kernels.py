@@ -1,41 +1,18 @@
 """Hot numeric kernels: permutation-closure BFS and arc-bijection search.
 
-Two interchangeable backends compute identical results: a numba @njit path
-(default) and a pure-numpy path selected by setting CAYLEYMAPS_NO_NUMBA=1.
-Rows are permutations stored 0-based as int64 arrays; composing row t with
-generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
+Both kernels are plain numpy/Python. Rows are permutations stored 0-based as
+int64 arrays; composing row t with generator g yields t[g], i.e.
+(t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-JIT_ENABLED = NUMBA_AVAILABLE and os.environ.get("CAYLEYMAPS_NO_NUMBA", "") != "1"
-
-_FNV_OFFSET = np.uint64(14695981039346656037)
-_FNV_PRIME = np.uint64(1099511628211)
 
 
 def default_backend() -> str:
-    return "numba" if JIT_ENABLED else "numpy"
-
-
-def _resolve(backend: str | None) -> str:
-    chosen = backend or default_backend()
-    if chosen not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {chosen!r}")
-    if chosen == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return chosen
+    """Name of the kernel implementation, recorded with benchmark results."""
+    return "numpy"
 
 
 # -- closure ------------------------------------------------------------------
@@ -64,74 +41,7 @@ def _closure_numpy(gens: np.ndarray, cutoff: int):
     return len(rows), False, np.stack(rows)
 
 
-def _closure_python_core(gens, cutoff):  # shared shape for the jit build below
-    raise AssertionError("compiled variant is installed at import time")
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _closure_jit(gens, cutoff):  # pragma: no cover - exercised via wrapper
-        ngens = gens.shape[0]
-        m = gens.shape[1]
-        cap = cutoff
-        tsize = 1
-        while tsize < 2 * (cap + 2):
-            tsize <<= 1
-        mask = np.uint64(tsize - 1)
-        table = np.full(tsize, -1, np.int64)
-        rows = np.empty((cap, m), np.int64)
-        queue = np.empty(cap, np.int64)
-        scratch = np.empty(m, np.int64)
-
-        for j in range(m):
-            rows[0, j] = j
-        h = _FNV_OFFSET
-        for j in range(m):
-            h = (h ^ np.uint64(rows[0, j])) * _FNV_PRIME
-        table[np.int64(h & mask)] = 0
-        count = 1
-        queue[0] = 0
-        head = 0
-        tail = 1
-
-        while head < tail:
-            cur = queue[head]
-            head += 1
-            for gi in range(ngens):
-                for j in range(m):
-                    scratch[j] = rows[cur, gens[gi, j]]
-                h = _FNV_OFFSET
-                for j in range(m):
-                    h = (h ^ np.uint64(scratch[j])) * _FNV_PRIME
-                idx = np.int64(h & mask)
-                found = np.int64(-1)
-                while True:
-                    slot = table[idx]
-                    if slot == -1:
-                        break
-                    same = True
-                    for j in range(m):
-                        if rows[slot, j] != scratch[j]:
-                            same = False
-                            break
-                    if same:
-                        found = slot
-                        break
-                    idx = np.int64((np.uint64(idx) + np.uint64(1)) & mask)
-                if found == -1:
-                    if count >= cap:
-                        return cutoff + 1, True, rows[:0]
-                    table[idx] = count
-                    for j in range(m):
-                        rows[count, j] = scratch[j]
-                    queue[tail] = count
-                    tail += 1
-                    count += 1
-        return count, False, rows[:count]
-
-
-def closure_table(gens: np.ndarray, cutoff: int, backend: str | None = None):
+def closure_table(gens: np.ndarray, cutoff: int):
     """BFS closure of the permutation rows under composition.
 
     Returns (size, exceeded, rows).  size is exact when exceeded is False;
@@ -142,9 +52,6 @@ def closure_table(gens: np.ndarray, cutoff: int, backend: str | None = None):
         raise ValueError("gens must be a non-empty 2-d array of permutation rows")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if _resolve(backend) == "numba":
-        size, exceeded, rows = _closure_jit(gens, cutoff)
-        return int(size), bool(exceeded), rows
     return _closure_numpy(gens, cutoff)
 
 
@@ -187,60 +94,12 @@ def _iso_any_python(r1, l1, r2, l2, candidates):
     return False
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _iso_any_jit(r1, l1, r2, l2, candidates):  # pragma: no cover - via wrapper
-        m = r1.shape[0]
-        phi = np.empty(m, np.int64)
-        used = np.empty(m, np.bool_)
-        stack = np.empty(m, np.int64)
-        for ci in range(candidates.shape[0]):
-            f = candidates[ci]
-            for j in range(m):
-                phi[j] = -1
-                used[j] = False
-            phi[0] = f
-            used[f] = True
-            stack[0] = 0
-            sp = 1
-            visited = 1
-            ok = True
-            while sp > 0 and ok:
-                sp -= 1
-                a = stack[sp]
-                fa = phi[a]
-                for which in range(2):
-                    if which == 0:
-                        b = r1[a]
-                        fb = r2[fa]
-                    else:
-                        b = l1[a]
-                        fb = l2[fa]
-                    if phi[b] == -1:
-                        if used[fb]:
-                            ok = False
-                            break
-                        phi[b] = fb
-                        used[fb] = True
-                        stack[sp] = b
-                        sp += 1
-                        visited += 1
-                    elif phi[b] != fb:
-                        ok = False
-                        break
-            if ok and visited == m:
-                return True
-        return False
-
-
 def arc_bijection_exists(
     r1: np.ndarray,
     l1: np.ndarray,
     r2: np.ndarray,
     l2: np.ndarray,
     candidates: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> bool:
     """True when some bijection phi of arcs maps (R1, L1) onto (R2, L2).
 
@@ -258,16 +117,4 @@ def arc_bijection_exists(
         candidates = np.arange(r1.shape[0], dtype=np.int64)
     else:
         candidates = np.ascontiguousarray(candidates, dtype=np.int64)
-    if _resolve(backend) == "numba":
-        return bool(_iso_any_jit(r1, l1, r2, l2, candidates))
     return _iso_any_python(r1, l1, r2, l2, candidates)
-
-
-def warmup() -> None:
-    """Compile the jit kernels on tiny inputs so later timings are steady."""
-    if not JIT_ENABLED:
-        return
-    tiny = np.array([[1, 2, 0]], dtype=np.int64)
-    closure_table(tiny, 10)
-    row = np.array([1, 2, 0], dtype=np.int64)
-    arc_bijection_exists(row, row, row, row)

@@ -17,8 +17,10 @@ are short opaque strings fixed by the command-line contract.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence, Union
 
@@ -44,6 +46,7 @@ from .perms import (
 MAX_CENSUS_ARCS = 400
 MAX_SEED_RANK = 4
 MAX_ABELIAN_VERIFY_ORDER = 16
+_ARC_ONE = np.array([1], dtype=np.int64)
 
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
 
@@ -406,12 +409,46 @@ def _invariant_factor_chains(order: int) -> list[tuple[int, ...]]:
 # -- exhaustive search -------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _rank_tables(group: FiniteGroup) -> tuple[np.ndarray, list[int]]:
+    """(mul, inv) over element ranks: mul[i, j] is the rank of g_i * g_j and
+    inv[i] the rank of g_i^-1. Cached for the last group object, so one
+    census builds its table once; the census guard bounds its size."""
+    elems = group.elements()
+    rank = group.rank
+    mul = np.array(
+        [[rank(group.mul(g, h)) for h in elems] for g in elems], dtype=np.int64
+    )
+    inv = [rank(group.inv(g)) for g in elems]
+    return mul, inv
+
+
+def _generates_ranks(mul: list[list[int]], identity: int, xs: Sequence[int]) -> bool:
+    """Does the rank set xs generate the group of the table mul?"""
+    found = [False] * len(mul)
+    found[identity] = True
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for r in frontier:
+            row = mul[r]
+            for x in xs:
+                h = row[x]
+                if not found[h]:
+                    found[h] = True
+                    fresh.append(h)
+        frontier = fresh
+    return all(found)
+
+
 def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     """All unit-free, inverse-closed, generating subsets of the given size,
     each sorted by element rank; the list itself is rank-lexicographic."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
     involutions = group.involutions()
+    mul = _rank_tables(group)[0].tolist()
+    identity = group.rank(group.identity)
     seen_pair = set()
     pairs = []
     for g in group.elements():
@@ -433,7 +470,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
                 xset = sorted(
                     invs + tuple(x for pr in prs for x in pr), key=group.rank
                 )
-                if group.generates(xset):
+                if _generates_ranks(mul, identity, [group.rank(x) for x in xset]):
                     out.append(tuple(xset))
     out.sort(key=lambda xs: tuple(group.rank(x) for x in xs))
     return out
@@ -488,14 +525,8 @@ def _survivors_for_sets(
 ) -> list[tuple[int, ...]]:
     """Rank tuples of every ordering (first element pinned) of the given
     inverse-closed sets whose map is regular."""
-    elems = group.elements()
-    m = group.order
-    n_arcs = m * valence
-    mul_rank = np.empty((m, m), dtype=np.int64)
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            mul_rank[i, j] = group.rank(group.mul(g, h))
-    inv_rank = [group.rank(group.inv(g)) for g in elems]
+    mul_rank, inv_rank = _rank_tables(group)
+    n_arcs = group.order * valence
     ids = np.arange(n_arcs, dtype=np.int64)
     row_R = (ids // valence) * valence + ((ids % valence) + 1) % valence
     survivors = []
@@ -506,11 +537,12 @@ def _survivors_for_sets(
             row_L = (
                 mul_rank[:, list(xs_ranks)] * valence + np.array(kappa0)
             ).reshape(-1)
-            size, exceeded, _ = _kernels.closure_table(
-                np.stack([row_R, row_L]), cutoff=n_arcs
-            )
-            # the action is transitive (X generates), so regular <=> order = |D|
-            if not exceeded and size == n_arcs:
+            # left translations are transitive on vertices (X generates), so
+            # the map is regular iff an automorphism fixes the base vertex
+            # and sends arc 0 to arc 1
+            if _kernels.arc_bijection_exists(
+                row_R, row_L, row_R, row_L, candidates=_ARC_ONE
+            ):
                 survivors.append(xs_ranks)
     return survivors
 
@@ -529,24 +561,27 @@ def exhaustive_regular_maps(
     """Independent search oracle: every inverse-closed generating subset of
     the given size, every cyclic ordering (first element pinned), kept when
     regular, deduplicated up to map isomorphism. Representatives are the
-    (genus, rank-lexicographic) minima of their classes, sorted by ranks."""
+    (genus, rank-lexicographic) minima of their classes, sorted by ranks.
+    At most min(jobs, CPU count) worker processes share the orderings."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if group.order * valence > MAX_CENSUS_ARCS:
         raise SizeGuardError(
             f"census guard: |G| * valence = {group.order * valence} exceeds "
             f"{MAX_CENSUS_ARCS}"
         )
     sets = inverse_closed_sets(group, valence)
-    if jobs > 1 and len(sets) > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(sets))
+    if workers > 1:
         desc = _group_descriptor(group)
         rank_sets = [tuple(group.rank(x) for x in s) for s in sets]
-        bounds = np.linspace(0, len(rank_sets), jobs + 1).astype(int)
+        bounds = np.linspace(0, len(rank_sets), workers + 1).astype(int)
         chunks = [
             (desc, valence, rank_sets[bounds[i] : bounds[i + 1]])
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
+            for i in range(workers)
         ]
         survivors: list[tuple[int, ...]] = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_survivor_worker, chunks):
                 survivors.extend(part)
     else:

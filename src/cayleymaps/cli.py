@@ -2,9 +2,10 @@
 and single-map diagnostics.
 
 Every command writes a deterministic report to standard output (diagnostics
-go to standard error) and returns one of four exit codes: 0 success or pass,
+go to standard error) and returns one of five exit codes: 0 success or pass,
 1 verification failure or count disagreement, 2 usage/parse error, 3 refusal
-by a size guard.
+by a size guard, 4 internal error (an unexpected exception, reported on
+standard error).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import re
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .classify import (
@@ -41,6 +43,18 @@ from .groups import (
 from .maps import SizeGuardError, build_map
 
 SCHEMA_VERSION = 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     census.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    census.add_argument("--jobs", type=int, default=1, help="worker processes")
+    census.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most the CPU count are started",
+    )
 
     verify = sub.add_parser(
         "verify", help="cross-check one named claim against the search oracle"
@@ -87,7 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--p", type=int, help="odd prime valence")
     verify.add_argument("--n-max", type=int, dest="n_max", help="family bound")
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    verify.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most the CPU count are started",
+    )
 
     count = sub.add_parser(
         "count", help="closed-form class count for one parameter, cross-checked"
@@ -280,6 +304,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        # exit 1 means a claim failed; a crash must not be mistaken for one
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 GRAPH_AUT_MAX_VERTICES = 64
+_ARC_ZERO = np.array([0], dtype=np.int64)
+_ARC_ONE = np.array([1], dtype=np.int64)
 
 
 class SizeGuardError(Exception):
@@ -114,6 +116,7 @@ class CayleyMap:
         self.kappa = Kappa(Permutation(tuple(kappa_images)))
         self._rotation_row, self._reversal_row = self._build_rows()
         self._monodromy: Optional[tuple[int, bool]] = None
+        self._stabilizer_regular: Optional[bool] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
 
     def _build_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +215,14 @@ class CayleyMap:
 
     def regular_via_vertex_stabilizer(self) -> bool:
         """Second route: does some map automorphism rotate the base star one
-        step?  For connected maps this is equivalent to is_regular."""
-        rot, rev = self._rotation_row, self._reversal_row
-        return arc_bijection_exists(
-            rot, rev, rot, rev, candidates=np.array([1], dtype=np.int64)
-        )
+        step?  Left translations are transitive on vertices, so this is
+        equivalent to is_regular; one O(|D|) propagation, cached."""
+        if self._stabilizer_regular is None:
+            rot, rev = self._rotation_row, self._reversal_row
+            self._stabilizer_regular = arc_bijection_exists(
+                rot, rev, rot, rev, candidates=_ARC_ONE
+            )
+        return self._stabilizer_regular
 
     def rotation_automorphism(self):
         """Group automorphism sending each x_i to x_{i+1}, when one exists."""
@@ -332,7 +338,11 @@ def build_map(group: FiniteGroup, xs: Sequence[GroupElement]) -> CayleyMap:
 
 def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:
     """True iff an arc bijection carries one rotation/reversal pair to the
-    other; found by propagating from every candidate image of arc 0."""
+    other; found by propagating from every candidate image of arc 0.
+
+    When m1 is regular its automorphisms are transitive on arcs, so any
+    isomorphism composed with a suitable one sends arc 0 to arc 0: that single
+    candidate decides the question."""
     if m1.n_arcs != m2.n_arcs:
         return False
     return arc_bijection_exists(
@@ -340,6 +350,7 @@ def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:
         m1._reversal_row,
         m2._rotation_row,
         m2._reversal_row,
+        candidates=_ARC_ZERO if m1.regular_via_vertex_stabilizer() else None,
     )
 
 

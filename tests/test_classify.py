@@ -5,10 +5,12 @@ reimplementations wherever a value is derived rather than hand-checkable."""
 from __future__ import annotations
 
 import math
+import os
 from itertools import combinations
 
 import pytest
 
+from cayleymaps import classify
 from cayleymaps.classify import (
     CLAIM_IDS,
     CSV_COLUMNS,
@@ -364,12 +366,44 @@ class TestExhaustiveSearch:
         with pytest.raises(SizeGuardError):
             exhaustive_regular_maps(DihedralGroup(67), 3)
 
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError):
+                exhaustive_regular_maps(DihedralGroup(7), 3, jobs=jobs)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the chunks in this process, so no worker is started."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+        serial = [m.xs_ranks() for m in exhaustive_regular_maps(DihedralGroup(7), 3)]
+        for cpus, expected in ((3, [3]), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            capped = exhaustive_regular_maps(DihedralGroup(7), 3, jobs=64)
+            assert sizes == expected
+            assert [m.xs_ranks() for m in capped] == serial
+
 
 class TestSphereMapException:
     """The one regular 3-valent dihedral map outside the balanced family:
     the genus-0 sphere map on the order-8 dihedral group (cube skeleton).
-    Both closure backends and a naive breadth-first reimplementation agree
-    that it is regular, so the claim verifiers report it honestly."""
+    The closure kernel, the propagation route and a naive breadth-first
+    reimplementation agree that it is regular, so the claim verifiers report it honestly."""
 
     def test_census_pins_the_exception(self):
         rows = census_entries(DihedralGroup(4), 4, 3)

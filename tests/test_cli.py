@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cayleymaps import cli
 from cayleymaps.cli import main, parse_generator_list, parse_group_spec
 from cayleymaps.groups import (
     CyclicGroup,
@@ -95,6 +96,27 @@ class TestExitCodes:
         assert run_cli(capsys, "census", "--p", "3", "--n-max", "5")[0] == 2
         assert run_cli(capsys, "nonsense")[0] == 2
         assert run_cli(capsys, "count", "--p", "x", "--n", "5")[0] == 2
+
+    def test_two_on_jobs_below_one(self, capsys):
+        for command in (
+            ("census", "--group", "dihedral", "--p", "3", "--n-max", "5"),
+            ("verify", "--theorem", "1.2", "--p", "3", "--n-max", "5"),
+        ):
+            for jobs in ("0", "-1"):
+                assert run_cli(capsys, *command, "--jobs", jobs)[0] == 2
+
+    def test_four_on_internal_error(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("census crashed")
+
+        monkeypatch.setattr(cli, "census_entries", crash)
+        code, out, err = run_cli(
+            capsys, "census", "--group", "dihedral", "--p", "3", "--n-max", "5"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "RuntimeError: census crashed" in err
 
     def test_three_on_size_guard(self, capsys):
         code, _, err = run_cli(

@@ -1,0 +1,121 @@
+"""The census's fast paths against the slow routes they replace.
+
+The census decides regularity with one arc propagation (is there an
+automorphism that fixes the base vertex and sends arc 0 to arc 1?), tests
+isomorphism out of a regular map from the single candidate image arc 0, and
+checks generation on a rank multiplication table. Here each is compared with
+its slow route on small groups of every family: the monodromy closure, the
+sweep over every image of arc 0, and breadth-first closure in the group.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, permutations
+
+import pytest
+
+from cayleymaps._kernels import arc_bijection_exists
+from cayleymaps.classify import (
+    AbelianProductGroup,
+    exhaustive_regular_maps,
+    inverse_closed_sets,
+)
+from cayleymaps.groups import (
+    CyclicGroup,
+    DicyclicGroup,
+    DihedralGroup,
+    ElemAbelian2Group,
+)
+from cayleymaps.maps import build_map, maps_isomorphic
+
+CASES = (
+    [(DihedralGroup(n), 3) for n in range(3, 11)]
+    + [(DihedralGroup(5), 5), (DihedralGroup(6), 5)]
+    + [(DicyclicGroup(n), 3) for n in (2, 3, 4)]
+    + [(DicyclicGroup(3), 5), (DicyclicGroup(4), 5)]
+    + [(CyclicGroup(n), 3) for n in (6, 8, 10, 12, 14)]
+    + [(CyclicGroup(10), 5)]
+    + [(ElemAbelian2Group(r), 3) for r in (2, 3)]
+    + [(ElemAbelian2Group(3), 5)]
+    + [(AbelianProductGroup(mods), 3) for mods in ([2, 4], [2, 6], [2, 8])]
+    + [(AbelianProductGroup([2, 4]), 5), (AbelianProductGroup([2, 6]), 5)]
+)
+
+
+def slow_candidates(group, valence):
+    """Every candidate map, enumerated without the census's helpers: each
+    unit-free inverse-closed subset that FiniteGroup.generates accepts, in
+    every ordering with its minimal-rank element first."""
+    elems = [g for g in group.elements() if g != group.identity]
+    out = []
+    for xset in combinations(elems, valence):
+        if {group.inv(x) for x in xset} != set(xset) or not group.generates(xset):
+            continue
+        first, *rest = xset
+        out.extend(build_map(group, (first,) + tail) for tail in permutations(rest))
+    return out
+
+
+def full_sweep_isomorphic(m1, m2):
+    return m1.n_arcs == m2.n_arcs and arc_bijection_exists(
+        m1._rotation_row, m1._reversal_row, m2._rotation_row, m2._reversal_row
+    )
+
+
+@pytest.fixture(
+    scope="module", params=CASES, ids=[f"{g.name}-p{p}" for g, p in CASES]
+)
+def case(request):
+    group, valence = request.param
+    return group, valence, slow_candidates(group, valence)
+
+
+def test_generation_check_matches_group_closure(case):
+    group, valence, candidates = case
+    expected = sorted({tuple(sorted(m.xs_ranks())) for m in candidates})
+    found = inverse_closed_sets(group, valence)
+    assert [tuple(group.rank(x) for x in xset) for xset in found] == expected
+
+
+def test_propagation_regularity_matches_closure(case):
+    _, _, candidates = case
+    for m in candidates:
+        assert m.is_regular() == m.regular_via_vertex_stabilizer(), m
+
+
+def test_candidate_zero_isomorphism_matches_full_sweep(case):
+    _, _, candidates = case
+    regular = [m for m in candidates if m.is_regular()]
+    for m1 in regular:
+        for m2 in regular:
+            assert maps_isomorphic(m1, m2) == full_sweep_isomorphic(m1, m2), (m1, m2)
+
+
+def test_census_matches_slow_reference(case):
+    group, valence, candidates = case
+    classes: list[list] = []
+    for m in candidates:
+        if not m.is_regular():
+            continue
+        for cls in classes:
+            if full_sweep_isomorphic(cls[0], m):
+                cls.append(m)
+                break
+        else:
+            classes.append([m])
+    expected = sorted(
+        min(cls, key=lambda mm: (mm.faces_and_genus()[1], mm.xs_ranks())).xs_ranks()
+        for cls in classes
+    )
+    found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+    assert found == expected
+
+
+def test_isomorphism_out_of_irregular_maps_sweeps_every_image(case):
+    # rotating the generator list redraws the same map with arc 0 moved to
+    # the last slot; out of an irregular map no isomorphism sends arc 0 to arc 0
+    group, _, candidates = case
+    for m in candidates:
+        if not m.is_regular():
+            rotated = build_map(group, m.xs[1:] + m.xs[:1])
+            assert maps_isomorphic(m, rotated), m

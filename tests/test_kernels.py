@@ -1,4 +1,4 @@
-"""Backend parity and correctness of the numeric kernels.
+"""Correctness of the numeric kernels.
 
 The oracle is a from-scratch breadth-first closure over 1-based image tuples;
 it shares no code with the kernel implementations.
@@ -9,11 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleymaps import _kernels
 from cayleymaps._kernels import arc_bijection_exists, closure_table
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.NUMBA_AVAILABLE else [])
-
 
 def naive_closure(rows: list[list[int]]) -> set[tuple[int, ...]]:
     m = len(rows[0])
@@ -41,79 +37,61 @@ GEN_SETS = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GEN_SETS))
-def test_closure_matches_naive_oracle(backend, name):
+def test_closure_matches_naive_oracle(name):
     rows = GEN_SETS[name]
     expected = naive_closure(rows)
     size, exceeded, table = closure_table(
-        np.array(rows, dtype=np.int64), cutoff=len(expected) + 5, backend=backend
+        np.array(rows, dtype=np.int64), cutoff=len(expected) + 5
     )
     assert not exceeded
     assert size == len(expected)
     assert {tuple(int(x) for x in row) for row in table} == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_closure_exceeded_reports_cutoff_plus_one(backend):
+def test_closure_exceeded_reports_cutoff_plus_one():
     # (1 2) and (1 2 3 4 5) generate all 120 permutations
     rows = np.array([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]], dtype=np.int64)
-    size, exceeded, table = closure_table(rows, cutoff=10, backend=backend)
+    size, exceeded, table = closure_table(rows, cutoff=10)
     assert exceeded
     assert size == 11
     assert table.shape[0] == 0
-    size, exceeded, _ = closure_table(rows, cutoff=120, backend=backend)
+    size, exceeded, _ = closure_table(rows, cutoff=120)
     assert (size, exceeded) == (120, False)
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not importable")
-def test_backends_agree_on_closure():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        m = int(rng.integers(2, 8))
-        rows = np.stack([rng.permutation(m), rng.permutation(m)]).astype(np.int64)
-        for cutoff in (3, 17, 50000):
-            got_np = closure_table(rows, cutoff, backend="numpy")[:2]
-            got_nb = closure_table(rows, cutoff, backend="numba")[:2]
-            assert got_np == got_nb
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_arc_bijection_identity_and_relabel(backend):
+def test_arc_bijection_identity_and_relabel():
     rng = np.random.default_rng(3)
     r1 = np.array([1, 2, 3, 4, 5, 0], dtype=np.int64)
     l1 = np.array([3, 4, 5, 0, 1, 2], dtype=np.int64)
-    assert arc_bijection_exists(r1, l1, r1, l1, backend=backend)
+    assert arc_bijection_exists(r1, l1, r1, l1)
     # conjugating both permutations by a relabeling keeps them equivalent
     sigma = rng.permutation(6).astype(np.int64)
     inv = np.empty(6, dtype=np.int64)
     inv[sigma] = np.arange(6)
     r2 = sigma[r1[inv]]
     l2 = sigma[l1[inv]]
-    assert arc_bijection_exists(r1, l1, r2, l2, backend=backend)
+    assert arc_bijection_exists(r1, l1, r2, l2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_arc_bijection_detects_mismatch(backend):
+def test_arc_bijection_detects_mismatch():
     r1 = np.array([1, 2, 3, 4, 5, 0], dtype=np.int64)
     l1 = np.array([3, 4, 5, 0, 1, 2], dtype=np.int64)
     l2 = np.array([1, 0, 3, 2, 5, 4], dtype=np.int64)
-    assert not arc_bijection_exists(r1, l1, r1, l2, backend=backend)
+    assert not arc_bijection_exists(r1, l1, r1, l2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_arc_bijection_candidate_restriction(backend):
+def test_arc_bijection_candidate_restriction():
     r1 = np.array([1, 2, 0], dtype=np.int64)
     l1 = np.array([2, 0, 1], dtype=np.int64)
     good = arc_bijection_exists(
-        r1, l1, r1, l1, candidates=np.array([0], dtype=np.int64), backend=backend
+        r1, l1, r1, l1, candidates=np.array([0], dtype=np.int64)
     )
     assert good
     # 0 -> 1 forces a shift that the second pair cannot realize
     shifted = arc_bijection_exists(
         r1, l1, r1, np.array([1, 2, 0], dtype=np.int64),
         candidates=np.array([1], dtype=np.int64),
-        backend=backend,
     )
     assert not shifted
 
@@ -123,5 +101,3 @@ def test_closure_rejects_bad_input():
         closure_table(np.zeros((0, 3), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         closure_table(np.array([[1, 0]], dtype=np.int64), 0)
-    with pytest.raises(ValueError):
-        closure_table(np.array([[1, 0]], dtype=np.int64), 5, backend="what")
