@@ -3,9 +3,9 @@ and single-map diagnostics.
 
 Every command writes a deterministic report to standard output (diagnostics
 go to standard error) and returns one of five exit codes: 0 success or pass,
-1 verification failure or count disagreement, 2 usage/parse error, 3 refusal
-by a size guard, 4 internal error (an unexpected exception, reported on
-standard error).
+1 verification failure or count disagreement, 2 usage/parse error (a
+UsageError), 3 refusal by a size guard, 4 internal error (any other
+exception, reported with its traceback on standard error).
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ from typing import Optional, Sequence
 from .classify import (
     CLAIM_IDS,
     CSV_COLUMNS,
-    MAX_CENSUS_ARCS,
     AbelianProductGroup,
     CensusEntry,
+    UsageError,
     _require_odd_prime,
-    abelian_group_catalogue,
     census_entries,
-    count_regular_dihedral_maps,
-    crt_lift_solutions,
+    count_agreement,
     entry_for_map,
-    triples_for,
+    family_groups,
+    guarded_targets,
     verify_claim,
 )
 from .groups import (
@@ -202,10 +201,7 @@ def _emit_csv(entries: Sequence[CensusEntry]) -> None:
 
 
 def _count_line(n: int, p: int) -> tuple[str, bool]:
-    formula = count_regular_dihedral_maps(n, p)
-    enumerated = triples_for(n, p)
-    lifted = crt_lift_solutions(n, p)
-    agree = formula == len(enumerated) == len(lifted) and enumerated == lifted
+    formula, enumerated, _, agree = count_agreement(n, p)
     shown = ",".join(str(l) for l in enumerated)
     flag = "AGREE" if agree else "DISAGREE"
     return f"n={n} p={p} count={formula} l=[{shown}] {flag}", agree
@@ -214,29 +210,14 @@ def _count_line(n: int, p: int) -> tuple[str, bool]:
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _census_targets(group_kind: str, n_max: int) -> list[tuple[FiniteGroup, int]]:
-    if group_kind == "dihedral":
-        return [(DihedralGroup(n), n) for n in range(3, n_max + 1)]
-    if group_kind == "dicyclic":
-        return [(DicyclicGroup(n), n) for n in range(2, n_max + 1)]
-    if group_kind == "abelian":
-        return [(g, g.order) for g in abelian_group_catalogue(n_max)]
-    return [(ElemAbelian2Group(r), r) for r in range(1, n_max + 1)]
-
-
 def _run_census(args: argparse.Namespace) -> int:
     _require_odd_prime(args.p)
-    targets = _census_targets(args.group, args.n_max)
-    # refuse the whole request up front: no partial reports
-    for group, _ in targets:
-        if group.order * args.p > MAX_CENSUS_ARCS:
-            raise SizeGuardError(
-                f"census guard: {group.name} at valence {args.p} needs "
-                f"{group.order * args.p} arcs, above {MAX_CENSUS_ARCS}"
-            )
+    targets = guarded_targets(
+        (group, n, args.p) for group, n in family_groups(args.group, args.n_max)
+    )
     entries: list[CensusEntry] = []
-    for group, n_param in targets:
-        entries.extend(census_entries(group, n_param, args.p, args.jobs))
+    for group, n_param, valence in targets:
+        entries.extend(census_entries(group, n_param, valence, args.jobs))
     if args.format == "csv":
         _emit_csv(entries)
     else:
@@ -257,6 +238,9 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_count(args: argparse.Namespace) -> int:
+    _require_odd_prime(args.p)
+    if args.n < 1:
+        raise UsageError(f"--n must be positive, got {args.n}")
     line, agree = _count_line(args.n, args.p)
     print(line)
     return 0 if agree else 1
@@ -264,7 +248,7 @@ def _run_count(args: argparse.Namespace) -> int:
 
 def _run_triples(args: argparse.Namespace) -> int:
     if args.n_max < 1:
-        raise ValueError(f"--n-max must be positive, got {args.n_max}")
+        raise UsageError(f"--n-max must be positive, got {args.n_max}")
     all_agree = True
     for n in range(1, args.n_max + 1):
         line, agree = _count_line(n, args.p)
@@ -274,9 +258,11 @@ def _run_triples(args: argparse.Namespace) -> int:
 
 
 def _run_checkmap(args: argparse.Namespace) -> int:
-    group, n_param = parse_group_spec(args.group)
-    xs = parse_generator_list(group, args.xs)
-    m = build_map(group, xs)
+    try:
+        group, n_param = parse_group_spec(args.group)
+        m = build_map(group, parse_generator_list(group, args.xs))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     entry = entry_for_map(m, n_param, "checkmap", with_graph_aut=True)
     params = {"command": "checkmap", "group": args.group, "xs": args.xs}
     _emit_json(params, [entry])
@@ -298,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "triples":
             return _run_triples(args)
         return _run_checkmap(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

@@ -157,9 +157,6 @@ class CayleyMap:
 
     # -- inverse distribution and balance ----------------------------------
 
-    def distribution_of_inverses(self) -> Kappa:
-        return self.kappa
-
     def canonical_base_rotation(self) -> "CayleyMap":
         """Rotate xs so the last generator is self-inverse, breaking ties by
         the lexicographically smallest rank tuple."""

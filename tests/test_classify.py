@@ -21,7 +21,9 @@ from cayleymaps.classify import (
     affine_compatible_involutions,
     antibalanced_cyclic_map,
     balanced_dihedral_map,
+    UsageError,
     census_entries,
+    count_agreement,
     count_regular_dihedral_maps,
     crt_lift_solutions,
     cyclic_orderings,
@@ -29,7 +31,9 @@ from cayleymaps.classify import (
     elem_abelian_seeds,
     entry_for_map,
     exhaustive_regular_maps,
+    family_groups,
     geosum_order,
+    guarded_targets,
     inverse_closed_sets,
     triples_for,
     verify_claim,
@@ -301,6 +305,32 @@ class TestAbelianCatalogue:
             AbelianProductGroup([2, 1])
 
 
+class TestFamilyGroups:
+    def test_ranges_and_report_parameters(self):
+        def names(kind, n_max):
+            return [(g.name, n) for g, n in family_groups(kind, n_max)]
+
+        assert names("dihedral", 5) == [("D3", 3), ("D4", 4), ("D5", 5)]
+        assert names("dicyclic", 4) == [("Dic2", 2), ("Dic3", 3), ("Dic4", 4)]
+        assert names("elem2", 3) == [("E1", 1), ("E2", 2), ("E3", 3)]
+        assert names("abelian", 16) == [
+            (g.name, g.order) for g in abelian_group_catalogue(16)
+        ]
+        assert names("dihedral", 2) == names("dicyclic", 1) == names("elem2", 0) == []
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            family_groups("quaternion", 5)
+
+    def test_guard_refuses_the_whole_list_before_reading_it_all(self):
+        # a lazy family far past the guard: refused at its first large group
+        targets = ((g, n, 3) for g, n in family_groups("dihedral", 10**9))
+        with pytest.raises(SizeGuardError, match="D67 at valence 3 needs 402 arcs"):
+            guarded_targets(targets)
+        below = [(g, n, 3) for g, n in family_groups("dihedral", 66)]
+        assert guarded_targets(iter(below)) == below
+
+
 # -- exhaustive search -----------------------------------------------------------
 
 
@@ -355,7 +385,14 @@ class TestExhaustiveSearch:
         assert m.faces_and_genus() == (4, 3)
 
     def test_parallel_search_matches_serial(self):
-        for group, valence in ((DihedralGroup(7), 3), (CyclicGroup(6), 3)):
+        # the pool workers receive the group object itself, pickled
+        for group, valence in (
+            (DihedralGroup(7), 3),
+            (CyclicGroup(6), 3),
+            (DicyclicGroup(2), 4),
+            (ElemAbelian2Group(3), 3),
+            (AbelianProductGroup([2, 4]), 4),
+        ):
             serial = exhaustive_regular_maps(group, valence, jobs=1)
             parallel = exhaustive_regular_maps(group, valence, jobs=2)
             assert [m.xs_ranks() for m in serial] == [
@@ -524,16 +561,63 @@ class TestVerifyClaims:
         )
 
     def test_unknown_or_incomplete_requests_raise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             verify_claim("9.9", p=3, n_max=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             verify_claim("1.2", p=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             verify_claim("1.2", n_max=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             verify_claim("1.2", p=4, n_max=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             verify_claim("1.1", p=3, n_max=32)
+
+    @pytest.mark.parametrize(
+        "claim_id, p, n_max, text",
+        [
+            ("1.1", 3, 16,
+             "claim 1.1: PASS\nchecked: 3\nnote: abelian groups searched: 24\n"),
+            ("1.2", 3, 12,
+             "claim 1.2: FAIL\nchecked: 7\ncounterexample: "
+             "D4,4,3,a a^3 b,true,anti-balanced,(1 2),24,0,counterexample\n"),
+            ("1.3", 3, 8, "claim 1.3: PASS\nchecked: 7\n"),
+            ("2.6", 3, 15,
+             "claim 2.6: FAIL\nchecked: 6\ncounterexample: "
+             "D4,4,3,a a^3 b,true,anti-balanced,(1 2),24,0,counterexample\n"),
+            ("2.7-consequence", None, 8,
+             "claim 2.7-consequence: PASS\nchecked: 4\n"
+             "note: balanced regular dicyclic maps seen: 4\n"),
+            ("L3.2", 3, 14, "claim L3.2: PASS\nchecked: 7\n"),
+        ],
+    )
+    def test_search_backed_report_texts(self, claim_id, p, n_max, text):
+        # whole reports: verdict, checked count and its rule, notes, rows
+        assert verify_claim(claim_id, p=p, n_max=n_max).as_text() == text
+
+    def test_dicyclic_balance_parity_skips_valences_over_the_guard(self, monkeypatch):
+        searched = []
+
+        def record(group, valence, jobs=1):
+            searched.append((group.order, valence))
+            return []
+
+        monkeypatch.setattr(classify, "exhaustive_regular_maps", record)
+        report = verify_claim("2.7-consequence", n_max=67)
+        assert report.passed and report.checked == 0
+        assert (132, 3) in searched and (132, 4) not in searched
+        assert (80, 5) in searched and (82, 5) not in searched
+        assert max(order * valence for order, valence in searched) <= 400
+
+    def test_dihedral_classification_fails_on_a_class_listed_twice(self, monkeypatch):
+        # every map has an isomorphic partner, but the counts differ
+        real = classify.triples_for
+        monkeypatch.setattr(
+            classify, "triples_for", lambda n, p: [l for l in real(n, p) for _ in "ab"]
+        )
+        report = verify_claim("1.2", p=3, n_max=3)
+        assert not report.passed
+        assert report.checked == 3
+        assert report.counterexamples == ["D3: 1 census classes, 2 closed-form maps"]
 
     def test_abelian_dichotomy_passes(self):
         report = verify_claim("1.1", p=3, n_max=16)
@@ -580,6 +664,20 @@ class TestVerifyClaims:
         for p in (3, 5, 7):
             report = verify_claim("3.4", p=p, n_max=200)
             assert report.passed and report.checked == 200
+
+    def test_count_agreement_values(self):
+        assert count_agreement(21, 3) == (2, [4, 16], [4, 16], True)
+        assert count_agreement(9, 3) == (0, [], [], True)
+
+    def test_count_agreement_reports_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(classify, "crt_lift_solutions", lambda n, p: [])
+        assert count_agreement(7, 3) == (2, [2, 4], [], False)
+        report = verify_claim("3.4", p=3, n_max=7)
+        assert not report.passed and report.checked == 7
+        assert report.counterexamples == [
+            "n=3 p=3: formula=1 enumerated=[1] crt=[]",
+            "n=7 p=3: formula=2 enumerated=[2, 4] crt=[]",
+        ]
 
     def test_kappa_dichotomy_passes(self):
         report = verify_claim("L3.2", p=3, n_max=12)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cayleymaps import cli
+from cayleymaps import classify, cli
 from cayleymaps.cli import main, parse_generator_list, parse_group_spec
 from cayleymaps.groups import (
     CyclicGroup,
@@ -118,12 +118,47 @@ class TestExitCodes:
         assert err.startswith("internal error:")
         assert "RuntimeError: census crashed" in err
 
+    def test_four_on_internal_value_error(self, capsys, monkeypatch):
+        # only a UsageError is a usage error; any other ValueError is a bug
+        def slip(*args, **kwargs):
+            raise ValueError("internal slip")
+
+        monkeypatch.setattr(cli, "census_entries", slip)
+        code, out, err = run_cli(
+            capsys, "census", "--group", "dihedral", "--p", "3", "--n-max", "5"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "ValueError: internal slip" in err
+
     def test_three_on_size_guard(self, capsys):
         code, _, err = run_cli(
             capsys, "census", "--group", "dihedral", "--p", "3", "--n-max", "67"
         )
         assert code == 3
         assert err.startswith("size guard: ")
+
+    def test_verify_size_guard_refuses_before_any_search(self, capsys, monkeypatch):
+        searched = []
+
+        def no_search(group, valence, jobs=1):
+            searched.append(group.name)
+            raise AssertionError("searched a group of a refused request")
+
+        monkeypatch.setattr(classify, "exhaustive_regular_maps", no_search)
+        for case in (
+            ("verify", "--theorem", "1.1", "--p", "29", "--n-max", "16"),
+            ("verify", "--theorem", "1.2", "--p", "3", "--n-max", "67"),
+            ("verify", "--theorem", "1.3", "--p", "3", "--n-max", "67"),
+            ("verify", "--theorem", "2.6", "--p", "7", "--n-max", "40"),
+            ("verify", "--theorem", "L3.2", "--p", "3", "--n-max", "67"),
+            ("census", "--group", "dihedral", "--p", "3", "--n-max", "67"),
+        ):
+            code, out, err = run_cli(capsys, *case)
+            assert (code, out) == (3, ""), case
+            assert err.startswith("size guard: census guard: "), case
+        assert searched == []
 
     def test_size_guard_refuses_before_any_output(self, capsys):
         code, out, _ = run_cli(
@@ -197,14 +232,16 @@ class TestCensusCommand:
         ]
 
     def test_byte_identical_across_runs_and_jobs(self, capsys):
-        outs = []
-        for jobs in ("1", "1", "2"):
-            _, out, _ = run_cli(
-                capsys, "census", "--group", "dihedral", "--p", "3",
-                "--n-max", "7", "--jobs", jobs,
-            )
-            outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
+        for family, n_max in (("dihedral", "7"), ("dicyclic", "6"), ("abelian", "12")):
+            outs = []
+            for jobs in ("1", "1", "2"):
+                code, out, _ = run_cli(
+                    capsys, "census", "--group", family, "--p", "3",
+                    "--n-max", n_max, "--jobs", jobs,
+                )
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1] == outs[2], family
 
 
 # -- verify, count, triples ---------------------------------------------------------

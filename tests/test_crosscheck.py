@@ -88,7 +88,12 @@ def test_candidate_zero_isomorphism_matches_full_sweep(case):
     regular = [m for m in candidates if m.is_regular()]
     for m1 in regular:
         for m2 in regular:
-            assert maps_isomorphic(m1, m2) == full_sweep_isomorphic(m1, m2), (m1, m2)
+            isomorphic = maps_isomorphic(m1, m2)
+            assert isomorphic == full_sweep_isomorphic(m1, m2), (m1, m2)
+            if isomorphic:
+                # isomorphism invariants
+                assert m1.faces_and_genus() == m2.faces_and_genus(), (m1, m2)
+                assert m1.balance_type() == m2.balance_type(), (m1, m2)
 
 
 def test_census_matches_slow_reference(case):
