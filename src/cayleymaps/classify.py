@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .groups import (
     CyclicGroup,
     DicyclicGroup,
@@ -35,7 +34,16 @@ from .groups import (
     FiniteGroup,
     Gf2Matrix,
 )
-from .maps import CayleyMap, SizeGuardError, build_map, maps_isomorphic
+from .maps import (
+    GRAPH_AUT_MAX_VERTICES,
+    CayleyMap,
+    SizeGuardError,
+    build_map,
+    maps_isomorphic,
+    reversal_row,
+    rotates_base_star,
+    rotation_row,
+)
 from .perms import (
     Permutation,
     all_involutions,
@@ -46,7 +54,6 @@ from .perms import (
 MAX_CENSUS_ARCS = 400
 MAX_SEED_RANK = 4
 MAX_ABELIAN_VERIFY_ORDER = 16
-_ARC_ONE = np.array([1], dtype=np.int64)
 
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
 
@@ -432,46 +439,12 @@ def _invariant_factor_chains(order: int) -> list[tuple[int, ...]]:
 # -- exhaustive search -------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _rank_tables(group: FiniteGroup) -> tuple[np.ndarray, list[int]]:
-    """(mul, inv) over element ranks: mul[i, j] is the rank of g_i * g_j and
-    inv[i] the rank of g_i^-1. Cached for the last group object, so one
-    census builds its table once; the census guard bounds its size."""
-    elems = group.elements()
-    rank = group.rank
-    mul = np.array(
-        [[rank(group.mul(g, h)) for h in elems] for g in elems], dtype=np.int64
-    )
-    inv = [rank(group.inv(g)) for g in elems]
-    return mul, inv
-
-
-def _generates_ranks(mul: list[list[int]], identity: int, xs: Sequence[int]) -> bool:
-    """Does the rank set xs generate the group of the table mul?"""
-    found = [False] * len(mul)
-    found[identity] = True
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for r in frontier:
-            row = mul[r]
-            for x in xs:
-                h = row[x]
-                if not found[h]:
-                    found[h] = True
-                    fresh.append(h)
-        frontier = fresh
-    return all(found)
-
-
 def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     """All unit-free, inverse-closed, generating subsets of the given size,
     each sorted by element rank; the list itself is rank-lexicographic."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
     involutions = group.involutions()
-    mul = _rank_tables(group)[0].tolist()
-    identity = group.rank(group.identity)
     seen_pair = set()
     pairs = []
     for g in group.elements():
@@ -493,7 +466,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
                 xset = sorted(
                     invs + tuple(x for pr in prs for x in pr), key=group.rank
                 )
-                if _generates_ranks(mul, identity, [group.rank(x) for x in xset]):
+                if group.generates(xset):
                     out.append(tuple(xset))
     out.sort(key=lambda xs: tuple(group.rank(x) for x in xs))
     return out
@@ -519,24 +492,18 @@ def _survivors_for_sets(
 ) -> list[tuple[int, ...]]:
     """Rank tuples of every ordering (first element pinned) of the given
     inverse-closed sets whose map is regular."""
-    mul_rank, inv_rank = _rank_tables(group)
-    n_arcs = group.order * valence
-    ids = np.arange(n_arcs, dtype=np.int64)
-    row_R = (ids // valence) * valence + ((ids % valence) + 1) % valence
+    if not sets:
+        return []  # spares the product table of a group with no candidates
+    table, inv = group.rank_table()
+    mul = np.array(table, dtype=np.int64)
+    row_R = rotation_row(group.order * valence, valence)
     survivors = []
     for xset in sets:
         set_ranks = tuple(group.rank(x) for x in xset)
         for xs_ranks in cyclic_orderings(set_ranks):
-            kappa0 = [xs_ranks.index(inv_rank[r]) for r in xs_ranks]
-            row_L = (
-                mul_rank[:, list(xs_ranks)] * valence + np.array(kappa0)
-            ).reshape(-1)
-            # left translations are transitive on vertices (X generates), so
-            # the map is regular iff an automorphism fixes the base vertex
-            # and sends arc 0 to arc 1
-            if _kernels.arc_bijection_exists(
-                row_R, row_L, row_R, row_L, candidates=_ARC_ONE
-            ):
+            kappa0 = [xs_ranks.index(inv[r]) for r in xs_ranks]
+            row_L = reversal_row(mul[:, list(xs_ranks)], kappa0)
+            if rotates_base_star(row_R, row_L):
                 survivors.append(xs_ranks)
     return survivors
 
@@ -552,7 +519,7 @@ def exhaustive_regular_maps(
     """Independent search oracle: every inverse-closed generating subset of
     the given size, every cyclic ordering (first element pinned), kept when
     regular, deduplicated up to map isomorphism. Representatives are the
-    (genus, rank-lexicographic) minima of their classes, sorted by ranks.
+    rank-lexicographic minima of their classes, sorted by ranks.
     At most min(jobs, CPU count) worker processes share the orderings."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -586,11 +553,8 @@ def exhaustive_regular_maps(
                 break
         else:
             classes.append([m_obj])
-    reps = [
-        min(cls, key=lambda mm: (mm.faces_and_genus()[1], mm.xs_ranks()))
-        for cls in classes
-    ]
-    reps.sort(key=lambda mm: mm.xs_ranks())
+    reps = [min(cls, key=CayleyMap.xs_ranks) for cls in classes]
+    reps.sort(key=CayleyMap.xs_ranks)
     return reps
 
 
@@ -669,7 +633,7 @@ def entry_for_map(
     mon: Union[int, str] = f">{m.n_arcs + 1}" if exceeded else order
     faces, genus = m.faces_and_genus()
     aut_order = None
-    if with_graph_aut and m.group.order <= 64:
+    if with_graph_aut and m.group.order <= GRAPH_AUT_MAX_VERTICES:
         aut_order = m.graph_aut_order()
     return CensusEntry(
         group=m.group.name,

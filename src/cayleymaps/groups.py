@@ -2,8 +2,10 @@
 
 Elements are plain hashable values in a canonical normal form: residues for
 cyclic groups, bit masks for elementary abelian 2-groups, and exponent pairs
-(i, eps) meaning a^i * b^eps for the dihedral and dicyclic families.  No
-multiplication tables are stored; every product is computed on exponents.
+(i, eps) meaning a^i * b^eps for the dihedral and dicyclic families.  Every
+product is computed on exponents; `FiniteGroup.rank_table` tabulates them over
+element ranks for the hot loops, and only the most recent group's table is
+kept.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 GroupElement = Union[int, tuple]
@@ -215,8 +218,19 @@ class FiniteGroup:
             count += 1
         return count
 
+    @lru_cache(maxsize=1)
+    def rank_table(self) -> tuple[list[list[int]], list[int]]:
+        """(mul, inv) over element ranks: mul[i][j] is the rank of g_i * g_j
+        and inv[i] the rank of g_i^-1. Only the most recent group's table is
+        cached, so a sweep over many groups holds one N x N table at a time."""
+        elems = self.elements()
+        rank = self.rank
+        mul = [[rank(self.mul(g, h)) for h in elems] for g in elems]
+        return mul, [rank(self.inv(g)) for g in elems]
+
     def closure(self, seed: Iterable[GroupElement]) -> set:
-        """Subgroup generated by seed, grown by breadth-first multiplication."""
+        """Subgroup generated by seed, grown by breadth-first multiplication
+        on elements; the reference route for generates."""
         gens = [self.check(g) for g in seed]
         found = {self.identity}
         frontier = [self.identity]
@@ -232,7 +246,24 @@ class FiniteGroup:
         return found
 
     def generates(self, seed: Iterable[GroupElement]) -> bool:
-        return len(self.closure(seed)) == self.order
+        """Does seed generate the group? Breadth-first search on rank_table."""
+        xs = [self.rank(g) for g in seed]
+        mul = self.rank_table()[0]
+        identity = self.rank(self.identity)
+        found = [False] * self.order
+        found[identity] = True
+        frontier = [identity]
+        while frontier:
+            fresh = []
+            for r in frontier:
+                row = mul[r]
+                for x in xs:
+                    h = row[x]
+                    if not found[h]:
+                        found[h] = True
+                        fresh.append(h)
+            frontier = fresh
+        return all(found)
 
     def involutions(self) -> list[GroupElement]:
         e = self.identity

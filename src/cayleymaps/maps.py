@@ -4,6 +4,8 @@ A map is a group together with an ordered generating list (x_1, ..., x_k);
 the rotation R advances the generator slot at a vertex, and the reversal L
 crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
 (slot - 1), so every permutation here is an int64 row over that numbering.
+`rotation_row` and `reversal_row` build R and L, and `rotates_base_star`
+decides regularity, for maps and for the census alike.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from .groups import FiniteGroup, GroupElement
 from .perms import Permutation
 
 __all__ = [
-    "Arc",
     "Kappa",
     "BalanceType",
     "CayleyMap",
     "SizeGuardError",
     "build_map",
     "maps_isomorphic",
+    "reversal_row",
+    "rotates_base_star",
+    "rotation_row",
 ]
 
 GRAPH_AUT_MAX_VERTICES = 64
@@ -34,14 +38,6 @@ _ARC_ONE = np.array([1], dtype=np.int64)
 
 class SizeGuardError(Exception):
     """A computation was refused because its input exceeds a desk-scale bound."""
-
-
-@dataclass(frozen=True)
-class Arc:
-    """The arc from vertex toward vertex * x_index; index is 1-based."""
-
-    vertex: GroupElement
-    index: int
 
 
 @dataclass(frozen=True)
@@ -114,46 +110,13 @@ class CayleyMap:
         self.k = k
         self.n_arcs = group.order * k
         self.kappa = Kappa(Permutation(tuple(kappa_images)))
-        self._rotation_row, self._reversal_row = self._build_rows()
+        ranks = self.xs_ranks()
+        cols = [[row[x] for x in ranks] for row in group.rank_table()[0]]
+        self._rotation_row = rotation_row(self.n_arcs, k)
+        self._reversal_row = reversal_row(cols, [s - 1 for s in kappa_images])
         self._monodromy: Optional[tuple[int, bool]] = None
         self._stabilizer_regular: Optional[bool] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
-
-    def _build_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        group, k = self.group, self.k
-        n = group.order
-        ids = np.arange(self.n_arcs, dtype=np.int64)
-        rotation = (ids // k) * k + ((ids % k) + 1) % k
-        reversal = np.empty(self.n_arcs, dtype=np.int64)
-        kp = self.kappa.perm.images
-        for v_rank, v in enumerate(group.elements()):
-            base = v_rank * k
-            for slot in range(k):
-                w_rank = group.rank(group.mul(v, self.xs[slot]))
-                reversal[base + slot] = w_rank * k + (kp[slot] - 1)
-        return rotation, reversal
-
-    # -- arcs -------------------------------------------------------------
-
-    def arcs(self) -> list[Arc]:
-        """All arcs in the global (vertex rank, slot) order."""
-        return [Arc(v, i) for v in self.group.elements() for i in range(1, self.k + 1)]
-
-    def arc_id(self, arc: Arc) -> int:
-        if not 1 <= arc.index <= self.k:
-            raise ValueError(f"arc slot {arc.index} out of range 1..{self.k}")
-        return self.group.rank(arc.vertex) * self.k + (arc.index - 1)
-
-    def arc_at(self, arc_id: int) -> Arc:
-        if not 0 <= arc_id < self.n_arcs:
-            raise ValueError(f"arc id {arc_id} out of range")
-        return Arc(self.group.elements()[arc_id // self.k], arc_id % self.k + 1)
-
-    def step_R(self, arc: Arc) -> Arc:
-        return self.arc_at(int(self._rotation_row[self.arc_id(arc)]))
-
-    def step_L(self, arc: Arc) -> Arc:
-        return self.arc_at(int(self._reversal_row[self.arc_id(arc)]))
 
     # -- inverse distribution and balance ----------------------------------
 
@@ -211,13 +174,11 @@ class CayleyMap:
         return not exceeded and size == self.n_arcs and self._arc_action_transitive()
 
     def regular_via_vertex_stabilizer(self) -> bool:
-        """Second route: does some map automorphism rotate the base star one
-        step?  Left translations are transitive on vertices, so this is
-        equivalent to is_regular; one O(|D|) propagation, cached."""
+        """Second route to is_regular: rotates_base_star on this map's rows,
+        one O(|D|) propagation, cached."""
         if self._stabilizer_regular is None:
-            rot, rev = self._rotation_row, self._reversal_row
-            self._stabilizer_regular = arc_bijection_exists(
-                rot, rev, rot, rev, candidates=_ARC_ONE
+            self._stabilizer_regular = rotates_base_star(
+                self._rotation_row, self._reversal_row
             )
         return self._stabilizer_regular
 
@@ -265,11 +226,9 @@ class CayleyMap:
     def underlying_adjacency(self) -> list[int]:
         """Neighbor bitsets by vertex rank (vertex u is adjacent to v iff
         bit v of entry u is set)."""
-        group = self.group
-        adj = [0] * group.order
-        for u_rank, u in enumerate(group.elements()):
-            for x in self.xs:
-                adj[u_rank] |= 1 << group.rank(group.mul(u, x))
+        adj = [0] * self.group.order
+        for arc, head in enumerate((self._reversal_row // self.k).tolist()):
+            adj[arc // self.k] |= 1 << head
         return adj
 
     def graph_automorphisms(self) -> list[tuple[int, ...]]:
@@ -298,13 +257,10 @@ class CayleyMap:
 
     def is_normal_cayley(self) -> bool:
         """Do all graph automorphisms normalize the left translations?"""
-        group = self.group
         auts = self.graph_automorphisms()
-        elements = group.elements()
-        rank = group.rank
-        translations = {
-            tuple(rank(group.mul(g, h)) for h in elements) for g in elements
-        }
+        # row g of the table is the left translation h -> g * h
+        left = [tuple(row) for row in self.group.rank_table()[0]]
+        translations = set(left)
         inverses = {}
         for alpha in auts:
             inv = [0] * len(alpha)
@@ -313,8 +269,8 @@ class CayleyMap:
             inverses[alpha] = tuple(inv)
         for alpha in auts:
             alpha_inv = inverses[alpha]
-            for x in self.xs:
-                trans = tuple(rank(group.mul(x, h)) for h in elements)
+            for x in self.xs_ranks():
+                trans = left[x]
                 conj = tuple(alpha[trans[alpha_inv[v]]] for v in range(len(alpha)))
                 if conj not in translations:
                     return False
@@ -331,6 +287,27 @@ class CayleyMap:
 def build_map(group: FiniteGroup, xs: Sequence[GroupElement]) -> CayleyMap:
     """Validate and build the Cayley map for an ordered generator list."""
     return CayleyMap(group, xs)
+
+
+def rotation_row(n_arcs: int, k: int) -> np.ndarray:
+    """R: arc (v, i) -> (v, i + 1), the slot advancing mod k at each vertex."""
+    ids = np.arange(n_arcs, dtype=np.int64)
+    return (ids // k) * k + ((ids % k) + 1) % k
+
+
+def reversal_row(cols, kappa0: Sequence[int]) -> np.ndarray:
+    """L: arc (v, i) -> (g_v * x_i, kappa(i)), where cols[v, i] is the rank
+    of g_v * x_i and kappa0[i] the 0-based slot of x_i^-1."""
+    cols = np.asarray(cols, dtype=np.int64)
+    return (cols * cols.shape[1] + np.asarray(kappa0, dtype=np.int64)).reshape(-1)
+
+
+def rotates_base_star(R: np.ndarray, L: np.ndarray) -> bool:
+    """Is the map with rows R and L regular? Left translations are
+    transitive on vertices (the generators generate), so it is regular
+    exactly when some automorphism fixes the base vertex and sends arc 0 to
+    arc 1: one O(|D|) propagation."""
+    return arc_bijection_exists(R, L, R, L, candidates=_ARC_ONE)
 
 
 def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:

@@ -167,6 +167,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
+    def test_checkmap_guard_refuses_before_building_the_map(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_map", lambda *args: built.append(args))
+        code, out, err = run_cli(
+            capsys, "checkmap", "--group", "Z1200", "--xs", "1,600,1199"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("size guard: checkmap guard: ")
+        assert built == []
+
+    def test_checkmap_at_the_guard_still_reports(self, capsys):
+        code, out, _ = run_cli(capsys, "checkmap", "--group", "Z600", "--xs", "1,300,599")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert (entry["group"], entry["p"], entry["regular"]) == ("Z600", 3, False)
+
 
 # -- census reports ---------------------------------------------------------------
 

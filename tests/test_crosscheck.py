@@ -3,9 +3,10 @@
 The census decides regularity with one arc propagation (is there an
 automorphism that fixes the base vertex and sends arc 0 to arc 1?), tests
 isomorphism out of a regular map from the single candidate image arc 0, and
-checks generation on a rank multiplication table. Here each is compared with
-its slow route on small groups of every family: the monodromy closure, the
-sweep over every image of arc 0, and breadth-first closure in the group.
+checks generation (FiniteGroup.generates) on the rank multiplication table.
+Here each is compared with its slow route on small groups of every family:
+the monodromy closure, the sweep over every image of arc 0, and the
+element-level breadth-first closure in the group (FiniteGroup.closure).
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ CASES = (
 
 def slow_candidates(group, valence):
     """Every candidate map, enumerated without the census's helpers: each
-    unit-free inverse-closed subset that FiniteGroup.generates accepts, in
-    every ordering with its minimal-rank element first."""
+    unit-free inverse-closed subset whose element-level closure is the whole
+    group, in every ordering with its minimal-rank element first."""
     elems = [g for g in group.elements() if g != group.identity]
     out = []
     for xset in combinations(elems, valence):
-        if {group.inv(x) for x in xset} != set(xset) or not group.generates(xset):
+        if {group.inv(x) for x in xset} != set(xset):
+            continue
+        if len(group.closure(xset)) != group.order:
             continue
         first, *rest = xset
         out.extend(build_map(group, (first,) + tail) for tail in permutations(rest))
@@ -68,6 +71,20 @@ def full_sweep_isomorphic(m1, m2):
 def case(request):
     group, valence = request.param
     return group, valence, slow_candidates(group, valence)
+
+
+@pytest.mark.parametrize(
+    "group", list({g.name: g for g, _ in CASES}.values()), ids=lambda g: g.name
+)
+def test_rank_table_matches_group_arithmetic(group):
+    mul, inv = group.rank_table()
+    elems = group.elements()
+    assert len(mul) == len(inv) == group.order
+    for i, g in enumerate(elems):
+        assert elems[inv[i]] == group.inv(g)
+        assert len(mul[i]) == group.order
+        for j, h in enumerate(elems):
+            assert elems[mul[i][j]] == group.mul(g, h)
 
 
 def test_generation_check_matches_group_closure(case):

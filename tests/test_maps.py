@@ -19,7 +19,6 @@ from cayleymaps.groups import (
     PowerPairAut,
 )
 from cayleymaps.maps import (
-    Arc,
     BalanceType,
     SizeGuardError,
     build_map,
@@ -78,15 +77,18 @@ def test_build_map_rejects_non_generating_set():
 # -- arc permutations -----------------------------------------------------------
 
 
+# arcs are numbered (vertex rank) * k + (slot - 1)
+
+
 def test_step_r_wraps_the_star():
-    m = k33_map()
-    assert m.step_R(Arc(0, 3)) == Arc(0, 1)
-    assert m.step_R(Arc(4, 1)) == Arc(4, 2)
+    rot = k33_map()._rotation_row
+    assert rot[2] == 0  # (0, slot 3) -> (0, slot 1)
+    assert rot[12] == 13  # (4, slot 1) -> (4, slot 2)
 
 
 def test_step_l_example():
-    m = k33_map()
-    assert m.step_L(Arc(0, 1)) == Arc(1, 3)
+    # (0, slot 1) -> (0 + 1, slot of 1^-1 = 5, which is 3)
+    assert k33_map()._reversal_row[0] == 5
 
 
 def test_reversal_is_fixed_point_free_involution():
@@ -113,12 +115,6 @@ def test_rotation_orbits_are_vertex_stars():
                 a = int(rot[a])
             assert size == m.k
         assert orbits == m.group.order
-
-
-def test_double_reversal_via_arc_api():
-    m = heawood_map()
-    for arc in m.arcs():
-        assert m.step_L(m.step_L(arc)) == arc
 
 
 # -- distribution of inverses ----------------------------------------------------
