@@ -5,7 +5,9 @@ candidate map the exhaustive search considers are built once. The closure
 route computes the monodromy group with cutoff |D| and calls a map regular
 when it has exactly |D| elements; the propagation route, which the census
 uses, asks whether one automorphism sends arc 0 to arc 1. The script fails
-if the two routes disagree on any candidate. Run with:
+if the two routes disagree on any candidate. Maps and the census use only
+the propagation route; the closure route remains as the tests' reference.
+Run with:
 
     PYTHONPATH=src python3 benchmarks/closure_benchmark.py [--repeat N]
 """

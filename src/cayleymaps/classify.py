@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .groups import (
+    AbelianProductGroup,
     CyclicGroup,
     DicyclicGroup,
     DihedralGroup,
@@ -295,93 +296,7 @@ def _crt(moduli: Sequence[int], residues: Sequence[int]) -> int:
     return x % modulus
 
 
-# -- abelian product groups and the catalogue ----------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorImagesAut:
-    """Automorphism of an abelian product, recorded by where the canonical
-    coordinate generators go."""
-
-    images: tuple[tuple[int, ...], ...]
-
-
-class AbelianProductGroup(FiniteGroup):
-    """Direct product of cyclic groups; elements are residue tuples, written
-    with colons ("1:3" in Z2xZ4)."""
-
-    kind = "abelian"
-
-    def __init__(self, mods: Sequence[int]) -> None:
-        mods = tuple(int(d) for d in mods)
-        if len(mods) < 1 or any(d < 2 for d in mods):
-            raise ValueError(f"moduli must all be >= 2, got {mods}")
-        order = math.prod(mods)
-        super().__init__("x".join(f"Z{d}" for d in mods), order)
-        self.mods = mods
-
-    @property
-    def identity(self):
-        return tuple(0 for _ in self.mods)
-
-    def contains(self, g) -> bool:
-        return (
-            isinstance(g, tuple)
-            and len(g) == len(self.mods)
-            and all(isinstance(c, int) and 0 <= c < d for c, d in zip(g, self.mods))
-        )
-
-    def mul(self, g, h):
-        self.check(g)
-        self.check(h)
-        return tuple((c + e) % d for c, e, d in zip(g, h, self.mods))
-
-    def inv(self, g):
-        self.check(g)
-        return tuple((-c) % d for c, d in zip(g, self.mods))
-
-    def _build_elements(self):
-        return [tuple(c) for c in product(*(range(d) for d in self.mods))]
-
-    def format_element(self, g) -> str:
-        self.check(g)
-        return ":".join(str(c) for c in g)
-
-    def parse_element(self, text: str):
-        parts = text.split(":")
-        if len(parts) != len(self.mods):
-            raise ValueError(
-                f"{text!r} needs {len(self.mods)} colon-separated residues"
-            )
-        try:
-            coords = [int(part) for part in parts]
-        except ValueError:
-            raise ValueError(f"{text!r} is not a residue tuple") from None
-        return tuple(c % d for c, d in zip(coords, self.mods))
-
-    def apply_aut(self, phi: GeneratorImagesAut, g):
-        self.check(g)
-        out = self.identity
-        for c, img in zip(g, phi.images):
-            for _ in range(c):
-                out = self.mul(out, img)
-        return out
-
-    def automorphism_extending(self, assignment) -> Optional[GeneratorImagesAut]:
-        pairs = self._checked_assignment(assignment)
-        # candidate images for coordinate generator j must have order dividing mods[j]
-        candidates = [
-            [g for g in self.elements() if d % self.order_of(g) == 0]
-            for d in self.mods
-        ]
-        for images in product(*candidates):
-            phi = GeneratorImagesAut(tuple(images))
-            if any(self.apply_aut(phi, x) != y for x, y in pairs):
-                continue
-            seen = {self.apply_aut(phi, g) for g in self.elements()}
-            if len(seen) == self.order:
-                return phi
-        return None
+# -- the abelian catalogue ------------------------------------------------------------
 
 
 def abelian_group_catalogue(max_order: int) -> list[FiniteGroup]:
@@ -572,7 +487,7 @@ class CensusEntry:
     regular: bool
     balance: str
     kappa: str
-    mon_order: Union[int, str]  # ">N" when the closure search passed its cutoff
+    mon_order: Union[int, str]  # monodromy order: |D|, or ">|D|+1" if irregular
     genus: int
     graph_aut_order: Optional[int]
     class_id: str
@@ -627,10 +542,11 @@ def entry_for_map(
     class_id: str,
     with_graph_aut: bool = False,
 ) -> CensusEntry:
-    """Diagnostic row for one map; mon_order becomes ">cutoff" when the
-    closure search exceeded its cutoff."""
-    order, exceeded = m.monodromy_order()
-    mon: Union[int, str] = f">{m.n_arcs + 1}" if exceeded else order
+    """Diagnostic row for one map; mon_order is |D| for a regular map and
+    ">|D|+1" otherwise."""
+    regular = m.is_regular()
+    # <R, L> is transitive on the |D| arcs: order |D| if regular, else >= 2|D|
+    mon: Union[int, str] = m.n_arcs if regular else f">{m.n_arcs + 1}"
     faces, genus = m.faces_and_genus()
     aut_order = None
     if with_graph_aut and m.group.order <= GRAPH_AUT_MAX_VERTICES:
@@ -640,7 +556,7 @@ def entry_for_map(
         n=n_param,
         p=m.k,
         xs=tuple(m.group.format_element(x) for x in m.xs),
-        regular=m.is_regular(),
+        regular=regular,
         balance=str(m.balance_type()),
         kappa=m.kappa.cycle_string(),
         mon_order=mon,

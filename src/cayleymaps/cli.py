@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from .classify import (
     CLAIM_IDS,
     CSV_COLUMNS,
-    AbelianProductGroup,
     CensusEntry,
     UsageError,
     _require_odd_prime,
@@ -33,6 +32,7 @@ from .classify import (
     verify_claim,
 )
 from .groups import (
+    AbelianProductGroup,
     CyclicGroup,
     DicyclicGroup,
     DihedralGroup,
@@ -42,8 +42,8 @@ from .groups import (
 from .maps import SizeGuardError, build_map
 
 SCHEMA_VERSION = 1
-# checkmap builds an N x N product table and runs the O(|D|^2)-memory
-# monodromy closure; at 1800 arcs (Z600, valence 3) it peaks near 108 MB
+# checkmap builds its group's N x N product table, the one part of a map that
+# grows as N^2; at 1800 arcs (Z600, valence 3) it peaks near 34 MB
 MAX_CHECKMAP_ARCS = 1800
 
 

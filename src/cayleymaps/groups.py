@@ -1,11 +1,12 @@
 """Closed-form arithmetic for the finite group families used by the census.
 
 Elements are plain hashable values in a canonical normal form: residues for
-cyclic groups, bit masks for elementary abelian 2-groups, and exponent pairs
-(i, eps) meaning a^i * b^eps for the dihedral and dicyclic families.  Every
-product is computed on exponents; `FiniteGroup.rank_table` tabulates them over
-element ranks for the hot loops, and only the most recent group's table is
-kept.
+cyclic groups, bit masks for elementary abelian 2-groups, exponent pairs
+(i, eps) meaning a^i * b^eps for the dihedral and dicyclic families, and
+residue tuples for products of cyclic groups.  Every product is computed on
+exponents: `FiniteGroup.mul` checks both factors once and calls the family's
+unchecked `_mul`; `FiniteGroup.rank_table` tabulates `_mul` over element ranks
+for the hot loops, and only the most recent group's table is kept.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from itertools import product
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 GroupElement = Union[int, tuple]
 
 __all__ = [
     "FiniteGroup",
+    "AbelianProductGroup",
     "CyclicGroup",
     "ElemAbelian2Group",
     "DihedralGroup",
@@ -28,6 +31,7 @@ __all__ = [
     "UnitAut",
     "MatrixAut",
     "PowerPairAut",
+    "GeneratorImagesAut",
     "GroupElement",
 ]
 
@@ -144,6 +148,14 @@ class PowerPairAut:
     j: int
 
 
+@dataclass(frozen=True)
+class GeneratorImagesAut:
+    """Automorphism of an abelian product, recorded by where the canonical
+    coordinate generators go."""
+
+    images: tuple[tuple[int, ...], ...]
+
+
 class FiniteGroup:
     """A finite group whose elements are canonical hashable values."""
 
@@ -166,7 +178,8 @@ class FiniteGroup:
     def contains(self, g: GroupElement) -> bool:
         raise NotImplementedError
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+    def _mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """Product of two elements already known to be in the group."""
         raise NotImplementedError
 
     def inv(self, g: GroupElement) -> GroupElement:
@@ -194,6 +207,9 @@ class FiniteGroup:
         if not self.contains(g):
             raise ValueError(f"{g!r} is not an element of {self.name}")
         return g
+
+    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        return self._mul(self.check(g), self.check(h))
 
     def elements(self) -> list[GroupElement]:
         """All elements in the canonical order used for ranks everywhere."""
@@ -225,7 +241,7 @@ class FiniteGroup:
         cached, so a sweep over many groups holds one N x N table at a time."""
         elems = self.elements()
         rank = self.rank
-        mul = [[rank(self.mul(g, h)) for h in elems] for g in elems]
+        mul = [[rank(self._mul(g, h)) for h in elems] for g in elems]
         return mul, [rank(self.inv(g)) for g in elems]
 
     def closure(self, seed: Iterable[GroupElement]) -> set:
@@ -298,9 +314,7 @@ class CyclicGroup(FiniteGroup):
     def contains(self, g) -> bool:
         return isinstance(g, int) and 0 <= g < self.n
 
-    def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+    def _mul(self, g, h):
         return (g + h) % self.n
 
     def inv(self, g):
@@ -357,9 +371,7 @@ class ElemAbelian2Group(FiniteGroup):
     def contains(self, g) -> bool:
         return isinstance(g, int) and 0 <= g < self.order
 
-    def mul(self, g, h):
-        self.check(g)
-        self.check(h)
+    def _mul(self, g, h):
         return g ^ h
 
     def inv(self, g):
@@ -482,9 +494,8 @@ class DihedralGroup(_ExponentPairGroup):
         super().__init__(f"D{n}", 2 * n, n)
         self.n = n
 
-    def mul(self, g, h):
-        i, e = self.check(g)
-        k, d = self.check(h)
+    def _mul(self, g, h):
+        (i, e), (k, d) = g, h
         return ((i + (k if e == 0 else -k)) % self.n, (e + d) % 2)
 
     def inv(self, g):
@@ -504,9 +515,8 @@ class DicyclicGroup(_ExponentPairGroup):
         super().__init__(f"Dic{n}", 4 * n, 2 * n)
         self.n = n
 
-    def mul(self, g, h):
-        i, e = self.check(g)
-        k, d = self.check(h)
+    def _mul(self, g, h):
+        (i, e), (k, d) = g, h
         x = (i + (k if e == 0 else -k)) % self.m
         if e == 1 and d == 1:
             x = (x + self.n) % self.m
@@ -515,3 +525,79 @@ class DicyclicGroup(_ExponentPairGroup):
     def inv(self, g):
         i, e = self.check(g)
         return ((i + self.n) % self.m, 1) if e else ((-i) % self.m, 0)
+
+
+class AbelianProductGroup(FiniteGroup):
+    """Direct product of cyclic groups; elements are residue tuples, written
+    with colons ("1:3" in Z2xZ4)."""
+
+    kind = "abelian"
+
+    def __init__(self, mods: Sequence[int]) -> None:
+        mods = tuple(int(d) for d in mods)
+        if len(mods) < 1 or any(d < 2 for d in mods):
+            raise ValueError(f"moduli must all be >= 2, got {mods}")
+        order = math.prod(mods)
+        super().__init__("x".join(f"Z{d}" for d in mods), order)
+        self.mods = mods
+
+    @property
+    def identity(self):
+        return tuple(0 for _ in self.mods)
+
+    def contains(self, g) -> bool:
+        return (
+            isinstance(g, tuple)
+            and len(g) == len(self.mods)
+            and all(isinstance(c, int) and 0 <= c < d for c, d in zip(g, self.mods))
+        )
+
+    def _mul(self, g, h):
+        return tuple((c + e) % d for c, e, d in zip(g, h, self.mods))
+
+    def inv(self, g):
+        self.check(g)
+        return tuple((-c) % d for c, d in zip(g, self.mods))
+
+    def _build_elements(self):
+        return [tuple(c) for c in product(*(range(d) for d in self.mods))]
+
+    def format_element(self, g) -> str:
+        self.check(g)
+        return ":".join(str(c) for c in g)
+
+    def parse_element(self, text: str):
+        parts = text.split(":")
+        if len(parts) != len(self.mods):
+            raise ValueError(
+                f"{text!r} needs {len(self.mods)} colon-separated residues"
+            )
+        try:
+            coords = [int(part) for part in parts]
+        except ValueError:
+            raise ValueError(f"{text!r} is not a residue tuple") from None
+        return tuple(c % d for c, d in zip(coords, self.mods))
+
+    def apply_aut(self, phi: GeneratorImagesAut, g):
+        self.check(g)
+        out = self.identity
+        for c, img in zip(g, phi.images):
+            for _ in range(c):
+                out = self.mul(out, img)
+        return out
+
+    def automorphism_extending(self, assignment) -> Optional[GeneratorImagesAut]:
+        pairs = self._checked_assignment(assignment)
+        # candidate images for coordinate generator j must have order dividing mods[j]
+        candidates = [
+            [g for g in self.elements() if d % self.order_of(g) == 0]
+            for d in self.mods
+        ]
+        for images in product(*candidates):
+            phi = GeneratorImagesAut(tuple(images))
+            if any(self.apply_aut(phi, x) != y for x, y in pairs):
+                continue
+            seen = {self.apply_aut(phi, g) for g in self.elements()}
+            if len(seen) == self.order:
+                return phi
+        return None

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import arc_bijection_exists, closure_table
+from ._kernels import arc_bijection_exists
 from .groups import FiniteGroup, GroupElement
 from .perms import Permutation
 
@@ -114,8 +114,7 @@ class CayleyMap:
         cols = [[row[x] for x in ranks] for row in group.rank_table()[0]]
         self._rotation_row = rotation_row(self.n_arcs, k)
         self._reversal_row = reversal_row(cols, [s - 1 for s in kappa_images])
-        self._monodromy: Optional[tuple[int, bool]] = None
-        self._stabilizer_regular: Optional[bool] = None
+        self._regular: Optional[bool] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
 
     # -- inverse distribution and balance ----------------------------------
@@ -145,42 +144,14 @@ class CayleyMap:
                 return BalanceType("t-balanced", t)
         return BalanceType("none")
 
-    # -- monodromy and regularity -------------------------------------------
-
-    def monodromy_order(self) -> tuple[int, bool]:
-        """Order of the group generated by rotation and reversal on arcs,
-        with cutoff |D| + 1; (order, exceeded)."""
-        if self._monodromy is None:
-            rows = np.stack([self._rotation_row, self._reversal_row])
-            size, exceeded, _ = closure_table(rows, self.n_arcs + 1)
-            self._monodromy = (size, exceeded)
-        return self._monodromy
-
-    def _arc_action_transitive(self) -> bool:
-        seen = np.zeros(self.n_arcs, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        rot, rev = self._rotation_row, self._reversal_row
-        while stack:
-            a = stack.pop()
-            for b in (int(rot[a]), int(rev[a])):
-                if not seen[b]:
-                    seen[b] = True
-                    stack.append(b)
-        return bool(seen.all())
+    # -- regularity ---------------------------------------------------------
 
     def is_regular(self) -> bool:
-        size, exceeded = self.monodromy_order()
-        return not exceeded and size == self.n_arcs and self._arc_action_transitive()
-
-    def regular_via_vertex_stabilizer(self) -> bool:
-        """Second route to is_regular: rotates_base_star on this map's rows,
-        one O(|D|) propagation, cached."""
-        if self._stabilizer_regular is None:
-            self._stabilizer_regular = rotates_base_star(
-                self._rotation_row, self._reversal_row
-            )
-        return self._stabilizer_regular
+        """Do the map's automorphisms act regularly on its arcs?
+        rotates_base_star on this map's rows: one O(|D|) propagation, cached."""
+        if self._regular is None:
+            self._regular = rotates_base_star(self._rotation_row, self._reversal_row)
+        return self._regular
 
     def rotation_automorphism(self):
         """Group automorphism sending each x_i to x_{i+1}, when one exists."""
@@ -324,7 +295,7 @@ def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:
         m1._reversal_row,
         m2._rotation_row,
         m2._reversal_row,
-        candidates=_ARC_ZERO if m1.regular_via_vertex_stabilizer() else None,
+        candidates=_ARC_ZERO if m1.is_regular() else None,
     )
 
 

@@ -1,4 +1,4 @@
-"""Permutations on {1..m}, bounded group closure, and regular-action tests."""
+"""Permutations on {1..m} and the order of the group they generate."""
 
 from __future__ import annotations
 
@@ -14,15 +14,14 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "compose",
-    "closure_with_cutoff",
-    "acts_regularly",
     "cycle_and_involution_group",
     "full_cycle",
     "reflection_fixing_last",
     "all_involutions",
 ]
 
-# Full closure is refused above this degree: the element store would explode.
+# Full closure is refused above this degree: the closure would hold up to m!
+# permutation rows.
 FULL_CLOSURE_MAX_DEGREE = 8
 
 
@@ -124,24 +123,14 @@ def _common_degree(gens: Sequence[Permutation]) -> int:
     return degree
 
 
-def closure_with_cutoff(
-    gens: Sequence[Permutation], cutoff: int
-) -> tuple[int, bool]:
-    """Size of the generated group, or (cutoff + 1, True) once it passes cutoff."""
-    _common_degree(gens)
-    rows = np.stack([g.as_row() for g in gens])
-    size, exceeded, _ = closure_table(rows, cutoff)
-    return size, exceeded
-
-
 class PermGroup:
-    """A permutation group with its closure computed once at construction."""
+    """The order of a permutation group, computed once at construction up to
+    a cutoff; exceeded is True once the closure passes it."""
 
     def __init__(
         self, gens: Sequence[Permutation], cutoff: Optional[int] = None
     ) -> None:
         self.degree = _common_degree(gens)
-        self.generators = tuple(gens)
         if cutoff is None:
             if self.degree > FULL_CLOSURE_MAX_DEGREE:
                 raise ValueError(
@@ -150,49 +139,11 @@ class PermGroup:
                 )
             cutoff = math.factorial(self.degree)
         rows = np.stack([g.as_row() for g in gens])
-        size, exceeded, table = closure_table(rows, cutoff)
-        self.order = size
-        self.exceeded = exceeded
-        self.elements: Optional[tuple[Permutation, ...]] = None
-        if not exceeded:
-            self.elements = tuple(
-                Permutation(tuple(int(x) + 1 for x in row)) for row in table
-            )
-
-    def __contains__(self, p: Permutation) -> bool:
-        if self.elements is None:
-            raise ValueError("closure exceeded its cutoff; membership unknown")
-        return p in self.elements
+        self.order, self.exceeded, _ = closure_table(rows, cutoff)
 
     def __repr__(self) -> str:
         tag = ">" if self.exceeded else ""
         return f"PermGroup(degree={self.degree}, order{tag}={self.order})"
-
-
-def orbit_of_point(gens: Sequence[Permutation], point: int) -> set[int]:
-    orbit = {point}
-    frontier = [point]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = g.apply(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return orbit
-
-
-def acts_regularly(gens: Sequence[Permutation], m: int) -> bool:
-    """True iff the generated group is transitive on {1..m} with order m."""
-    degree = _common_degree(gens)
-    if degree != m:
-        raise ValueError(f"generators act on {degree} points, not {m}")
-    if len(orbit_of_point(gens, 1)) != m:
-        return False
-    size, exceeded = closure_with_cutoff(gens, m + 1)
-    return not exceeded and size == m
 
 
 def full_cycle(k: int) -> Permutation:

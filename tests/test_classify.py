@@ -147,7 +147,7 @@ class TestBalancedDihedralFamily:
                     m = balanced_dihedral_map(n, l, p)
                     assert m.is_regular()
                     assert m.balance_type().is_balanced
-                    assert m.monodromy_order() == (2 * n * p, False)
+                    assert entry_for_map(m, n, "x").mon_order == 2 * n * p
                     assert m.rotation_automorphism() == PowerPairAut(l % n, 1)
 
     def test_distinct_parameters_give_distinct_classes(self):

@@ -17,7 +17,7 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
 )
-from cayleymaps.classify import AbelianProductGroup
+from cayleymaps.groups import AbelianProductGroup
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:

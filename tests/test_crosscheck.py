@@ -1,27 +1,28 @@
 """The census's fast paths against the slow routes they replace.
 
-The census decides regularity with one arc propagation (is there an
-automorphism that fixes the base vertex and sends arc 0 to arc 1?), tests
+Maps and the census decide regularity with one arc propagation (is there an
+automorphism that fixes the base vertex and sends arc 0 to arc 1?), test
 isomorphism out of a regular map from the single candidate image arc 0, and
-checks generation (FiniteGroup.generates) on the rank multiplication table.
+check generation (FiniteGroup.generates) on the rank multiplication table.
 Here each is compared with its slow route on small groups of every family:
-the monodromy closure, the sweep over every image of arc 0, and the
-element-level breadth-first closure in the group (FiniteGroup.closure).
+the monodromy closure (`monodromy_closure`, which lives only here), the sweep
+over every image of arc 0, and the element-level breadth-first closure in the
+group (FiniteGroup.closure).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cayleymaps._kernels import arc_bijection_exists
-from cayleymaps.classify import (
-    AbelianProductGroup,
-    exhaustive_regular_maps,
-    inverse_closed_sets,
-)
+from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps.classify import exhaustive_regular_maps, inverse_closed_sets
 from cayleymaps.groups import (
+    AbelianProductGroup,
     CyclicGroup,
     DicyclicGroup,
     DihedralGroup,
@@ -57,6 +58,14 @@ def slow_candidates(group, valence):
         first, *rest = xset
         out.extend(build_map(group, (first,) + tail) for tail in permutations(rest))
     return out
+
+
+def monodromy_closure(m):
+    """(order, exceeded) of the monodromy group <R, L> on the map's arcs,
+    by breadth-first closure with cutoff |D| + 1."""
+    rows = np.stack([m._rotation_row, m._reversal_row])
+    size, exceeded, _ = closure_table(rows, m.n_arcs + 1)
+    return size, exceeded
 
 
 def full_sweep_isomorphic(m1, m2):
@@ -95,9 +104,44 @@ def test_generation_check_matches_group_closure(case):
 
 
 def test_propagation_regularity_matches_closure(case):
+    # the closure has two outcomes only, which is what the mon_order column
+    # relies on: order |D| for a regular map, past the cutoff otherwise
     _, _, candidates = case
     for m in candidates:
-        assert m.is_regular() == m.regular_via_vertex_stabilizer(), m
+        size, exceeded = monodromy_closure(m)
+        assert m.is_regular() == (size == m.n_arcs and not exceeded), m
+        assert m.is_regular() or exceeded, m
+
+
+SMALL_GROUPS = st.one_of(
+    st.integers(3, 40).map(DihedralGroup),
+    st.integers(2, 10).map(DicyclicGroup),
+    st.integers(2, 20).map(lambda h: CyclicGroup(2 * h)),
+    st.integers(2, 4).map(ElemAbelian2Group),
+    st.sampled_from([(2, 4), (2, 6), (2, 10), (4, 4), (2, 2, 4)]).map(
+        AbelianProductGroup
+    ),
+)
+
+
+@given(group=SMALL_GROUPS, valence=st.sampled_from([3, 5]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_regularity_verdict_agrees_across_routes(group, valence, data):
+    # a random unit-free inverse-closed generating set in a random order:
+    # take {x, x^-1} blocks in a drawn order while they fit in the valence
+    blocks = {frozenset({g, group.inv(g)}) for g in group.elements()}
+    blocks.discard(frozenset({group.identity}))
+    xset = []
+    for block in data.draw(st.permutations(sorted(blocks, key=sorted))):
+        if len(xset) + len(block) <= valence:
+            xset.extend(block)
+    assume(len(xset) == valence)
+    assume(len(group.closure(xset)) == group.order)
+    m = build_map(group, data.draw(st.permutations(xset)))
+    size, exceeded = monodromy_closure(m)
+    assert m.is_regular() == (size == m.n_arcs and not exceeded), m
+    if m.balance_type().is_balanced:
+        assert m.balanced_regular_via_aut() == m.is_regular(), m
 
 
 def test_candidate_zero_isomorphism_matches_full_sweep(case):

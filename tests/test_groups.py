@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleymaps.groups import (
+    AbelianProductGroup,
     CyclicGroup,
     DicyclicGroup,
     DihedralGroup,
@@ -436,11 +437,20 @@ def test_rank_is_position_in_canonical_order():
 
 
 def test_membership_errors():
-    G = DihedralGroup(5)
+    for G, good, bad in (
+        (CyclicGroup(4), 1, 4),
+        (ElemAbelian2Group(2), 1, 4),
+        (DihedralGroup(5), (1, 1), (5, 0)),
+        (DicyclicGroup(3), (1, 1), (6, 0)),
+        (AbelianProductGroup([2, 4]), (1, 3), (2, 0)),
+    ):
+        assert G.contains(good) and not G.contains(bad)
+        with pytest.raises(ValueError):
+            G.mul(bad, good)
+        with pytest.raises(ValueError):
+            G.mul(good, bad)
     with pytest.raises(ValueError):
-        G.mul((5, 0), (0, 0))
-    with pytest.raises(ValueError):
-        G.rank((0, 2))
+        DihedralGroup(5).rank((0, 2))
     with pytest.raises(ValueError):
         CyclicGroup(4).inv(4)
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleymaps._kernels import closure_table
+from cayleymaps.classify import entry_for_map
 from cayleymaps.groups import (
     CyclicGroup,
     DihedralGroup,
@@ -158,15 +160,14 @@ def test_canonical_base_rotation_requires_fixed_point():
 
 def test_monodromy_and_regularity_frozen_values():
     m = heawood_map()
-    assert m.monodromy_order() == (42, False)
+    assert entry_for_map(m, 7, "x").mon_order == 42
     assert m.is_regular()
 
-    assert k33_map().monodromy_order() == (18, False)
+    assert entry_for_map(k33_map(), 6, "x").mon_order == 18
     assert k33_map().is_regular()
 
     irregular = build_map(DihedralGroup(4), [(0, 1), (1, 1), (2, 1)])
-    order, exceeded = irregular.monodromy_order()
-    assert exceeded and order > irregular.n_arcs
+    assert entry_for_map(irregular, 4, "x").mon_order == ">25"
     assert not irregular.is_regular()
 
 
@@ -183,7 +184,9 @@ def test_both_regularity_routes_agree():
         build_map(CyclicGroup(8), [1, 4, 7]),
     ]
     for m in candidates:
-        assert m.is_regular() == m.regular_via_vertex_stabilizer()
+        rows = np.stack([m._rotation_row, m._reversal_row])
+        size, exceeded, _ = closure_table(rows, m.n_arcs + 1)
+        assert m.is_regular() == (size == m.n_arcs and not exceeded), m
 
 
 # -- balance ----------------------------------------------------------------------
@@ -384,5 +387,4 @@ def test_random_reflection_maps_are_wellformed(data):
     faces, genus = m.faces_and_genus()
     assert genus >= 0
     assert sum(m.face_sizes()) == m.n_arcs
-    order, exceeded = m.monodromy_order()
-    assert exceeded or order >= m.n_arcs or not m.is_regular()
+    assert m.is_regular() == m.balanced_regular_via_aut()
