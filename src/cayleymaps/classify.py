@@ -55,6 +55,12 @@ from .perms import (
 MAX_CENSUS_ARCS = 400
 MAX_SEED_RANK = 4
 MAX_ABELIAN_VERIFY_ORDER = 16
+# The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
+# of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
+# of two residues mod n is exact in int64 while n^2 < 2^63; MAX_COUNT_N keeps
+# n^2 <= 2^62.
+COUNT_BLOCK = 1 << 16
+MAX_COUNT_N = 2**31
 
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
 
@@ -107,28 +113,43 @@ def geosum_order(n: int, l: int) -> Optional[int]:
     return None
 
 
+def guard_count_n(n: int) -> None:
+    """SizeGuardError when the counting scans cannot run exactly for n."""
+    if n > MAX_COUNT_N:
+        raise SizeGuardError(f"count guard: n={n} exceeds {MAX_COUNT_N}")
+
+
+def _residue_blocks(m: int) -> Iterator[np.ndarray]:
+    """The residues 1..m-1 in ascending int64 blocks of at most COUNT_BLOCK."""
+    for start in range(1, m, COUNT_BLOCK):
+        yield np.arange(start, min(start + COUNT_BLOCK, m), dtype=np.int64)
+
+
 def triples_for(n: int, p: int) -> list[int]:
     """All l with geosum_order(n, l) == p, ascending.
 
     Only the first p partial sums are needed: the order equals p exactly when
-    the p-th sum vanishes mod n and no earlier one does.
+    the p-th sum vanishes mod n and no earlier one does. Every l in [1, n) is
+    scanned, a block at a time.
     """
     _require_odd_prime(p)
-    if n < 2:
-        return []
-    out = []
-    for l in range(1, n):
-        s = 0
-        power = 1
-        hit = None
-        for k in range(1, p + 1):
-            s = (s + power) % n
-            if s == 0:
-                hit = k
-                break
-            power = (power * l) % n
-        if hit == p:
-            out.append(l)
+    guard_count_n(n)
+    out: list[int] = []
+    for l in _residue_blocks(n):
+        # the first partial sum is 1, nonzero for n >= 2; s and power are
+        # the k-th sum and l^k, updated in place
+        s = np.ones_like(l)
+        power = l.copy()
+        unhit = np.ones(l.shape, dtype=bool)
+        for _ in range(p - 2):
+            s += power
+            s %= n
+            unhit &= s != 0
+            power *= l
+            power %= n
+        s += power
+        s %= n
+        out.extend(l[unhit & (s == 0)].tolist())
     return out
 
 
@@ -260,6 +281,7 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
     _require_odd_prime(p)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    guard_count_n(n)
     if n == 1 or n % 2 == 0:
         return []
     m = n
@@ -276,7 +298,10 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
         residue_sets.append([1])
     for q, e in _factorize(m):
         qe = q**e
-        roots = [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
+        roots: list[int] = []
+        for x in _residue_blocks(qe):
+            keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
+            roots.extend(x[keep].tolist())
         if not roots:
             return []
         moduli.append(qe)
@@ -285,6 +310,20 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
     for combo in product(*residue_sets):
         out.append(_crt(moduli, combo))
     return sorted(out)
+
+
+def _pow_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
+    """x^e mod m elementwise by square-and-multiply (e >= 1), exact in int64
+    while m^2 < 2^63."""
+    result = np.ones_like(x)
+    base = x % m
+    while True:
+        if e & 1:
+            result = (result * base) % m
+        e >>= 1
+        if not e:
+            return result
+        base = (base * base) % m
 
 
 def _crt(moduli: Sequence[int], residues: Sequence[int]) -> int:
@@ -670,6 +709,7 @@ def verify_claim(
     else:
         _require_odd_prime(p)
     if claim_id == "3.4":
+        guard_count_n(n_max)
         rows = []
         for n in range(1, n_max + 1):
             formula, enumerated, lifted, agree = count_agreement(n, p)

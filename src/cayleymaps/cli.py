@@ -28,6 +28,7 @@ from .classify import (
     count_agreement,
     entry_for_map,
     family_groups,
+    guard_count_n,
     guarded_targets,
     verify_claim,
 )
@@ -244,6 +245,7 @@ def _run_count(args: argparse.Namespace) -> int:
     _require_odd_prime(args.p)
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
+    guard_count_n(args.n)
     line, agree = _count_line(args.n, args.p)
     print(line)
     return 0 if agree else 1
@@ -252,6 +254,7 @@ def _run_count(args: argparse.Namespace) -> int:
 def _run_triples(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise UsageError(f"--n-max must be positive, got {args.n_max}")
+    guard_count_n(args.n_max)
     all_agree = True
     for n in range(1, args.n_max + 1):
         line, agree = _count_line(n, args.p)

@@ -53,11 +53,42 @@ from cayleymaps.perms import Permutation, all_involutions, reflection_fixing_las
 
 
 def naive_geosum_order(n: int, l: int, k_max: int):
-    """Direct scan: smallest k with 1 + l + ... + l^(k-1) divisible by n."""
+    """Direct scan: smallest k with 1 + l + ... + l^(k-1) divisible by n,
+    on the exact unreduced integer sum, extended by one term per k."""
+    total = 0
+    term = 1
     for k in range(1, k_max + 1):
-        if sum(l**i for i in range(k)) % n == 0:
+        total += term
+        if total % n == 0:
             return k
+        term *= l
     return None
+
+
+def scalar_triples_for(n: int, p: int) -> list[int]:
+    """Reference route for triples_for: the per-l scalar loop over the first
+    p partial sums mod n, in Python integers."""
+    out = []
+    for l in range(1, n):
+        s = 0
+        power = 1
+        hit = None
+        for k in range(1, p + 1):
+            s = (s + power) % n
+            if s == 0:
+                hit = k
+                break
+            power = (power * l) % n
+        if hit == p:
+            out.append(l)
+    return out
+
+
+def pow_roots(q: int, e: int, p: int) -> list[int]:
+    """Reference route for the roots crt_lift_solutions scans for: the x in
+    [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, by Python's pow."""
+    qe = q**e
+    return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
 
 
 class TestGeosumOrder:
@@ -105,6 +136,28 @@ class TestTriples:
             for n in range(2, 61):
                 for l in triples_for(n, p):
                     assert math.gcd(l, n) == 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_scalar_loop_at_block_boundaries(self, p):
+        # one block short, exactly one, one into the second, one into the
+        # third; above 65536 the products l * l exceed 2^32
+        chunk = classify.COUNT_BLOCK
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            assert triples_for(n, p) == scalar_triples_for(n, p), n
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_block_size_does_not_change_the_scans(self, block, monkeypatch):
+        # tiny blocks put many admissible l and roots on a block boundary
+        monkeypatch.setattr(classify, "COUNT_BLOCK", block)
+        for p in (3, 5, 7):
+            for n in range(1, 100):
+                assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+            for q, e in ((7, 2), (13, 1), (29, 1), (31, 1)):
+                if q != p:
+                    assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
+
+    def test_returns_python_ints(self):
+        assert all(type(l) is int for l in triples_for(13, 3))
 
     def test_rejects_non_prime_valence(self):
         with pytest.raises(ValueError):
@@ -237,6 +290,15 @@ class TestCountingFormula:
                 assert lifted == enumerated
                 assert count_regular_dihedral_maps(n, p) == len(enumerated)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_root_scan_matches_pow_above_one_block(self, p):
+        # 7^6 = 117649 spans two blocks, and 7 = 1 mod 3 gives it roots at p=3
+        q, e = 7, 6
+        assert q**e > classify.COUNT_BLOCK
+        roots = pow_roots(q, e, p)
+        assert bool(roots) == (p == 3)
+        assert crt_lift_solutions(q**e, p) == roots
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             count_regular_dihedral_maps(0, 3)
@@ -244,6 +306,15 @@ class TestCountingFormula:
             count_regular_dihedral_maps(7, 6)
         with pytest.raises(ValueError):
             crt_lift_solutions(0, 3)
+
+    def test_scans_refuse_n_beyond_int64_exactness(self):
+        # the guard raises before any block is allocated
+        n = classify.MAX_COUNT_N + 1
+        assert classify.MAX_COUNT_N**2 < 2**63
+        with pytest.raises(SizeGuardError):
+            triples_for(n, 3)
+        with pytest.raises(SizeGuardError):
+            crt_lift_solutions(n, 3)
 
 
 # -- abelian catalogue -----------------------------------------------------------

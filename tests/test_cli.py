@@ -183,6 +183,22 @@ class TestExitCodes:
         entry = json.loads(out)["entries"][0]
         assert (entry["group"], entry["p"], entry["regular"]) == ("Z600", 3, False)
 
+    def test_count_guard_refuses_before_any_scan(self, capsys, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(
+            classify, "triples_for", lambda n, p: scanned.append(n) or []
+        )
+        beyond = str(classify.MAX_COUNT_N + 1)
+        for case in (
+            ("count", "--p", "3", "--n", beyond),
+            ("triples", "--p", "3", "--n-max", beyond),
+            ("verify", "--theorem", "3.4", "--p", "3", "--n-max", beyond),
+        ):
+            code, out, err = run_cli(capsys, *case)
+            assert (code, out) == (3, ""), case
+            assert err.startswith("size guard: count guard: "), case
+        assert scanned == []
+
 
 # -- census reports ---------------------------------------------------------------
 
