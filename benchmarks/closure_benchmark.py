@@ -1,13 +1,21 @@
-"""Time the two regularity routes on the same candidate maps.
+"""Time the census's stages per case, and check its regularity route.
 
-For each (group, valence) pair the rotation and reversal rows of every
-candidate map the exhaustive search considers are built once. The closure
-route computes the monodromy group with cutoff |D| and calls a map regular
-when it has exactly |D| elements; the propagation route, which the census
-uses, asks whether one automorphism sends arc 0 to arc 1. The script fails
-if the two routes disagree on any candidate. Maps and the census use only
-the propagation route; the closure route remains as the tests' reference.
-Run with:
+For each (group, valence) case the script times the three stages that
+`exhaustive_regular_maps` runs:
+
+- generation: `inverse_closed_sets`, one generating set per orbit of the
+  group's listed automorphisms (`automorphism_ranks`);
+- regularity: the arc propagation (`rotates_base_star`) over every ordering
+  of those sets, first element pinned;
+- dedup: building the survivors' maps and grouping them by pairwise
+  `maps_isomorphic`.
+
+It also builds the rotation and reversal rows of every candidate of the full
+search, every generating set and not only one per orbit, and decides each
+candidate's regularity two ways: by the monodromy closure (regular when the
+group has exactly |D| elements), which only the tests use, and by the
+propagation the census uses. It exits non-zero if the two routes disagree
+on any candidate. Run with:
 
     PYTHONPATH=src python3 benchmarks/closure_benchmark.py [--repeat N]
 """
@@ -15,31 +23,48 @@ Run with:
 from __future__ import annotations
 
 import argparse
+import math
 import time
+from itertools import combinations
 
 import numpy as np
 
 from cayleymaps import _kernels
-from cayleymaps.classify import iter_candidate_maps
+from cayleymaps.classify import (
+    _survivors_for_sets,
+    cyclic_orderings,
+    inverse_closed_sets,
+    isomorphism_classes,
+)
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
+from cayleymaps.maps import reversal_row, rotates_base_star, rotation_row
 
-ARC_ONE = np.array([1], dtype=np.int64)
+CASES = [
+    ("D12 valence 3", DihedralGroup(12), 3),
+    ("D21 valence 3", DihedralGroup(21), 3),
+    ("D11 valence 5", DihedralGroup(11), 5),
+    ("Dic6 valence 5", DicyclicGroup(6), 5),
+    ("E4 valence 5", ElemAbelian2Group(4), 5),
+]
 
 
-def workloads() -> list[tuple[str, list[tuple[np.ndarray, np.ndarray]]]]:
-    cases = [
-        ("D12 valence 3", DihedralGroup(12), 3),
-        ("D11 valence 5", DihedralGroup(11), 5),
-        ("Dic6 valence 5", DicyclicGroup(6), 5),
-        ("E4 valence 5", ElemAbelian2Group(4), 5),
-    ]
+def full_candidate_rows(group, valence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(R, L) rows of every candidate of the full search: each unit-free,
+    inverse-closed, generating subset in every ordering, least rank first."""
+    table, inv = group.rank_table()
+    mul = np.array(table, dtype=np.int64)
+    elems = group.elements()
+    identity = group.rank(group.identity)
+    row_R = rotation_row(group.order * valence, valence)
     out = []
-    for label, group, valence in cases:
-        rows = [
-            (m._rotation_row, m._reversal_row)
-            for m in iter_candidate_maps(group, valence)
-        ]
-        out.append((f"{label} ({len(rows)} maps)", rows))
+    for xset in combinations([r for r in range(group.order) if r != identity], valence):
+        if {inv[r] for r in xset} != set(xset):
+            continue
+        if not group.generates([elems[r] for r in xset]):
+            continue
+        for xs in cyclic_orderings(xset):
+            kappa0 = [xs.index(inv[r]) for r in xs]
+            out.append((row_R, reversal_row(mul[:, list(xs)], kappa0)))
     return out
 
 
@@ -49,17 +74,14 @@ def closure_route(rot: np.ndarray, rev: np.ndarray) -> bool:
     return not exceeded and size == n_arcs
 
 
-def propagation_route(rot: np.ndarray, rev: np.ndarray) -> bool:
-    return _kernels.arc_bijection_exists(rot, rev, rot, rev, candidates=ARC_ONE)
-
-
-def time_route(route, rows, repeat: int) -> tuple[float, list[bool]]:
+def best_of(repeat: int, fn):
+    """(fastest time, result) over repeat calls of fn()."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        verdicts = [route(rot, rev) for rot, rev in rows]
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best, verdicts
+    return best, result
 
 
 def main() -> None:
@@ -67,15 +89,34 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3, help="timing repeats")
     args = parser.parse_args()
 
-    print(f"{'workload':<30} {'closure':>10} {'propagation':>12} {'regular':>8}")
-    for label, rows in workloads():
-        t_closure, by_closure = time_route(closure_route, rows, args.repeat)
-        t_prop, by_prop = time_route(propagation_route, rows, args.repeat)
+    print(
+        f"{'case':<16} {'sets':>5} {'orders':>7} {'generation':>11} "
+        f"{'regularity':>11} {'dedup':>8} {'classes':>8}   "
+        f"{'full search':>12} {'closure':>9} {'propagation':>12}"
+    )
+    for label, group, valence in CASES:
+        t_gen, sets = best_of(args.repeat, lambda: inverse_closed_sets(group, valence))
+        t_reg, survivors = best_of(
+            args.repeat, lambda: _survivors_for_sets(group, valence, sets)
+        )
+        t_dedup, classes = best_of(
+            args.repeat, lambda: isomorphism_classes(group, survivors)
+        )
+        orderings = len(sets) * math.factorial(valence - 1)
+
+        rows = full_candidate_rows(group, valence)
+        t_closure, by_closure = best_of(
+            args.repeat, lambda: [closure_route(rot, rev) for rot, rev in rows]
+        )
+        t_prop, by_prop = best_of(
+            args.repeat, lambda: [rotates_base_star(rot, rev) for rot, rev in rows]
+        )
         if by_closure != by_prop:
             raise SystemExit(f"{label}: the two regularity routes disagree")
         print(
-            f"{label:<30} {t_closure:>9.3f}s {t_prop:>11.3f}s "
-            f"{sum(by_prop):>8}   propagation is {t_closure / t_prop:.1f}x faster"
+            f"{label:<16} {len(sets):>5} {orderings:>7} {t_gen:>10.4f}s "
+            f"{t_reg:>10.4f}s {t_dedup:>7.4f}s {len(classes):>8}   "
+            f"{len(rows):>6} maps {t_closure:>8.3f}s {t_prop:>11.3f}s"
         )
 
 

@@ -6,9 +6,10 @@ This module has two independent halves that check each other:
   from a triple (n, l, k), the anti-balanced cyclic construction, seed pairs
   over GF(2), a product formula for the number of isomorphism classes, and a
   CRT-based enumeration of the same classes;
-* an exhaustive search (`exhaustive_regular_maps`) that enumerates every
-  inverse-closed generating subset and cyclic ordering at desk scale, keeps
-  the regular maps, and deduplicates them up to map isomorphism.
+* an exhaustive search (`exhaustive_regular_maps`) that enumerates one
+  inverse-closed generating subset per orbit of a group of automorphisms,
+  in every cyclic ordering, at desk scale, keeps the regular maps, and
+  deduplicates them up to map isomorphism.
 
 `verify_claim` runs the named cross-checks between the two halves; claim ids
 are short opaque strings fixed by the command-line contract.
@@ -394,36 +395,67 @@ def _invariant_factor_chains(order: int) -> list[tuple[int, ...]]:
 
 
 def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
-    """All unit-free, inverse-closed, generating subsets of the given size,
-    each sorted by element rank; the list itself is rank-lexicographic."""
+    """The unit-free, inverse-closed, generating subsets of the given size,
+    one per orbit of H = group.automorphism_ranks(): each orbit's
+    rank-lexicographic least member, sorted by element rank; the list itself
+    is rank-lexicographic. An automorphism carries CM(G, X, rho) to the
+    isomorphic map CM(G, psi X, psi rho psi^-1), so the search needs no more.
+
+    The least member X of an orbit starts with an orbit minimum m (the least
+    rank of its H-orbit), and every x in X has an orbit minimum >= m. So for
+    each m, ascending, the sets holding m are drawn from those ranks only. A
+    set is kept when it generates and no psi gives a smaller sorted image.
+    Generation is tested first: a set that fails it closes up in a small
+    subgroup at once, while the image test costs a numpy pass per set."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
-    involutions = group.involutions()
-    seen_pair = set()
-    pairs = []
-    for g in group.elements():
-        h = group.inv(g)
-        if g == h or g == group.identity:
-            continue
-        key = frozenset((g, h))
-        if key in seen_pair:
-            continue
-        seen_pair.add(key)
-        pairs.append((g, h) if group.rank(g) < group.rank(h) else (h, g))
+    auts = group.automorphism_ranks()
+    orbit_min = auts.min(axis=0).tolist()  # the least rank in each orbit
+    elems = group.elements()
+    inv = [group.rank(group.inv(g)) for g in elems]
+    identity = group.rank(group.identity)
     out = []
-    for n_inv in range(valence % 2, min(valence, len(involutions)) + 1, 2):
-        n_pair = (valence - n_inv) // 2
-        if n_pair > len(pairs):
+    for m in range(group.order):
+        if m == identity or orbit_min[m] != m:
             continue
-        for invs in combinations(involutions, n_inv):
-            for prs in combinations(pairs, n_pair):
-                xset = sorted(
-                    invs + tuple(x for pr in prs for x in pr), key=group.rank
-                )
-                if group.generates(xset):
-                    out.append(tuple(xset))
-    out.sort(key=lambda xs: tuple(group.rank(x) for x in xs))
-    return out
+        allowed = {r for r in range(m, group.order) if orbit_min[r] >= m}
+        allowed.discard(identity)
+        if inv[m] not in allowed:
+            continue
+        base = (m,) if inv[m] == m else (m, inv[m])
+        rest = [r for r in range(m + 1, group.order) if r in allowed and r != inv[m]]
+        involutions = [r for r in rest if inv[r] == r]
+        pairs = [(r, inv[r]) for r in rest if r < inv[r] and inv[r] in allowed]
+        free = valence - len(base)
+        for n_inv in range(free % 2, min(free, len(involutions)) + 1, 2):
+            n_pair = (free - n_inv) // 2
+            if n_pair > len(pairs):
+                continue
+            for invs in combinations(involutions, n_inv):
+                for prs in combinations(pairs, n_pair):
+                    xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
+                    if group.generates([elems[r] for r in xset]) and _least_in_orbit(
+                        auts, orbit_min, xset
+                    ):
+                        out.append(tuple(xset))
+    out.sort()
+    return [tuple(elems[r] for r in xset) for xset in out]
+
+
+def _least_in_orbit(auts: np.ndarray, orbit_min: list[int], xset: list[int]) -> bool:
+    """Is the sorted rank list xset, which starts with its orbit minimum m,
+    least among its sorted images under auts? Only a psi sending some x in
+    xset to m can give a smaller one, and those are tau * sigma_x: one sigma_x
+    with sigma_x(x) = m per such x, and tau in the stabilizer of m."""
+    m = xset[0]
+    stabilizer = np.flatnonzero(auts[:, m] == m)
+    sigmas = [np.argmax(auts[:, x] == m) for x in xset if orbit_min[x] == m]
+    target = np.array(xset)
+    images = auts[stabilizer[:, None, None], auts[sigmas][:, target]]
+    images = np.sort(images.reshape(-1, len(xset)), axis=1)
+    # the first nonzero sign of images - target outweighs all later ones
+    weights = 1 << np.arange(len(xset) - 1, -1, -1)
+    return not (np.sign(images - target) @ weights < 0).any()
 
 
 def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
@@ -432,13 +464,6 @@ def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
     first = xset[0]
     for rest in permutations(xset[1:]):
         yield (first,) + rest
-
-
-def iter_candidate_maps(group: FiniteGroup, valence: int) -> Iterator[CayleyMap]:
-    """Every candidate map the exhaustive search considers, in search order."""
-    for xset in inverse_closed_sets(group, valence):
-        for xs in cyclic_orderings(xset):
-            yield build_map(group, xs)
 
 
 def _survivors_for_sets(
@@ -470,10 +495,11 @@ def _survivor_worker(args: tuple) -> list[tuple[int, ...]]:
 def exhaustive_regular_maps(
     group: FiniteGroup, valence: int, jobs: int = 1
 ) -> list[CayleyMap]:
-    """Independent search oracle: every inverse-closed generating subset of
-    the given size, every cyclic ordering (first element pinned), kept when
-    regular, deduplicated up to map isomorphism. Representatives are the
-    rank-lexicographic minima of their classes, sorted by ranks.
+    """Independent search oracle: one inverse-closed generating subset of
+    the given size per automorphism orbit, every cyclic ordering (first
+    element pinned), kept when regular, deduplicated up to map isomorphism.
+    Representatives are the rank-lexicographic minima of their classes over
+    every generating set, sorted by ranks.
     At most min(jobs, CPU count) worker processes share the orderings."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -495,21 +521,58 @@ def exhaustive_regular_maps(
                 survivors.extend(part)
     else:
         survivors = _survivors_for_sets(group, valence, sets)
+    classes = isomorphism_classes(group, survivors)
+    if not classes:
+        return []
+    auts = group.automorphism_ranks()
     elems = group.elements()
-    survivor_maps = [
-        build_map(group, tuple(elems[r] for r in ranks)) for ranks in survivors
+    reps = [
+        build_map(group, [elems[r] for r in _least_image(auts, cls)])
+        for cls in classes
     ]
-    classes: list[list[CayleyMap]] = []
-    for m_obj in survivor_maps:
-        for cls in classes:
-            if maps_isomorphic(cls[0], m_obj):
-                cls.append(m_obj)
-                break
-        else:
-            classes.append([m_obj])
-    reps = [min(cls, key=CayleyMap.xs_ranks) for cls in classes]
     reps.sort(key=CayleyMap.xs_ranks)
     return reps
+
+
+def isomorphism_classes(
+    group: FiniteGroup, survivors: Sequence[tuple[int, ...]]
+) -> list[list[tuple[int, ...]]]:
+    """The given rank tuples grouped by the isomorphism class of their maps,
+    each map tested against the first map of each class."""
+    elems = group.elements()
+    firsts: list[CayleyMap] = []
+    classes: list[list[tuple[int, ...]]] = []
+    for ranks in survivors:
+        m_obj = build_map(group, tuple(elems[r] for r in ranks))
+        for first, cls in zip(firsts, classes):
+            if maps_isomorphic(first, m_obj):
+                cls.append(ranks)
+                break
+        else:
+            firsts.append(m_obj)
+            classes.append([ranks])
+    return classes
+
+
+def _least_image(
+    auts: np.ndarray, orderings: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The rank-lexicographic least psi(s), rotated to start at its least
+    rank, over psi in auts and the orderings s of one class. Regularity and
+    the isomorphism class are invariant under automorphisms, so these are
+    exactly the class's regular orderings over every generating set. Only
+    the images of s holding its least image rank can win, and one s is
+    imaged at a time, so memory stays at |H| rows."""
+    best = None
+    for s in orderings:
+        images = auts[:, s]
+        lows = images.min(axis=1)
+        for ranks in images[lows == lows.min()].tolist():
+            i = ranks.index(min(ranks))
+            rotated = tuple(ranks[i:] + ranks[:i])
+            if best is None or rotated < best:
+                best = rotated
+    return best
 
 
 # -- census entries ------------------------------------------------------------------
@@ -647,6 +710,7 @@ class VerifyReport:
     checked: int
     counterexamples: list[str]
     notes: list[str]
+    covered: str = ""  # what was searched or counted, for standard error
 
     def as_text(self) -> str:
         lines = [f"claim {self.claim_id}: {'PASS' if self.passed else 'FAIL'}"]
@@ -718,7 +782,8 @@ def verify_claim(
                     f"n={n} p={p}: formula={formula} "
                     f"enumerated={enumerated} crt={lifted}"
                 )
-        return VerifyReport("3.4", not rows, n_max, rows, [])
+        covered = f"counting n=1..{n_max} at p={p} ({max(n_max, 0)} values)"
+        return VerifyReport("3.4", not rows, n_max, rows, [], covered)
     if claim_id == "1.1" and n_max > MAX_ABELIAN_VERIFY_ORDER:
         raise UsageError(
             f"abelian verification is bounded at order "
@@ -732,17 +797,34 @@ def verify_claim(
             for valence in (3, 4, 5)
             if group.order * valence <= MAX_CENSUS_ARCS
         )
+        family = "dicyclic"
     else:
         family = {"1.1": "abelian", "1.3": "dicyclic"}.get(claim_id, "dihedral")
         targets = guarded_targets((g, n, p) for g, n in family_groups(family, n_max))
-    checked, rows = _affine_involution_check(p) if claim_id == "L3.2" else (0, [])
+    covered = _coverage(family, targets)
+    checked, rows = 0, []
+    if claim_id == "L3.2":
+        checked, rows = _affine_involution_check(p)
+        covered += f"; affine involutions of degree {p}"
     check, notes = _claim_check(claim_id, p)
     for group, n, valence in targets:
         maps = exhaustive_regular_maps(group, valence, jobs=jobs)
         count, bad = check(group, n, valence, maps)
         checked += count
         rows += bad
-    return VerifyReport(claim_id, not rows, checked, rows, notes())
+    return VerifyReport(claim_id, not rows, checked, rows, notes(), covered)
+
+
+def _coverage(family: str, targets: list[Target]) -> str:
+    """The groups a sweep searched, by valence, as "dihedral D3..D11
+    valence 5 (9 groups)"."""
+    parts = []
+    for valence in sorted({v for _, _, v in targets}):
+        names = [g.name for g, _, v in targets if v == valence]
+        span = names[0] if len(names) == 1 else f"{names[0]}..{names[-1]}"
+        groups = f"{len(names)} group" + ("s" if len(names) != 1 else "")
+        parts.append(f"{family} {span} valence {valence} ({groups})")
+    return "; ".join(parts) or f"{family} none (0 groups)"
 
 
 # A claim's test of the regular maps found on one group:

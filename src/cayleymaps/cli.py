@@ -238,6 +238,7 @@ def _run_census(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     report = verify_claim(args.theorem, p=args.p, n_max=args.n_max, jobs=args.jobs)
     sys.stdout.write(report.as_text())
+    print(f"covered: {report.covered}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -7,6 +7,8 @@ residue tuples for products of cyclic groups.  Every product is computed on
 exponents: `FiniteGroup.mul` checks both factors once and calls the family's
 unchecked `_mul`; `FiniteGroup.rank_table` tabulates `_mul` over element ranks
 for the hot loops, and only the most recent group's table is kept.
+`FiniteGroup.automorphism_ranks` lists a subgroup of Aut(G), chosen per family
+to be cheap to list, as permutations of element ranks for the census search.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 GroupElement = Union[int, tuple]
 
@@ -201,6 +205,12 @@ class FiniteGroup:
         """First automorphism sending x to y for every (x, y) pair, or None."""
         raise NotImplementedError
 
+    def automorphism_ranks(self) -> np.ndarray:
+        """A subgroup H of Aut(G) as an int64 array of shape (|H|, order):
+        row h maps each element rank to the rank of its image under psi_h.
+        Its size is bounded by the family, never by a search."""
+        raise NotImplementedError
+
     # -- shared derived operations ----------------------------------------
 
     def check(self, g: GroupElement) -> GroupElement:
@@ -352,6 +362,12 @@ class CyclicGroup(FiniteGroup):
                 return UnitAut(u)
         return None
 
+    def automorphism_ranks(self) -> np.ndarray:
+        """All of Aut(Z_n): g -> u * g for every unit u."""
+        g = np.arange(self.n, dtype=np.int64)
+        units = g[np.gcd(g, self.n) == 1]
+        return units[:, None] * g % self.n
+
 
 class ElemAbelian2Group(FiniteGroup):
     """Bit vectors of length r under XOR; every non-identity element squares to e."""
@@ -409,6 +425,13 @@ class ElemAbelian2Group(FiniteGroup):
             if all(mat.apply(x) == y for x, y in pairs):
                 return MatrixAut(mat)
         return None
+
+    def automorphism_ranks(self) -> np.ndarray:
+        """The r! coordinate permutations, a subgroup of GL(r, 2); bit j of
+        g moves to bit sigma(j). GL(r, 2) itself is far too large to list."""
+        sigmas = np.array(list(permutations(range(self.r))), dtype=np.int64)
+        bits = np.arange(self.order, dtype=np.int64)[:, None] >> np.arange(self.r) & 1
+        return (bits @ (1 << sigmas).T).T
 
 
 class _ExponentPairGroup(FiniteGroup):
@@ -481,6 +504,21 @@ class _ExponentPairGroup(FiniteGroup):
             if all(self.apply_aut(phi, x) == y for x, y in pairs):
                 return phi
         return None
+
+    def automorphism_ranks(self) -> np.ndarray:
+        """Every PowerPairAut a -> a^u, b -> a^v * b (u a unit mod m), that
+        is (i, e) -> (u * i + v * e, e), rows ordered by (v, u). For the
+        dihedral groups with n >= 3 this is all of Aut(D_n)."""
+        m = self.m
+        i = np.arange(m, dtype=np.int64)
+        units = i[np.gcd(i, m) == 1]
+        rotations = units[:, None] * i % m
+        # element (i, e) has rank e * m + i, so a^(j + v) * b has rank shift[v, j]
+        shift = (i[:, None] + i) % m + m
+        out = np.empty((m, len(units), 2 * m), dtype=np.int64)
+        out[:, :, :m] = rotations
+        out[:, :, m:] = shift[:, rotations]
+        return out.reshape(m * len(units), 2 * m)
 
 
 class DihedralGroup(_ExponentPairGroup):
@@ -601,3 +639,14 @@ class AbelianProductGroup(FiniteGroup):
             if len(seen) == self.order:
                 return phi
         return None
+
+    def automorphism_ranks(self) -> np.ndarray:
+        """g -> u * g for every unit u modulo the exponent."""
+        exponent = math.lcm(*self.mods)
+        u = np.arange(exponent, dtype=np.int64)
+        units = u[np.gcd(u, exponent) == 1]
+        mods = np.array(self.mods, dtype=np.int64)
+        # elements are listed in product order, the last coordinate fastest
+        coords = np.indices(self.mods, dtype=np.int64).reshape(len(mods), -1).T
+        strides = np.append(np.cumprod(mods[:0:-1])[::-1], 1)
+        return units[:, None, None] * coords % mods @ strides

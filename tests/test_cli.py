@@ -312,6 +312,54 @@ class TestVerifyCommand:
         assert runs[0][0] == 1  # the sphere-map exception is inside this range
 
 
+    def test_completed_runs_report_coverage_on_stderr(self, capsys):
+        # one covered: line per completed run, PASS or FAIL, off stdout
+        for case, code, covered in (
+            (
+                ("1.2", "--p", "5", "--n-max", "11"),
+                0,
+                "dihedral D3..D11 valence 5 (9 groups)",
+            ),
+            (
+                ("1.2", "--p", "3", "--n-max", "12"),
+                1,
+                "dihedral D3..D12 valence 3 (10 groups)",
+            ),
+            (
+                ("2.7-consequence", "--n-max", "21"),
+                0,
+                "dicyclic Dic2..Dic21 valence 3 (20 groups); "
+                "dicyclic Dic2..Dic21 valence 4 (20 groups); "
+                "dicyclic Dic2..Dic20 valence 5 (19 groups)",
+            ),
+            (
+                ("L3.2", "--p", "3", "--n-max", "3"),
+                0,
+                "dihedral D3 valence 3 (1 group); affine involutions of degree 3",
+            ),
+            (("1.3", "--p", "3", "--n-max", "1"), 0, "dicyclic none (0 groups)"),
+            (
+                ("3.4", "--p", "5", "--n-max", "50"),
+                0,
+                "counting n=1..50 at p=5 (50 values)",
+            ),
+        ):
+            got, out, err = run_cli(capsys, "verify", "--theorem", *case)
+            assert (got, err) == (code, f"covered: {covered}\n"), case
+            assert "covered" not in out, case
+
+    def test_refusals_report_no_coverage(self, capsys):
+        for case in (
+            ("1.2", "--p", "3", "--n-max", "67"),
+            ("3.4", "--p", "3", "--n-max", str(classify.MAX_COUNT_N + 1)),
+            ("1.1", "--p", "3", "--n-max", "17"),
+            ("9.9", "--p", "3", "--n-max", "5"),
+        ):
+            code, out, err = run_cli(capsys, "verify", "--theorem", *case)
+            assert code in (2, 3) and out == "", case
+            assert "covered" not in err, case
+
+
 class TestCountAndTriples:
     def test_count_examples(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "21")

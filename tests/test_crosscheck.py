@@ -2,12 +2,14 @@
 
 Maps and the census decide regularity with one arc propagation (is there an
 automorphism that fixes the base vertex and sends arc 0 to arc 1?), test
-isomorphism out of a regular map from the single candidate image arc 0, and
-check generation (FiniteGroup.generates) on the rank multiplication table.
+isomorphism out of a regular map from the single candidate image arc 0,
+check generation (FiniteGroup.generates) on the rank multiplication table,
+and search one generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
 the monodromy closure (`monodromy_closure`, which lives only here), the sweep
-over every image of arc 0, and the element-level breadth-first closure in the
-group (FiniteGroup.closure).
+over every image of arc 0, the element-level breadth-first closure in the
+group (FiniteGroup.closure), and the full search over every generating set
+(`reference_regular_maps`, which lives only here).
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleymaps._kernels import arc_bijection_exists, closure_table
-from cayleymaps.classify import exhaustive_regular_maps, inverse_closed_sets
+from cayleymaps.classify import (
+    _survivors_for_sets,
+    exhaustive_regular_maps,
+    inverse_closed_sets,
+)
 from cayleymaps.groups import (
     AbelianProductGroup,
     CyclicGroup,
@@ -28,7 +34,7 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
 )
-from cayleymaps.maps import build_map, maps_isomorphic
+from cayleymaps.maps import CayleyMap, build_map, maps_isomorphic
 
 CASES = (
     [(DihedralGroup(n), 3) for n in range(3, 11)]
@@ -74,6 +80,48 @@ def full_sweep_isomorphic(m1, m2):
     )
 
 
+def full_inverse_closed_sets(group, valence):
+    """Every unit-free, inverse-closed, generating subset of the given size
+    as a sorted rank tuple, rank-lexicographic: the census's enumeration
+    before it kept one set per automorphism orbit."""
+    _, inv = group.rank_table()
+    identity = group.rank(group.identity)
+    involutions = [r for r in range(group.order) if r != identity and inv[r] == r]
+    pairs = [(r, inv[r]) for r in range(group.order) if r < inv[r]]
+    elems = group.elements()
+    out = []
+    for n_inv in range(valence % 2, min(valence, len(involutions)) + 1, 2):
+        n_pair = (valence - n_inv) // 2
+        for invs in combinations(involutions, n_inv):
+            for prs in combinations(pairs, n_pair):
+                xset = tuple(sorted(invs + tuple(x for pr in prs for x in pr)))
+                if group.generates([elems[r] for r in xset]):
+                    out.append(xset)
+    return sorted(out)
+
+
+def reference_regular_maps(group, valence):
+    """The census without orbit pruning: every generating set in every
+    ordering through the census's regularity filter, the regular maps
+    deduplicated pairwise, each class shown by its rank-lexicographic least
+    member; the class rank tuples, sorted."""
+    elems = group.elements()
+    sets = [
+        tuple(elems[r] for r in xset)
+        for xset in full_inverse_closed_sets(group, valence)
+    ]
+    classes: list[list[CayleyMap]] = []
+    for ranks in _survivors_for_sets(group, valence, sets):
+        m = build_map(group, [elems[r] for r in ranks])
+        for cls in classes:
+            if maps_isomorphic(cls[0], m):
+                cls.append(m)
+                break
+        else:
+            classes.append([m])
+    return sorted(min(m.xs_ranks() for m in cls) for cls in classes)
+
+
 @pytest.fixture(
     scope="module", params=CASES, ids=[f"{g.name}-p{p}" for g, p in CASES]
 )
@@ -96,11 +144,107 @@ def test_rank_table_matches_group_arithmetic(group):
             assert elems[mul[i][j]] == group.mul(g, h)
 
 
+AUT_GROUPS = list({g.name: g for g, _ in CASES}.values()) + [
+    ElemAbelian2Group(5),
+    ElemAbelian2Group(7),
+]
+
+
+def generating_ranks(group):
+    """Ranks of a generating set, grown greedily by element-level closure."""
+    elems = group.elements()
+    gens: list[int] = []
+    span = group.closure([])
+    while len(span) < group.order:
+        gens.append(next(r for r, g in enumerate(elems) if g not in span))
+        span = group.closure([elems[r] for r in gens])
+    return gens
+
+
+@pytest.mark.parametrize("group", AUT_GROUPS, ids=lambda g: g.name)
+def test_automorphism_ranks_form_a_group_of_automorphisms(group):
+    auts = group.automorphism_ranks()
+    mul = np.array(group.rank_table()[0])
+    n = group.order
+    e = group.rank(group.identity)
+    assert auts.dtype == np.int64 and auts.shape[1] == n
+    assert (auts[:, e] == e).all()
+    assert (np.sort(auts, axis=1) == np.arange(n)).all()
+    # psi(g * s) == psi(g) * psi(s) for every g and every s of a generating
+    # set gives psi(g * h) == psi(g) * psi(h) for all h, word by word
+    gens = generating_ranks(group)
+    assert (auts[:, mul[:, gens]] == mul[auts[:, :, None], auts[:, None, gens]]).all()
+    # closed under composition: grow the subgroup generated by rows of auts,
+    # adding a row as a generator whenever it is not reached yet; every
+    # product reached must be a row, and every row must be reached
+    rows = set(map(tuple, auts.tolist()))
+    reached = {tuple(range(n))}
+    generators: list[tuple[int, ...]] = []
+    for row in sorted(rows):
+        if row in reached:
+            continue
+        generators.append(row)
+        frontier = list(reached)
+        while frontier:
+            fresh = []
+            for f in frontier:
+                for g in generators:
+                    h = tuple(f[x] for x in g)
+                    if h not in reached:
+                        assert h in rows
+                        reached.add(h)
+                        fresh.append(h)
+            frontier = fresh
+    assert reached == rows
+
+
+@pytest.mark.parametrize(
+    "group, size",
+    [
+        (DihedralGroup(3), 6),
+        (DihedralGroup(8), 32),
+        (DihedralGroup(20), 160),
+        (DicyclicGroup(2), 8),
+        (DicyclicGroup(3), 12),
+        (DicyclicGroup(33), 1320),
+        (CyclicGroup(2), 1),
+        (CyclicGroup(12), 4),
+        (CyclicGroup(13), 12),
+        (ElemAbelian2Group(1), 1),
+        (ElemAbelian2Group(3), 6),
+        (ElemAbelian2Group(7), 5040),
+        (AbelianProductGroup([2, 6]), 2),
+        (AbelianProductGroup([3, 15]), 8),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_automorphism_ranks_sizes(group, size):
+    # D_n: n * phi(n); Dic_n: 2n * phi(2n); Z_n and products: phi(exponent);
+    # E_r: r! coordinate permutations
+    auts = group.automorphism_ranks()
+    assert auts.shape == (size, group.order)
+    assert len(set(map(tuple, auts.tolist()))) == size
+
+
 def test_generation_check_matches_group_closure(case):
+    # the automorphism orbits of the representatives partition the generating
+    # sets found by element-level closure, and each representative is the
+    # rank-lexicographic least member of its orbit
     group, valence, candidates = case
-    expected = sorted({tuple(sorted(m.xs_ranks())) for m in candidates})
-    found = inverse_closed_sets(group, valence)
-    assert [tuple(group.rank(x) for x in xset) for xset in found] == expected
+    expected = {tuple(sorted(m.xs_ranks())) for m in candidates}
+    auts = group.automorphism_ranks()
+    reps = [
+        tuple(group.rank(x) for x in xset)
+        for xset in inverse_closed_sets(group, valence)
+    ]
+    assert reps == sorted(set(reps))
+    covered: set[tuple[int, ...]] = set()
+    for rep in reps:
+        orbit = set(map(tuple, np.sort(auts[:, list(rep)], axis=1).tolist()))
+        assert min(orbit) == rep
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == expected
 
 
 def test_propagation_regularity_matches_closure(case):
@@ -175,6 +319,20 @@ def test_census_matches_slow_reference(case):
     )
     found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
     assert found == expected
+
+
+def test_orbit_search_matches_full_search(case):
+    group, valence, _ = case
+    found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+    assert found == reference_regular_maps(group, valence)
+
+
+@given(group=SMALL_GROUPS, valence=st.sampled_from([3, 5]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_search_matches_full_search_on_random_groups(group, valence):
+    assume(group.order * valence <= 120)
+    found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+    assert found == reference_regular_maps(group, valence)
 
 
 def test_isomorphism_out_of_irregular_maps_sweeps_every_image(case):
