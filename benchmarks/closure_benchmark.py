@@ -10,12 +10,19 @@ For each (group, valence) case the script times the three stages that
 - dedup: building the survivors' maps and grouping them by pairwise
   `maps_isomorphic`.
 
-It also builds the rotation and reversal rows of every candidate of the full
-search, every generating set and not only one per orbit, and decides each
-candidate's regularity two ways: by the monodromy closure (regular when the
-group has exactly |D| elements), which only the tests use, and by the
-propagation the census uses. It exits non-zero if the two routes disagree
-on any candidate. Run with:
+It also lists every generating set of the full search, not only one per
+orbit, and checks two things against that list, exiting non-zero if either
+fails:
+
+- the orbits of the generated representatives under the listed
+  automorphisms partition the list, with one representative per orbit, each
+  its orbit's least member;
+- every candidate of the full search (each set in every ordering) gets the
+  same regularity verdict from the monodromy closure (regular when the group
+  has exactly |D| elements), which only the tests use, and from the
+  propagation the census uses.
+
+Run with:
 
     PYTHONPATH=src python3 benchmarks/closure_benchmark.py [--repeat N]
 """
@@ -48,20 +55,41 @@ CASES = [
 ]
 
 
-def full_candidate_rows(group, valence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(R, L) rows of every candidate of the full search: each unit-free,
-    inverse-closed, generating subset in every ordering, least rank first."""
-    table, inv = group.rank_table()
-    mul = np.array(table, dtype=np.int64)
+def full_generating_sets(group, valence) -> list[tuple[int, ...]]:
+    """Every unit-free, inverse-closed, generating subset as a sorted rank
+    tuple, rank-lexicographic."""
+    _, inv = group.rank_table()
     elems = group.elements()
     identity = group.rank(group.identity)
-    row_R = rotation_row(group.order * valence, valence)
     out = []
     for xset in combinations([r for r in range(group.order) if r != identity], valence):
         if {inv[r] for r in xset} != set(xset):
             continue
-        if not group.generates([elems[r] for r in xset]):
-            continue
+        if group.generates([elems[r] for r in xset]):
+            out.append(xset)
+    return out
+
+
+def orbits_partition(group, reps, full_sets) -> bool:
+    """Do the automorphism orbits of the representatives partition full_sets,
+    each representative the least member of its orbit?"""
+    auts = group.automorphism_ranks()
+    covered: set[tuple[int, ...]] = set()
+    for rep in reps:
+        orbit = set(map(tuple, np.sort(auts[:, list(rep)], axis=1).tolist()))
+        if min(orbit) != rep or orbit & covered:
+            return False
+        covered |= orbit
+    return covered == set(full_sets)
+
+
+def candidate_rows(group, valence, sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(R, L) rows of every ordering, least rank first, of the rank sets."""
+    table, inv = group.rank_table()
+    mul = np.array(table, dtype=np.int64)
+    row_R = rotation_row(group.order * valence, valence)
+    out = []
+    for xset in sets:
         for xs in cyclic_orderings(xset):
             kappa0 = [xs.index(inv[r]) for r in xs]
             out.append((row_R, reversal_row(mul[:, list(xs)], kappa0)))
@@ -104,7 +132,11 @@ def main() -> None:
         )
         orderings = len(sets) * math.factorial(valence - 1)
 
-        rows = full_candidate_rows(group, valence)
+        full_sets = full_generating_sets(group, valence)
+        reps = [tuple(group.rank(x) for x in xset) for xset in sets]
+        if not orbits_partition(group, reps, full_sets):
+            raise SystemExit(f"{label}: the representatives miss or repeat an orbit")
+        rows = candidate_rows(group, valence, full_sets)
         t_closure, by_closure = best_of(
             args.repeat, lambda: [closure_route(rot, rev) for rot, rev in rows]
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -212,11 +212,7 @@ def elem_abelian_seeds(r: int, p: int) -> list[tuple[Gf2Matrix, int]]:
         if A.order() != p:
             continue
         for x in range(1, 1 << r):
-            orbit = [x]
-            v = x
-            for _ in range(p - 1):
-                v = A.apply(v)
-                orbit.append(v)
+            orbit = _seed_orbit(A, x, p)
             if len(set(orbit)) != p:
                 continue
             if _span_rank(orbit) == r:
@@ -235,16 +231,18 @@ def _span_rank(vectors: Sequence[int]) -> int:
     return len(basis)
 
 
+def _seed_orbit(A: Gf2Matrix, x: int, p: int) -> list[int]:
+    """x, Ax, ..., A^(p-1)x."""
+    orbit = [x]
+    for _ in range(p - 1):
+        orbit.append(A.apply(orbit[-1]))
+    return orbit
+
+
 def elem_abelian_map(A: Gf2Matrix, x: int) -> CayleyMap:
     """The balanced map built from a seed pair: generators are the A-orbit of
     x inside the elementary abelian 2-group of rank A.size."""
-    p = A.order()
-    orbit = [x]
-    v = x
-    for _ in range(p - 1):
-        v = A.apply(v)
-        orbit.append(v)
-    return build_map(ElemAbelian2Group(A.size), orbit)
+    return build_map(ElemAbelian2Group(A.size), _seed_orbit(A, x, A.order()))
 
 
 # -- counting formula and CRT enumeration ------------------------------------------
@@ -403,22 +401,25 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
 
     The least member X of an orbit starts with an orbit minimum m (the least
     rank of its H-orbit), and every x in X has an orbit minimum >= m. So for
-    each m, ascending, the sets holding m are drawn from those ranks only. A
-    set is kept when it generates and no psi gives a smaller sorted image.
-    Generation is tested first: a set that fails it closes up in a small
-    subgroup at once, while the image test costs a numpy pass per set."""
+    each m, ascending, the sets holding m are drawn from those ranks only
+    (the pool of m), and every one of them is listed. Generation is tested
+    first, set by set: a set that fails it closes up in a small subgroup at
+    once, and almost no set of a large elementary abelian pool generates.
+    The pool's generating sets are then tested together for being least in
+    their orbits (`_least_in_orbits`), in numpy passes over bounded blocks."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
     auts = group.automorphism_ranks()
-    orbit_min = auts.min(axis=0).tolist()  # the least rank in each orbit
+    orbit_min = auts.min(axis=0)  # the least rank in each orbit
+    orbit_min_list = orbit_min.tolist()
     elems = group.elements()
     inv = [group.rank(group.inv(g)) for g in elems]
     identity = group.rank(group.identity)
-    out = []
+    out: list[tuple[int, ...]] = []
     for m in range(group.order):
-        if m == identity or orbit_min[m] != m:
+        if m == identity or orbit_min_list[m] != m:
             continue
-        allowed = {r for r in range(m, group.order) if orbit_min[r] >= m}
+        allowed = {r for r in range(m, group.order) if orbit_min_list[r] >= m}
         allowed.discard(identity)
         if inv[m] not in allowed:
             continue
@@ -427,6 +428,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
         involutions = [r for r in rest if inv[r] == r]
         pairs = [(r, inv[r]) for r in rest if r < inv[r] and inv[r] in allowed]
         free = valence - len(base)
+        pool = array("q")  # the generating sets, row after row
         for n_inv in range(free % 2, min(free, len(involutions)) + 1, 2):
             n_pair = (free - n_inv) // 2
             if n_pair > len(pairs):
@@ -434,28 +436,50 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
             for invs in combinations(involutions, n_inv):
                 for prs in combinations(pairs, n_pair):
                     xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
-                    if group.generates([elems[r] for r in xset]) and _least_in_orbit(
-                        auts, orbit_min, xset
-                    ):
-                        out.append(tuple(xset))
+                    if group.generates([elems[r] for r in xset]):
+                        pool.extend(xset)
+        if pool:
+            sets = np.frombuffer(pool, dtype=np.int64).reshape(-1, valence)
+            least = _least_in_orbits(auts, orbit_min, sets)
+            out.extend(map(tuple, sets[least].tolist()))
     out.sort()
     return [tuple(elems[r] for r in xset) for xset in out]
 
 
-def _least_in_orbit(auts: np.ndarray, orbit_min: list[int], xset: list[int]) -> bool:
-    """Is the sorted rank list xset, which starts with its orbit minimum m,
-    least among its sorted images under auts? Only a psi sending some x in
-    xset to m can give a smaller one, and those are tau * sigma_x: one sigma_x
-    with sigma_x(x) = m per such x, and tau in the stabilizer of m."""
-    m = xset[0]
+# The orbit test images a block of sets at a time, each set under the
+# stabilizer of m composed with one psi per element in the orbit of m: at
+# most ORBIT_BLOCK image entries per block (one set's when that is more), so
+# its memory stays flat in the size of a pool.
+ORBIT_BLOCK = 1 << 16
+
+
+def _least_in_orbits(
+    auts: np.ndarray, orbit_min: np.ndarray, sets: np.ndarray
+) -> np.ndarray:
+    """Which rows of sets, sorted rank rows that all start with the same
+    orbit minimum m, are least among their sorted images under auts? Only a
+    psi sending some x of a row to m can give a smaller image, and those are
+    tau * sigma_x: one sigma_x with sigma_x(x) = m per x in the orbit of m,
+    and tau in the stabilizer of m. Both are looked up once for all rows."""
+    m = int(sets[0, 0])
+    k = sets.shape[1]
     stabilizer = np.flatnonzero(auts[:, m] == m)
-    sigmas = [np.argmax(auts[:, x] == m) for x in xset if orbit_min[x] == m]
-    target = np.array(xset)
-    images = auts[stabilizer[:, None, None], auts[sigmas][:, target]]
-    images = np.sort(images.reshape(-1, len(xset)), axis=1)
-    # the first nonzero sign of images - target outweighs all later ones
-    weights = 1 << np.arange(len(xset) - 1, -1, -1)
-    return not (np.sign(images - target) @ weights < 0).any()
+    orbit = np.flatnonzero(orbit_min == m)
+    sigma = np.zeros(auts.shape[1], dtype=np.int64)
+    sigma[orbit] = np.argmax(auts[:, orbit] == m, axis=0)
+    # the first nonzero sign of image - row outweighs all later ones
+    weights = 1 << np.arange(k - 1, -1, -1)
+    step = max(1, ORBIT_BLOCK // (len(stabilizer) * k * k))
+    least = np.ones(len(sets), dtype=bool)
+    for start in range(0, len(sets), step):
+        block = sets[start : start + step]
+        rows, cols = np.nonzero(orbit_min[block] == m)  # the (row, x) pairs
+        target = block[rows]
+        moved = auts[sigma[block[rows, cols]][:, None], target]
+        images = np.sort(auts[stabilizer[:, None], moved[:, None, :]], axis=2)
+        below = (np.sign(images - target[:, None, :]) @ weights < 0).any(axis=1)
+        least[start + rows[below]] = False
+    return least
 
 
 def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
@@ -511,6 +535,10 @@ def exhaustive_regular_maps(
     sets = inverse_closed_sets(group, valence)
     workers = min(jobs, os.cpu_count() or 1, len(sets))
     if workers > 1:
+        # imported here, so a process that never forks a pool (every serial
+        # run, and every CLI start) skips loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, len(sets), workers + 1).astype(int)
         chunks = [
             (group, valence, sets[bounds[i] : bounds[i + 1]]) for i in range(workers)
@@ -845,9 +873,12 @@ def _claim_check(
 
         @lru_cache(maxsize=None)
         def seed_classes(r: int) -> list[CayleyMap]:
+            # every seed map on one group object, so its product table is
+            # built once (elem_abelian_map would build a group per seed)
+            group = ElemAbelian2Group(r)
             reps: list[CayleyMap] = []
             for A, x in elem_abelian_seeds(r, p):
-                m = elem_abelian_map(A, x)
+                m = build_map(group, _seed_orbit(A, x, p))
                 if not any(maps_isomorphic(m, rep) for rep in reps):
                     reps.append(m)
             return reps

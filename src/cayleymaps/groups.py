@@ -272,24 +272,27 @@ class FiniteGroup:
         return found
 
     def generates(self, seed: Iterable[GroupElement]) -> bool:
-        """Does seed generate the group? Breadth-first search on rank_table."""
+        """Does seed generate the group? Breadth-first search on rank_table,
+        stopped as soon as it has reached more than half the group: a proper
+        subgroup has at most |G|/2 elements (Lagrange). One of index 2 has
+        exactly that many, so it is still searched to the end."""
         xs = [self.rank(g) for g in seed]
         mul = self.rank_table()[0]
         identity = self.rank(self.identity)
+        half = self.order // 2
         found = [False] * self.order
         found[identity] = True
-        frontier = [identity]
-        while frontier:
-            fresh = []
-            for r in frontier:
-                row = mul[r]
-                for x in xs:
-                    h = row[x]
-                    if not found[h]:
-                        found[h] = True
-                        fresh.append(h)
-            frontier = fresh
-        return all(found)
+        reached = [identity]
+        for r in reached:  # the list grows while it is read: a queue
+            row = mul[r]
+            for x in xs:
+                h = row[x]
+                if not found[h]:
+                    found[h] = True
+                    reached.append(h)
+            if len(reached) > half:
+                return True
+        return False
 
     def involutions(self) -> list[GroupElement]:
         e = self.identity

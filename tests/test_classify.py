@@ -4,6 +4,7 @@ reimplementations wherever a value is derived rather than hand-checkable."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 from itertools import combinations
@@ -497,7 +498,8 @@ class TestExhaustiveSearch:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+        # exhaustive_regular_maps imports the pool class when it forks one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial = [m.xs_ranks() for m in exhaustive_regular_maps(DihedralGroup(7), 3)]
         for cpus, expected in ((3, [3]), (None, [])):
             sizes.clear()

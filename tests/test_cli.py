@@ -441,3 +441,12 @@ class TestConsoleScript:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["schema_version"] == 1
+
+    def test_import_loads_no_process_pool(self):
+        # only a run that forks a pool imports one, so starting the command
+        # line does not pay for loading multiprocessing
+        code = "import sys, cayleymaps.cli; print('multiprocessing' in sys.modules)"
+        cmd = [sys.executable, "-c", code]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cayleymaps import classify
 from cayleymaps._kernels import arc_bijection_exists, closure_table
 from cayleymaps.classify import (
     _survivors_for_sets,
@@ -245,6 +246,41 @@ def test_generation_check_matches_group_closure(case):
         assert not orbit & covered
         covered |= orbit
     assert covered == expected
+
+
+BLOCK_CASES = [
+    (DihedralGroup(10), 3),
+    (DihedralGroup(6), 5),
+    (DicyclicGroup(4), 5),
+    (CyclicGroup(12), 3),
+    (ElemAbelian2Group(3), 5),
+    (AbelianProductGroup([2, 6]), 5),
+]
+
+
+def full_orbit_representatives(group, valence):
+    """The least member of each automorphism orbit among every generating
+    set, by imaging each set under all of group.automorphism_ranks()."""
+    auts = group.automorphism_ranks()
+    return sorted(
+        {
+            min(map(tuple, np.sort(auts[:, list(xset)], axis=1).tolist()))
+            for xset in full_inverse_closed_sets(group, valence)
+        }
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1000])
+def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch):
+    # 1, 2 and 7 are below one set's image entries, so each block holds one
+    # set; 1000 gives blocks of several sets, the last one short
+    monkeypatch.setattr(classify, "ORBIT_BLOCK", block)
+    for group, valence in BLOCK_CASES:
+        reps = [
+            tuple(group.rank(x) for x in xset)
+            for xset in inverse_closed_sets(group, valence)
+        ]
+        assert reps == full_orbit_representatives(group, valence), group
 
 
 def test_propagation_regularity_matches_closure(case):

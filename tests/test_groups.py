@@ -262,6 +262,39 @@ def test_closure_matches_naive_product_saturation():
     assert got == full == set(G.elements())
 
 
+# subgroups of index 2, by a generating seed: the rotations <a> of D_n and
+# Dic_n, the even residues of Z_2n, and a coordinate hyperplane of E_r
+INDEX_TWO = (
+    [(DihedralGroup(n), [(1, 0)]) for n in (2, 3, 4, 7, 12)]
+    + [(DicyclicGroup(n), [(1, 0)]) for n in (2, 3, 5)]
+    + [(CyclicGroup(2 * n), [2]) for n in (2, 3, 8)]
+    + [(ElemAbelian2Group(r), [1 << i for i in range(r - 1)]) for r in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "G, seed", INDEX_TWO, ids=[f"{G.name}-{seed}" for G, seed in INDEX_TWO]
+)
+def test_generates_rejects_index_two_subgroups(G, seed):
+    # generates stops once it has found more than half the group; a subgroup
+    # of exactly half is proper and must still be rejected
+    sub = G.closure(seed)
+    assert 2 * len(sub) == G.order
+    assert not G.generates(seed)
+    # one more element outside it takes the search just past half: all of G
+    for g in G.elements():
+        if g not in sub:
+            assert G.generates(seed + [g])
+            assert len(G.closure(seed + [g])) == G.order
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=lambda G: G.name)
+def test_generates_matches_closure_on_every_pair(G):
+    elems = G.elements()
+    for g, h in itertools.combinations_with_replacement(elems, 2):
+        assert G.generates([g, h]) == (len(G.closure([g, h])) == G.order), (g, h)
+
+
 # -- automorphisms ---------------------------------------------------------------
 
 
