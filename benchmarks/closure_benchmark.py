@@ -1,4 +1,4 @@
-"""Time the census's stages per case, and check its regularity route.
+"""Time the census's stages per case and the counting scans, and check both.
 
 For each (group, valence) case the script times the three stages that
 `exhaustive_regular_maps` runs:
@@ -22,6 +22,14 @@ fails:
   has exactly |D| elements), which only the tests use, and from the
   propagation the census uses.
 
+A counting case then times the two scans that `triples` and
+`verify --theorem 3.4` run for every n, separately: `triples_for` (the
+Horner scan of every l) and `crt_lift_solutions` (the CRT lift of each prime
+power's roots), over n = 1..3000 at p = 3, with the root memo emptied
+before each timed sweep. For n <= 500 it checks `triples_for` against the
+per-l scalar loop and `crt_lift_solutions` against its roots found by
+Python's `pow`, and exits non-zero on any mismatch.
+
 Run with:
 
     PYTHONPATH=src python3 benchmarks/closure_benchmark.py [--repeat N]
@@ -36,12 +44,15 @@ from itertools import combinations
 
 import numpy as np
 
-from cayleymaps import _kernels
+from cayleymaps import _kernels, classify
 from cayleymaps.classify import (
+    _factorize,
     _survivors_for_sets,
+    crt_lift_solutions,
     cyclic_orderings,
     inverse_closed_sets,
     isomorphism_classes,
+    triples_for,
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import reversal_row, rotates_base_star, rotation_row
@@ -59,13 +70,12 @@ def full_generating_sets(group, valence) -> list[tuple[int, ...]]:
     """Every unit-free, inverse-closed, generating subset as a sorted rank
     tuple, rank-lexicographic."""
     _, inv = group.rank_table()
-    elems = group.elements()
-    identity = group.rank(group.identity)
+    identity = group.identity_rank
     out = []
     for xset in combinations([r for r in range(group.order) if r != identity], valence):
         if {inv[r] for r in xset} != set(xset):
             continue
-        if group.generates([elems[r] for r in xset]):
+        if group.generates_ranks(xset):
             out.append(xset)
     return out
 
@@ -100,6 +110,49 @@ def closure_route(rot: np.ndarray, rev: np.ndarray) -> bool:
     n_arcs = rot.shape[0]
     size, exceeded, _ = _kernels.closure_table(np.stack([rot, rev]), cutoff=n_arcs)
     return not exceeded and size == n_arcs
+
+
+COUNT_P = 3
+COUNT_N_MAX = 3000
+COUNT_CHECK_N_MAX = 500
+
+
+def scalar_triples(n: int, p: int) -> list[int]:
+    """The l in [1, n) whose first vanishing partial sum 1 + l + ... mod n
+    is the p-th, by a per-l loop in Python integers."""
+    out = []
+    for l in range(1, n):
+        s, power = 0, 1
+        for k in range(1, p + 1):
+            s = (s + power) % n
+            if s == 0:
+                break
+            power = power * l % n
+        if s == 0 and k == p:
+            out.append(l)
+    return out
+
+
+def pow_lift(n: int, p: int) -> list[int]:
+    """The x in [1, n) that the CRT lift builds, by their definition: 1 mod
+    p when p divides n once, and x^p = 1, x != 1 mod q modulo every other
+    prime power q^e of n; none when n is 1 or even or p^2 divides n."""
+    if n == 1 or n % 2 == 0 or n % (p * p) == 0:
+        return []
+    powers = [(q, q**e) for q, e in _factorize(n)]
+    return [
+        x
+        for x in range(1, n)
+        if all(
+            x % q == 1 if q == p else pow(x, p, qe) == 1 and x % q != 1
+            for q, qe in powers
+        )
+    ]
+
+
+def count_sweep(scan) -> list[list[int]]:
+    classify._prime_power_roots.cache_clear()
+    return [scan(n, COUNT_P) for n in range(1, COUNT_N_MAX + 1)]
 
 
 def best_of(repeat: int, fn):
@@ -150,6 +203,19 @@ def main() -> None:
             f"{t_reg:>10.4f}s {t_dedup:>7.4f}s {len(classes):>8}   "
             f"{len(rows):>6} maps {t_closure:>8.3f}s {t_prop:>11.3f}s"
         )
+
+    t_triples, by_horner = best_of(args.repeat, lambda: count_sweep(triples_for))
+    t_lift, by_crt = best_of(args.repeat, lambda: count_sweep(crt_lift_solutions))
+    for n in range(1, COUNT_CHECK_N_MAX + 1):
+        if by_horner[n - 1] != scalar_triples(n, COUNT_P):
+            raise SystemExit(f"n={n}: triples_for disagrees with the scalar loop")
+        if by_crt[n - 1] != pow_lift(n, COUNT_P):
+            raise SystemExit(f"n={n}: crt_lift_solutions disagrees with pow")
+    print(
+        f"\ncounting n=1..{COUNT_N_MAX} at p={COUNT_P}: triples_for "
+        f"{t_triples:.4f}s, crt_lift_solutions {t_lift:.4f}s "
+        f"(both checked for n <= {COUNT_CHECK_N_MAX})"
+    )
 
 
 if __name__ == "__main__":

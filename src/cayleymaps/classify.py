@@ -59,9 +59,13 @@ MAX_ABELIAN_VERIFY_ORDER = 16
 # The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
 # of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
 # of two residues mod n is exact in int64 while n^2 < 2^63; MAX_COUNT_N keeps
-# n^2 <= 2^62.
+# n^2 <= 2^62. It bounds exactness, not time: both scans are linear in n.
 COUNT_BLOCK = 1 << 16
 MAX_COUNT_N = 2**31
+# A counting sweep meets the same primes and prime powers again and again;
+# the validated primes and each prime power's root scan are memoised, the
+# most recent COUNT_MEMO_SIZE of each (a prime power's roots number < p).
+COUNT_MEMO_SIZE = 1 << 12
 
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
 
@@ -71,6 +75,7 @@ class UsageError(ValueError):
     malformed group or map. Internal errors stay plain exceptions."""
 
 
+@lru_cache(maxsize=COUNT_MEMO_SIZE)
 def _require_odd_prime(p: int) -> int:
     if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
         raise UsageError(f"expected an odd prime, got {p}")
@@ -120,35 +125,37 @@ def guard_count_n(n: int) -> None:
         raise SizeGuardError(f"count guard: n={n} exceeds {MAX_COUNT_N}")
 
 
-def _residue_blocks(m: int) -> Iterator[np.ndarray]:
-    """The residues 1..m-1 in ascending int64 blocks of at most COUNT_BLOCK."""
-    for start in range(1, m, COUNT_BLOCK):
-        yield np.arange(start, min(start + COUNT_BLOCK, m), dtype=np.int64)
+def _residue_blocks(m: int, block: int) -> Iterator[np.ndarray]:
+    """The residues 1..m-1 in ascending int64 blocks of at most block."""
+    for start in range(1, m, block):
+        yield np.arange(start, min(start + block, m), dtype=np.int64)
 
 
 def triples_for(n: int, p: int) -> list[int]:
     """All l with geosum_order(n, l) == p, ascending.
 
-    Only the first p partial sums are needed: the order equals p exactly when
-    the p-th sum vanishes mod n and no earlier one does. Every l in [1, n) is
-    scanned, a block at a time.
+    Only the first p partial sums S_k = 1 + l + ... + l^(k-1) are needed:
+    the order equals p exactly when S_p vanishes mod n and no earlier one
+    does (S_1 = 1 never does for n >= 2). They are stepped by Horner's rule,
+    S_2 = l + 1 and S_(k+1) = l * S_k + 1, with one modulus per step: S_k is
+    reduced below n and l < n, so l * S_k + 1 <= (n-1)^2 + 1 < 2^63 stays
+    exact in int64 for n <= MAX_COUNT_N. Every l in [1, n) is scanned, a
+    block at a time.
     """
     _require_odd_prime(p)
     guard_count_n(n)
     out: list[int] = []
-    for l in _residue_blocks(n):
-        # the first partial sum is 1, nonzero for n >= 2; s and power are
-        # the k-th sum and l^k, updated in place
-        s = np.ones_like(l)
-        power = l.copy()
-        unhit = np.ones(l.shape, dtype=bool)
-        for _ in range(p - 2):
-            s += power
+    for l in _residue_blocks(n, COUNT_BLOCK):
+        s = l + 1  # S_2, stepped in place
+        s %= n
+        unhit = s != 0
+        for _ in range(p - 3):
+            s *= l
+            s += 1
             s %= n
             unhit &= s != 0
-            power *= l
-            power %= n
-        s += power
+        s *= l
+        s += 1
         s %= n
         out.extend(l[unhit & (s == 0)].tolist())
     return out
@@ -291,24 +298,34 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
     if a0 > 1:
         return []
     moduli: list[int] = []
-    residue_sets: list[list[int]] = []
+    residue_sets: list[tuple[int, ...]] = []
     if a0 == 1:
         moduli.append(p)
-        residue_sets.append([1])
+        residue_sets.append((1,))
     for q, e in _factorize(m):
-        qe = q**e
-        roots: list[int] = []
-        for x in _residue_blocks(qe):
-            keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
-            roots.extend(x[keep].tolist())
+        roots = _prime_power_roots(q, e, p, COUNT_BLOCK)
         if not roots:
             return []
-        moduli.append(qe)
+        moduli.append(q**e)
         residue_sets.append(roots)
     out = []
     for combo in product(*residue_sets):
         out.append(_crt(moduli, combo))
     return sorted(out)
+
+
+@lru_cache(maxsize=COUNT_MEMO_SIZE)
+def _prime_power_roots(q: int, e: int, p: int, block: int) -> tuple[int, ...]:
+    """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, ascending,
+    by an exhaustive scan in int64 blocks of at most block residues. The
+    memo is keyed on the block size too, so a scan under another block size
+    is a scan, never a lookup."""
+    qe = q**e
+    roots: list[int] = []
+    for x in _residue_blocks(qe, block):
+        keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
+        roots.extend(x[keep].tolist())
+    return tuple(roots)
 
 
 def _pow_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -414,7 +431,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     orbit_min_list = orbit_min.tolist()
     elems = group.elements()
     inv = [group.rank(group.inv(g)) for g in elems]
-    identity = group.rank(group.identity)
+    identity = group.identity_rank
     out: list[tuple[int, ...]] = []
     for m in range(group.order):
         if m == identity or orbit_min_list[m] != m:
@@ -436,7 +453,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
             for invs in combinations(involutions, n_inv):
                 for prs in combinations(pairs, n_pair):
                     xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
-                    if group.generates([elems[r] for r in xset]):
+                    if group.generates_ranks(xset):
                         pool.extend(xset)
         if pool:
             sets = np.frombuffer(pool, dtype=np.int64).reshape(-1, valence)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -271,14 +271,22 @@ class FiniteGroup:
             frontier = fresh
         return found
 
+    @cached_property
+    def identity_rank(self) -> int:
+        return self.rank(self.identity)
+
     def generates(self, seed: Iterable[GroupElement]) -> bool:
-        """Does seed generate the group? Breadth-first search on rank_table,
-        stopped as soon as it has reached more than half the group: a proper
-        subgroup has at most |G|/2 elements (Lagrange). One of index 2 has
-        exactly that many, so it is still searched to the end."""
-        xs = [self.rank(g) for g in seed]
+        """Does seed generate the group? See generates_ranks."""
+        return self.generates_ranks([self.rank(g) for g in seed])
+
+    def generates_ranks(self, xs: Sequence[int]) -> bool:
+        """Do the elements of these ranks generate the group? Breadth-first
+        search on rank_table, stopped as soon as it has reached more than
+        half the group: a proper subgroup has at most |G|/2 elements
+        (Lagrange). One of index 2 has exactly that many, so it is still
+        searched to the end."""
         mul = self.rank_table()[0]
-        identity = self.rank(self.identity)
+        identity = self.identity_rank
         half = self.order // 2
         found = [False] * self.order
         found[identity] = True
@@ -581,10 +589,11 @@ class AbelianProductGroup(FiniteGroup):
         order = math.prod(mods)
         super().__init__("x".join(f"Z{d}" for d in mods), order)
         self.mods = mods
+        self._identity = (0,) * len(mods)
 
     @property
     def identity(self):
-        return tuple(0 for _ in self.mods)
+        return self._identity
 
     def contains(self, g) -> bool:
         return (

@@ -92,6 +92,14 @@ def pow_roots(q: int, e: int, p: int) -> list[int]:
     return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
 
 
+@pytest.fixture
+def fresh_root_memo():
+    """Empty the prime-power root memo, so every root scan in the test runs."""
+    classify._prime_power_roots.cache_clear()
+    yield
+    classify._prime_power_roots.cache_clear()
+
+
 class TestGeosumOrder:
     def test_spot_values(self):
         # 1 + 2 + 4 = 7 and 1 + 4 + 16 = 21 = 3 * 7
@@ -146,8 +154,22 @@ class TestTriples:
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             assert triples_for(n, p) == scalar_triples_for(n, p), n
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    def test_horner_scan_matches_scalar_loop(self, p, block, monkeypatch):
+        # tiny blocks put l = n - 1 (where S_2 = n) and admissible l on
+        # block edges; at 1 and 2 every l is on one, so n <= 100 suffices;
+        # n = p and p^2 are where p divides n
+        if block is not None:
+            monkeypatch.setattr(classify, "COUNT_BLOCK", block)
+        n_top = 100 if block in (1, 2) else 300
+        for n in sorted({1, 2, 3, p, p * p, *range(1, n_top + 1)}):
+            assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+
     @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_block_size_does_not_change_the_scans(self, block, monkeypatch):
+    def test_block_size_does_not_change_the_scans(
+        self, block, monkeypatch, fresh_root_memo
+    ):
         # tiny blocks put many admissible l and roots on a block boundary
         monkeypatch.setattr(classify, "COUNT_BLOCK", block)
         for p in (3, 5, 7):
@@ -157,14 +179,45 @@ class TestTriples:
                 if q != p:
                     assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
 
+    def test_another_block_size_scans_the_roots_again(
+        self, monkeypatch, fresh_root_memo
+    ):
+        # the root memo must not answer a scan under a patched COUNT_BLOCK
+        # with roots found under the default one
+        q, e, p = 7, 2, 3
+        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
+        calls = []
+        pow_mod = classify._pow_mod
+
+        def counted(*args):
+            calls.append(args)
+            return pow_mod(*args)
+
+        monkeypatch.setattr(classify, "_pow_mod", counted)
+        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
+        assert calls == []  # same block size: the memo answers
+        monkeypatch.setattr(classify, "COUNT_BLOCK", 5)
+        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
+        assert len(calls) == -(-(q**e - 1) // 5)  # one call per block
+
     def test_returns_python_ints(self):
         assert all(type(l) is int for l in triples_for(13, 3))
+        assert all(type(x) is int for x in crt_lift_solutions(7 * 13, 3))
 
     def test_rejects_non_prime_valence(self):
         with pytest.raises(ValueError):
             triples_for(7, 4)
         with pytest.raises(ValueError):
             triples_for(7, 9)
+
+    def test_memoised_validation_still_rejects(self):
+        # a memoised valid prime must not let an invalid one through
+        assert triples_for(7, 3) == [2, 4]
+        for bad in (1, 2, 4, 9, 15):
+            with pytest.raises(UsageError):
+                triples_for(7, bad)
+            with pytest.raises(UsageError):
+                crt_lift_solutions(7, bad)
 
     def test_triple_validation(self):
         Triple(7, 2, 3)  # fine

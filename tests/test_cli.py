@@ -18,6 +18,7 @@ from cayleymaps.groups import (
     ElemAbelian2Group,
 )
 from cayleymaps.groups import AbelianProductGroup
+from test_classify import pow_roots, scalar_triples_for
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -86,10 +87,13 @@ class TestExitCodes:
             ("checkmap", "--group", "Q8", "--xs", "1,2,3"),
             ("triples", "--p", "3", "--n-max", "0"),
             ("count", "--p", "9", "--n", "5"),
+            # after a valid prime was validated (and memoised) above
+            ("triples", "--p", "9", "--n-max", "5"),
         ]
         for case in cases:
-            code, _, err = run_cli(capsys, *case)
+            code, out, err = run_cli(capsys, *case)
             assert code == 2, case
+            assert out == "", case
             assert err.startswith("error: "), case
 
     def test_two_on_argparse_errors(self, capsys):
@@ -360,7 +364,74 @@ class TestVerifyCommand:
             assert "covered" not in err, case
 
 
+def reference_factorize(n: int) -> list[tuple[int, int]]:
+    out, q = [], 2
+    while n > 1:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out.append((q, e))
+        q += 1
+    return out
+
+
+def reference_lift(n: int, p: int) -> list[int]:
+    """The x in [1, n) that crt_lift_solutions lifts, by their definition:
+    1 mod p when p divides n once, and a root from pow_roots modulo every
+    other prime power of n; none when n is 1 or even or p^2 divides n."""
+    if n == 1 or n % 2 == 0 or n % (p * p) == 0:
+        return []
+    allowed = {
+        q**e: {1} if q == p else set(pow_roots(q, e, p))
+        for q, e in reference_factorize(n)
+    }
+    return [x for x in range(1, n) if all(x % m in r for m, r in allowed.items())]
+
+
+def reference_count_line(n: int, p: int) -> tuple[str, bool, str]:
+    """The count and triples line, whether the routes agree, and the verify
+    3.4 counterexample row, from the scalar and pow reference routes."""
+    formula = classify.count_regular_dihedral_maps(n, p)
+    enumerated = scalar_triples_for(n, p)
+    lifted = reference_lift(n, p)
+    agree = formula == len(enumerated) == len(lifted) and enumerated == lifted
+    shown = ",".join(str(l) for l in enumerated)
+    flag = "AGREE" if agree else "DISAGREE"
+    line = f"n={n} p={p} count={formula} l=[{shown}] {flag}\n"
+    row = f"n={n} p={p}: formula={formula} enumerated={enumerated} crt={lifted}"
+    return line, agree, row
+
+
 class TestCountAndTriples:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_counting_commands_match_the_reference_routes(self, capsys, p):
+        n_max = 400
+        lines, rows = [], []
+        for n in range(1, n_max + 1):
+            line, agree, row = reference_count_line(n, p)
+            lines.append(line)
+            if not agree:
+                rows.append(f"counterexample: {row}\n")
+        expected = (0 if not rows else 1, "".join(lines))
+        args = ("--p", str(p), "--n-max", str(n_max))
+        assert run_cli(capsys, "triples", *args)[:2] == expected
+        report = f"claim 3.4: {'FAIL' if rows else 'PASS'}\nchecked: {n_max}\n"
+        expected = (0 if not rows else 1, report + "".join(rows))
+        assert run_cli(capsys, "verify", "--theorem", "3.4", *args)[:2] == expected
+        for n in (1, 3, p, 3 * p, 7 * 13 * 19, n_max):
+            line, agree, _ = reference_count_line(n, p)
+            expected = (0 if agree else 1, line)
+            assert run_cli(capsys, "count", "--p", str(p), "--n", str(n))[:2] == expected
+
+    def test_count_above_one_block_matches_the_reference_routes(self, capsys):
+        n, p = 7**6, 7  # 117649 residues: two blocks of the scan
+        assert n > classify.COUNT_BLOCK
+        line, agree, _ = reference_count_line(n, p)
+        assert (line, agree) == (f"n={n} p={p} count=0 l=[] AGREE\n", True)
+        assert run_cli(capsys, "count", "--p", "7", "--n", str(n))[:2] == (0, line)
+
     def test_count_examples(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "21")
         assert code == 0

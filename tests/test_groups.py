@@ -291,8 +291,10 @@ def test_generates_rejects_index_two_subgroups(G, seed):
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=lambda G: G.name)
 def test_generates_matches_closure_on_every_pair(G):
     elems = G.elements()
-    for g, h in itertools.combinations_with_replacement(elems, 2):
-        assert G.generates([g, h]) == (len(G.closure([g, h])) == G.order), (g, h)
+    assert elems[G.identity_rank] == G.identity
+    for (i, g), (j, h) in itertools.combinations_with_replacement(enumerate(elems), 2):
+        expected = len(G.closure([g, h])) == G.order
+        assert G.generates([g, h]) == G.generates_ranks([i, j]) == expected, (g, h)
 
 
 # -- automorphisms ---------------------------------------------------------------
