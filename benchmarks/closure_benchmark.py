@@ -5,10 +5,14 @@ For each (group, valence) case the script times the three stages that
 
 - generation: `inverse_closed_sets`, one generating set per orbit of the
   group's listed automorphisms (`automorphism_ranks`);
-- regularity: the arc propagation (`rotates_base_star`) over every ordering
-  of those sets, first element pinned;
-- dedup: building the survivors' maps and grouping them by pairwise
-  `maps_isomorphic`.
+- regularity: `_survivors_for_sets`, the arc propagation
+  (`rotates_base_star`) over every ordering of those sets, first element
+  pinned, with each survivor keyed by its arc code;
+- dedup: grouping the survivors' rows by `arc_code` alone.
+
+It checks that grouping, and the classes `_survivors_for_sets` returns,
+against a pairwise grouping of the same survivors by `arc_bijection_exists`
+over every image of arc 0, and exits non-zero if they differ.
 
 It also lists every generating set of the full search, not only one per
 orbit, and checks two things against that list, exiting non-zero if either
@@ -51,11 +55,10 @@ from cayleymaps.classify import (
     crt_lift_solutions,
     cyclic_orderings,
     inverse_closed_sets,
-    isomorphism_classes,
     triples_for,
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
-from cayleymaps.maps import reversal_row, rotates_base_star, rotation_row
+from cayleymaps.maps import arc_code, reversal_row, rotates_base_star, rotation_row
 
 CASES = [
     ("D12 valence 3", DihedralGroup(12), 3),
@@ -93,17 +96,48 @@ def orbits_partition(group, reps, full_sets) -> bool:
     return covered == set(full_sets)
 
 
-def candidate_rows(group, valence, sets) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(R, L) rows of every ordering, least rank first, of the rank sets."""
+def ordering_rows(group, valence, orderings) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(R, L) rows of each rank ordering."""
     table, inv = group.rank_table()
     mul = np.array(table, dtype=np.int64)
     row_R = rotation_row(group.order * valence, valence)
     out = []
-    for xset in sets:
-        for xs in cyclic_orderings(xset):
-            kappa0 = [xs.index(inv[r]) for r in xs]
-            out.append((row_R, reversal_row(mul[:, list(xs)], kappa0)))
+    for xs in orderings:
+        kappa0 = [xs.index(inv[r]) for r in xs]
+        out.append((row_R, reversal_row(mul[:, list(xs)], kappa0)))
     return out
+
+
+def candidate_rows(group, valence, sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(R, L) rows of every ordering, least rank first, of the rank sets."""
+    orderings = [xs for xset in sets for xs in cyclic_orderings(xset)]
+    return ordering_rows(group, valence, orderings)
+
+
+def classes_by_code(rows) -> list[list[int]]:
+    """Indices of the rows grouped by arc code."""
+    classes: dict[bytes, list[int]] = {}
+    for i, (rot, rev) in enumerate(rows):
+        classes.setdefault(arc_code(rot, rev), []).append(i)
+    return list(classes.values())
+
+
+def classes_by_sweep(rows) -> list[list[int]]:
+    """Indices of the rows grouped pairwise, each against the first row of
+    each class, by a bijection search over every image of arc 0."""
+    classes: list[list[int]] = []
+    for i, (rot, rev) in enumerate(rows):
+        for cls in classes:
+            if _kernels.arc_bijection_exists(*rows[cls[0]], rot, rev):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+def partition(classes) -> set[frozenset[int]]:
+    return {frozenset(cls) for cls in classes}
 
 
 def closure_route(rot: np.ndarray, rev: np.ndarray) -> bool:
@@ -177,12 +211,19 @@ def main() -> None:
     )
     for label, group, valence in CASES:
         t_gen, sets = best_of(args.repeat, lambda: inverse_closed_sets(group, valence))
-        t_reg, survivors = best_of(
+        t_reg, by_census = best_of(
             args.repeat, lambda: _survivors_for_sets(group, valence, sets)
         )
+        survivors = [xs for cls in by_census.values() for xs in cls]
+        survivor_rows = ordering_rows(group, valence, survivors)
         t_dedup, classes = best_of(
-            args.repeat, lambda: isomorphism_classes(group, survivors)
+            args.repeat, lambda: classes_by_code(survivor_rows)
         )
+        starts = np.cumsum([0] + [len(cls) for cls in by_census.values()])
+        census_classes = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        by_sweep = partition(classes_by_sweep(survivor_rows))
+        if partition(classes) != by_sweep or partition(census_classes) != by_sweep:
+            raise SystemExit(f"{label}: the arc codes disagree with the sweep")
         orderings = len(sets) * math.factorial(valence - 1)
 
         full_sets = full_generating_sets(group, valence)

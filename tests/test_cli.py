@@ -197,6 +197,8 @@ class TestExitCodes:
             ("count", "--p", "3", "--n", beyond),
             ("triples", "--p", "3", "--n-max", beyond),
             ("verify", "--theorem", "3.4", "--p", "3", "--n-max", beyond),
+            # an odd prime above the guard, refused before its trial division
+            ("count", "--p", "2147483659", "--n", "7"),
         ):
             code, out, err = run_cli(capsys, *case)
             assert (code, out) == (3, ""), case
@@ -442,6 +444,11 @@ class TestCountAndTriples:
         code, out, _ = run_cli(capsys, "count", "--p", "5", "--n", "11")
         assert code == 0
         assert out == "n=11 p=5 count=4 l=[3,4,5,9] AGREE\n"
+        # the largest prime the guard admits: no geometric-sum order mod n
+        # exceeds n, so nothing is scanned
+        code, out, _ = run_cli(capsys, "count", "--p", "2147483647", "--n", "7")
+        assert code == 0
+        assert out == "n=7 p=2147483647 count=0 l=[] AGREE\n"
 
     def test_triples_table(self, capsys):
         code, out, _ = run_cli(capsys, "triples", "--p", "3", "--n-max", "9")

@@ -1,10 +1,11 @@
 """The census's fast paths against the slow routes they replace.
 
 Maps and the census decide regularity with one arc propagation (is there an
-automorphism that fixes the base vertex and sends arc 0 to arc 1?), test
-isomorphism out of a regular map from the single candidate image arc 0,
-check generation (FiniteGroup.generates) on the rank multiplication table,
-and search one generating set per orbit of group.automorphism_ranks().
+automorphism that fixes the base vertex and sends arc 0 to arc 1?), decide
+isomorphism between regular maps by comparing arc codes (the breadth-first
+relabelling of R and L from arc 0, `maps.arc_code`), check generation
+(FiniteGroup.generates) on the rank multiplication table, and search one
+generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
 the monodromy closure (`monodromy_closure`, which lives only here), the sweep
 over every image of arc 0, the element-level breadth-first closure in the
@@ -35,7 +36,7 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
 )
-from cayleymaps.maps import CayleyMap, build_map, maps_isomorphic
+from cayleymaps.maps import CayleyMap, arc_code, build_map, maps_isomorphic
 
 CASES = (
     [(DihedralGroup(n), 3) for n in range(3, 11)]
@@ -104,18 +105,20 @@ def full_inverse_closed_sets(group, valence):
 def reference_regular_maps(group, valence):
     """The census without orbit pruning: every generating set in every
     ordering through the census's regularity filter, the regular maps
-    deduplicated pairwise, each class shown by its rank-lexicographic least
-    member; the class rank tuples, sorted."""
+    deduplicated pairwise by the sweep over every image of arc 0, each class
+    shown by its rank-lexicographic least member; the class rank tuples,
+    sorted."""
     elems = group.elements()
     sets = [
         tuple(elems[r] for r in xset)
         for xset in full_inverse_closed_sets(group, valence)
     ]
+    survivors = _survivors_for_sets(group, valence, sets).values()
     classes: list[list[CayleyMap]] = []
-    for ranks in _survivors_for_sets(group, valence, sets):
+    for ranks in (ranks for orderings in survivors for ranks in orderings):
         m = build_map(group, [elems[r] for r in ranks])
         for cls in classes:
-            if maps_isomorphic(cls[0], m):
+            if full_sweep_isomorphic(cls[0], m):
                 cls.append(m)
                 break
         else:
@@ -328,9 +331,12 @@ def test_candidate_zero_isomorphism_matches_full_sweep(case):
     _, _, candidates = case
     regular = [m for m in candidates if m.is_regular()]
     for m1 in regular:
+        code = arc_code(m1._rotation_row, m1._reversal_row)
         for m2 in regular:
             isomorphic = maps_isomorphic(m1, m2)
             assert isomorphic == full_sweep_isomorphic(m1, m2), (m1, m2)
+            same_code = code == arc_code(m2._rotation_row, m2._reversal_row)
+            assert same_code == isomorphic, (m1, m2)
             if isomorphic:
                 # isomorphism invariants
                 assert m1.faces_and_genus() == m2.faces_and_genus(), (m1, m2)
@@ -373,9 +379,9 @@ def test_orbit_search_matches_full_search_on_random_groups(group, valence):
 
 def test_isomorphism_out_of_irregular_maps_sweeps_every_image(case):
     # rotating the generator list redraws the same map with arc 0 moved to
-    # the last slot; out of an irregular map no isomorphism sends arc 0 to arc 0
+    # the last slot; out of an irregular map no isomorphism sends arc 0 to
+    # arc 0, and out of a regular one the arc codes must still agree
     group, _, candidates = case
     for m in candidates:
-        if not m.is_regular():
-            rotated = build_map(group, m.xs[1:] + m.xs[:1])
-            assert maps_isomorphic(m, rotated), m
+        rotated = build_map(group, m.xs[1:] + m.xs[:1])
+        assert maps_isomorphic(m, rotated), m
