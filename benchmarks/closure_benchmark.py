@@ -28,11 +28,13 @@ fails:
 
 A counting case then times the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
-Horner scan of every l) and `crt_lift_solutions` (the CRT lift of each prime
-power's roots), over n = 1..3000 at p = 3, with the root memo emptied
-before each timed sweep. For n <= 500 it checks `triples_for` against the
-per-l scalar loop and `crt_lift_solutions` against its roots found by
-Python's `pow`, and exits non-zero on any mismatch.
+Horner scan of every l for a prime n, of the lifts of its largest proper
+divisor's answers for a composite n) and `crt_lift_solutions` (the CRT lift
+of each prime power's roots), over n = 1..3000 at p = 3, with the triples
+and root memos emptied before each timed sweep. For n <= 500 it checks
+`triples_for` against the per-l scalar loop and `crt_lift_solutions`
+against its roots found by Python's `pow`, and exits non-zero on any
+mismatch.
 
 Run with:
 
@@ -185,6 +187,7 @@ def pow_lift(n: int, p: int) -> list[int]:
 
 
 def count_sweep(scan) -> list[list[int]]:
+    classify._triples.cache_clear()
     classify._prime_power_roots.cache_clear()
     return [scan(n, COUNT_P) for n in range(1, COUNT_N_MAX + 1)]
 

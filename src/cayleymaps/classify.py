@@ -60,12 +60,15 @@ MAX_ABELIAN_VERIFY_ORDER = 16
 # The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
 # of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
 # of two residues mod n is exact in int64 while n^2 < 2^63; MAX_COUNT_N keeps
-# n^2 <= 2^62. It bounds exactness, not time: both scans are linear in n.
+# n^2 <= 2^62. It bounds exactness, not time: both scans are linear in a
+# prime n, and a triples_for sweep over n <= N scans about the sum of the
+# primes up to N (a composite n scans only the lifts of a divisor's answers).
 COUNT_BLOCK = 1 << 16
 MAX_COUNT_N = 2**31
-# A counting sweep meets the same primes and prime powers again and again;
-# the validated primes and each prime power's root scan are memoised, the
-# most recent COUNT_MEMO_SIZE of each (a prime power's roots number < p).
+# A counting sweep meets the same primes, prime powers and divisors again
+# and again; the validated primes, each prime power's root scan and each n's
+# triples are memoised, the most recent COUNT_MEMO_SIZE of each (a prime
+# power's roots number < p).
 COUNT_MEMO_SIZE = 1 << 12
 
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
@@ -145,17 +148,42 @@ def triples_for(n: int, p: int) -> list[int]:
     does (S_1 = 1 never does for n >= 2). They are stepped by Horner's rule,
     S_2 = l + 1 and S_(k+1) = l * S_k + 1, with one modulus per step: S_k is
     reduced below n and l < n, so l * S_k + 1 <= (n-1)^2 + 1 < 2^63 stays
-    exact in int64 for n <= MAX_COUNT_N. Every l in [1, n) is scanned, a
-    block at a time, unless p > n: S_1, ..., S_k are distinct mod n up to
-    the first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
-    geosum_order(n, l) <= n and no l qualifies.
+    exact in int64 for n <= MAX_COUNT_N.
+
+    No l qualifies when p > n: S_1, ..., S_k are distinct mod n up to the
+    first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
+    geosum_order(n, l) <= n. A prime n has every l in [1, n) scanned, a
+    block at a time. A composite n scans only the lifts r + j * d of the
+    answers r for d = n / (its smallest prime factor), because an l of
+    order p mod n has order p mod every divisor d >= 2 of n: S_p = 0 mod d
+    (so l is not 0 mod d, where every S_k = 1); if k is the order mod d,
+    then l^k = 1 + (l - 1) S_k = 1 mod d, so S_(j+k) = S_j mod d and the
+    zeros of S mod d are exactly the multiples of k; hence k divides p, and
+    k != 1 since S_1 = 1, so k = p.
     """
     _require_odd_prime(p)
     guard_count_n(n)
-    out: list[int] = []
+    return list(_triples(n, p, COUNT_BLOCK))
+
+
+@lru_cache(maxsize=COUNT_MEMO_SIZE)
+def _triples(n: int, p: int, block: int) -> tuple[int, ...]:
+    """triples_for(n, p), scanning int64 blocks of at most block residues.
+    Keyed on the block size like _prime_power_roots; an evicted divisor's
+    answer is simply scanned again."""
     if p > n:
-        return out
-    for l in _residue_blocks(n, COUNT_BLOCK):
+        return ()
+    q = _smallest_prime_factor(n)
+    if q == n:
+        blocks = _residue_blocks(n, block)
+    else:
+        d = n // q
+        base = _triples(d, p, block)
+        if not base:
+            return ()
+        blocks = _lift_blocks(base, d, q, block)
+    out: list[int] = []
+    for l in blocks:
         s = l + 1  # S_2, stepped in place
         s %= n
         unhit = s != 0
@@ -168,7 +196,30 @@ def triples_for(n: int, p: int) -> list[int]:
         s += 1
         s %= n
         out.extend(l[unhit & (s == 0)].tolist())
-    return out
+    return tuple(out)
+
+
+def _smallest_prime_factor(n: int) -> int:
+    if n % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return n
+
+
+def _lift_blocks(
+    base: Sequence[int], d: int, count: int, block: int
+) -> Iterator[np.ndarray]:
+    """The residues r + j * d for r in base and 0 <= j < count, ascending
+    when base is ascending below d, in int64 blocks of at most block."""
+    rs = np.array(base, dtype=np.int64)
+    total = len(rs) * count
+    for start in range(0, total, block):
+        i = np.arange(start, min(start + block, total), dtype=np.int64)
+        yield i // len(rs) * d + rs[i % len(rs)]
 
 
 @dataclass(frozen=True)

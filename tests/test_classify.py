@@ -92,12 +92,18 @@ def pow_roots(q: int, e: int, p: int) -> list[int]:
     return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
 
 
+def empty_count_memos() -> None:
+    classify._triples.cache_clear()
+    classify._prime_power_roots.cache_clear()
+
+
 @pytest.fixture
 def fresh_root_memo():
-    """Empty the prime-power root memo, so every root scan in the test runs."""
-    classify._prime_power_roots.cache_clear()
+    """Empty the triples and prime-power root memos, so every scan in the
+    test runs."""
+    empty_count_memos()
     yield
-    classify._prime_power_roots.cache_clear()
+    empty_count_memos()
 
 
 class TestGeosumOrder:
@@ -206,8 +212,83 @@ class TestTriples:
         assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
         assert len(calls) == -(-(q**e - 1) // 5)  # one call per block
 
+    @pytest.mark.parametrize(
+        "p, ns",
+        [
+            # non-empty chains, e.g. 1729 = 7 * 13 * 19 lifts 247 = 13 * 19
+            # lifts 19
+            (3, (21, 63, 91, 1729)),
+            (5, (121, 341)),
+            (7, (1247,)),
+            # 33 = 3 * 11: the factor 3 is below p, so 33 lifts from 11
+            (5, (33,)),
+            # n above COUNT_MEMO_SIZE; 8197 = 7 * 1171 lifts a prime base
+            (3, (*range(4097, 4121), 8197)),
+        ],
+    )
+    def test_lifted_scan_matches_scalar_loop(self, p, ns, fresh_root_memo):
+        # descending, from an empty memo: every divisor's answer is built by
+        # the recursion, not by an earlier top-level call
+        for n in sorted(ns, reverse=True):
+            assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+
+    def test_fresh_root_memo_empties_both_memos(self, fresh_root_memo):
+        triples_for(91, 3)
+        crt_lift_solutions(91, 3)
+        empty_count_memos()
+        assert classify._triples.cache_info().currsize == 0
+        assert classify._prime_power_roots.cache_info().currsize == 0
+
+    def test_another_block_size_scans_the_triples_again(
+        self, monkeypatch, fresh_root_memo
+    ):
+        # the triples memo must not answer a scan under a patched
+        # COUNT_BLOCK with l found under the default one
+        n, p = 91, 3  # 91 = 7 * 13 lifts the answers for 13
+        assert triples_for(n, p) == [9, 16, 74, 81]
+        calls = []
+        residue_blocks, lift_blocks = classify._residue_blocks, classify._lift_blocks
+
+        def counted(route):
+            def run(*args):
+                calls.append(args)
+                return route(*args)
+
+            return run
+
+        monkeypatch.setattr(classify, "_residue_blocks", counted(residue_blocks))
+        monkeypatch.setattr(classify, "_lift_blocks", counted(lift_blocks))
+        assert triples_for(n, p) == [9, 16, 74, 81]
+        assert calls == []  # same block size: the memo answers
+        monkeypatch.setattr(classify, "COUNT_BLOCK", 5)
+        assert triples_for(n, p) == [9, 16, 74, 81]
+        # 13 is scanned in full, then its 2 answers lifted 7 ways
+        assert calls == [(13, 5), ((3, 9), 13, 7, 5)]
+
+    def test_divisors_are_not_answered_through_the_public_name(
+        self, monkeypatch, fresh_root_memo
+    ):
+        # one triples_for call per n asked for, however deep the lift
+        calls = []
+        public = classify.triples_for
+
+        def counted(n, p):
+            calls.append(n)
+            return public(n, p)
+
+        monkeypatch.setattr(classify, "triples_for", counted)
+        assert classify.triples_for(1729, 3) == scalar_triples_for(1729, 3)
+        assert calls == [1729]
+
+    def test_mutating_an_answer_leaves_the_memo_intact(self):
+        first = triples_for(91, 3)
+        first.append(0)
+        first[0] = -1
+        assert triples_for(91, 3) == [9, 16, 74, 81]
+
     def test_returns_python_ints(self):
         assert all(type(l) is int for l in triples_for(13, 3))
+        assert all(type(l) is int for l in triples_for(7 * 13, 3))
         assert all(type(x) is int for x in crt_lift_solutions(7 * 13, 3))
 
     def test_rejects_non_prime_valence(self):
