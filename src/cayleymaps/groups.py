@@ -58,10 +58,6 @@ class Gf2Matrix:
     def size(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def identity(cls, r: int) -> "Gf2Matrix":
-        return cls(tuple(1 << i for i in range(r)))
-
     def apply(self, vec: int) -> int:
         """Left action on a bit-mask column vector."""
         out = 0
@@ -69,22 +65,6 @@ class Gf2Matrix:
             if (row & vec).bit_count() & 1:
                 out |= 1 << i
         return out
-
-    def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        rows = []
-        for arow in self.rows:
-            acc = 0
-            rest = arow
-            j = 0
-            while rest:
-                if rest & 1:
-                    acc ^= other.rows[j]
-                rest >>= 1
-                j += 1
-            rows.append(acc)
-        return Gf2Matrix(tuple(rows))
 
     def is_invertible(self) -> bool:
         rows = list(self.rows)
@@ -101,18 +81,6 @@ class Gf2Matrix:
                     rows[k] ^= rows[rank]
             rank += 1
         return rank == self.size
-
-    def order(self) -> int:
-        """Multiplicative order; defined only for invertible matrices."""
-        if not self.is_invertible():
-            raise ValueError("order is undefined for a singular matrix")
-        ident = Gf2Matrix.identity(self.size)
-        power = self
-        count = 1
-        while power != ident:
-            power = power.matmul(self)
-            count += 1
-        return count
 
     @classmethod
     def enumerate_invertible(cls, r: int) -> Iterator["Gf2Matrix"]:

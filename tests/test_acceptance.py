@@ -226,20 +226,18 @@ def test_criterion_4_abelian_dichotomy(capsys):
         report = verify_claim("1.1", p=3, n_max=16)
         assert report.passed, report.counterexamples
         assert report.checked == 3
-        # pin the three classes: rank-2 seeds give the complete-graph map,
-        # rank-3 seeds give the balanced order-8 map, and the order-6 cyclic
-        # group carries the anti-balanced reference map
+        # pin the three classes: the rank-2 seed t^2 + t + 1 gives the
+        # complete-graph map, the rank-3 seed t^3 + 1 the balanced order-8
+        # map, and the order-6 cyclic group carries the anti-balanced
+        # reference map
         k4_census = exhaustive_regular_maps(ElemAbelian2Group(2), 3)
         assert len(k4_census) == 1
-        seeds2 = elem_abelian_seeds(2, 3)
-        assert len(seeds2) == 6
-        assert maps_isomorphic(k4_census[0], elem_abelian_map(*seeds2[0]))
+        assert elem_abelian_seeds(2, 3) == [0b111]
+        assert maps_isomorphic(k4_census[0], elem_abelian_map(0b111, 3))
         e3_census = exhaustive_regular_maps(ElemAbelian2Group(3), 3)
         assert len(e3_census) == 1
-        assert any(
-            maps_isomorphic(e3_census[0], elem_abelian_map(A, x))
-            for A, x in elem_abelian_seeds(3, 3)
-        )
+        assert elem_abelian_seeds(3, 3) == [0b1001]
+        assert maps_isomorphic(e3_census[0], elem_abelian_map(0b1001, 3))
         from cayleymaps.groups import CyclicGroup
 
         z6_census = exhaustive_regular_maps(CyclicGroup(6), 3)

@@ -378,34 +378,56 @@ class TestAntibalancedCyclicFamily:
 
 
 class TestElemAbelianSeeds:
-    def test_seed_counts(self):
-        assert len(elem_abelian_seeds(2, 3)) == 6
-        assert len(elem_abelian_seeds(4, 3)) == 0  # 3-orbits span at most rank 3
-        assert len(elem_abelian_seeds(3, 3)) == 168
-        assert len(elem_abelian_seeds(3, 7)) == 336
+    # the degree-r divisors of t^p - 1 over GF(2), counted by degree
+    @pytest.mark.parametrize(
+        "p, by_degree",
+        [
+            (3, {2: 1, 3: 1}),
+            (5, {4: 1, 5: 1}),
+            (7, {3: 2, 4: 2, 6: 1, 7: 1}),
+            (11, {10: 1, 11: 1}),
+            (13, {12: 1, 13: 1}),
+        ],
+    )
+    def test_divisor_counts_by_degree(self, p, by_degree):
+        counts = {r: len(elem_abelian_seeds(r, p)) for r in range(1, p + 3)}
+        assert {r: c for r, c in counts.items() if c} == by_degree
+
+    def test_seeds_divide_t_to_the_p_minus_one(self):
+        assert elem_abelian_seeds(3, 7) == [0b1011, 0b1101]  # t^3+t+1, t^3+t^2+1
+        assert elem_abelian_seeds(2, 3) == [0b111]  # t^2+t+1
+        assert elem_abelian_seeds(3, 3) == [0b1001]  # t^3+1 itself
+
+    def test_no_seed_at_rank_one_or_above_p(self):
+        assert elem_abelian_seeds(1, 3) == []
+        assert elem_abelian_seeds(1, 7) == []
+        assert elem_abelian_seeds(4, 3) == []  # 3-orbits span at most rank 3
+        assert elem_abelian_seeds(6, 5) == []
 
     def test_rejects_bad_rank_or_valence(self):
         with pytest.raises(ValueError):
             elem_abelian_seeds(0, 3)
         with pytest.raises(ValueError):
-            elem_abelian_seeds(5, 3)
-        with pytest.raises(ValueError):
             elem_abelian_seeds(2, 4)
 
     def test_rank2_seed_maps_are_regular_balanced(self):
         k4 = build_map(ElemAbelian2Group(2), [1, 2, 3])
-        for A, x in elem_abelian_seeds(2, 3):
-            m = elem_abelian_map(A, x)
-            assert m.is_regular()
-            assert m.balance_type().is_balanced
-            assert m.balanced_regular_via_aut()
-            assert maps_isomorphic(m, k4)
+        (f,) = elem_abelian_seeds(2, 3)
+        m = elem_abelian_map(f, 3)
+        assert m.is_regular()
+        assert m.balance_type().is_balanced
+        assert m.balanced_regular_via_aut()
+        assert maps_isomorphic(m, k4)
 
-    def test_rank3_seed_maps_are_regular_balanced(self):
-        for A, x in elem_abelian_seeds(3, 3):
-            m = elem_abelian_map(A, x)
-            assert m.is_regular()
-            assert m.balance_type().is_balanced
+    def test_seed_maps_are_regular_balanced(self):
+        for p in (3, 5, 7):
+            for r in range(2, 5):
+                for f in elem_abelian_seeds(r, p):
+                    m = elem_abelian_map(f, p)
+                    assert m.group.order == 1 << r and m.k == p
+                    assert m.is_regular()
+                    assert m.balance_type().is_balanced
+                    assert m.balanced_regular_via_aut()
 
 
 # -- counting formula ------------------------------------------------------------
@@ -835,7 +857,7 @@ class TestVerifyClaims:
     def test_claim_checks_report_maps_without_a_partner(self, monkeypatch):
         # 1.1: with no seed maps and a reference of another size, neither
         # census map has a partner
-        k4 = elem_abelian_map(*elem_abelian_seeds(2, 3)[0])
+        k4 = elem_abelian_map(elem_abelian_seeds(2, 3)[0], 3)
         monkeypatch.setattr(classify, "antibalanced_cyclic_map", lambda p: k4)
         monkeypatch.setattr(classify, "elem_abelian_seeds", lambda r, p: [])
         assert verify_claim("1.1", p=3, n_max=6).counterexamples == [
@@ -859,6 +881,16 @@ class TestVerifyClaims:
         assert report.checked == 3
         assert report.counterexamples == []
         assert report.notes == ["abelian groups searched: 24"]
+
+    def test_abelian_dichotomy_passes_at_p5_and_p7(self):
+        # p = 5: the seed classes on E4 (t^4 + ... + 1) and the anti-balanced
+        # map on Z10; p = 7: the two classes on E3, one per degree-3 divisor
+        report = verify_claim("1.1", p=5, n_max=16)
+        assert (report.passed, report.checked) == (True, 2)
+        assert report.covered == "abelian Z2..E4 valence 5 (24 groups)"
+        report = verify_claim("1.1", p=7, n_max=8)
+        assert (report.passed, report.checked) == (True, 2)
+        assert report.notes == ["abelian groups searched: 10"]
 
     def test_dihedral_classification_catches_the_sphere_map(self):
         report = verify_claim("1.2", p=3, n_max=12)

@@ -10,11 +10,14 @@ Here each is compared with its slow route on small groups of every family:
 the monodromy closure (`monodromy_closure`, which lives only here), the sweep
 over every image of arc 0, the element-level breadth-first closure in the
 group (FiniteGroup.closure), and the full search over every generating set
-(`reference_regular_maps`, which lives only here).
+(`reference_regular_maps`, which lives only here). Claim 1.1's seed maps,
+built from the divisors of t^p - 1 over GF(2), are compared with the sweep
+over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -26,6 +29,8 @@ from cayleymaps import classify
 from cayleymaps._kernels import arc_bijection_exists, closure_table
 from cayleymaps.classify import (
     _survivors_for_sets,
+    elem_abelian_map,
+    elem_abelian_seeds,
     exhaustive_regular_maps,
     inverse_closed_sets,
 )
@@ -35,6 +40,7 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
+    Gf2Matrix,
 )
 from cayleymaps.maps import CayleyMap, arc_code, build_map, maps_isomorphic
 
@@ -385,3 +391,51 @@ def test_isomorphism_out_of_irregular_maps_sweeps_every_image(case):
     for m in candidates:
         rotated = build_map(group, m.xs[1:] + m.xs[:1])
         assert maps_isomorphic(m, rotated), m
+
+
+def gf2_rank(vectors):
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+@lru_cache(maxsize=None)
+def gl_seed_codes(r, p):
+    """The arc codes of claim 1.1's seed maps by the sweep over GL(r, 2):
+    every invertible A and nonzero x whose orbit x, Ax, ... first returns to
+    x at step p and spans rank r, one x per orbit (a rotated generator list
+    draws the same map), one code per kept orbit."""
+    group = ElemAbelian2Group(r)
+    codes = []
+    for A in Gf2Matrix.enumerate_invertible(r):
+        seen = set()
+        for x in range(1, 1 << r):
+            if x in seen:
+                continue
+            orbit = [x]
+            while (y := A.apply(orbit[-1])) != x and len(orbit) <= p:
+                orbit.append(y)
+            seen.update(orbit)
+            if len(orbit) == p and gf2_rank(orbit) == r:
+                codes.append(build_map(group, orbit).arc_code())
+    return tuple(codes)
+
+
+def test_gl_seed_sweep_counts():
+    # the sweep kept 6, 0, 168 and 336 pairs (A, x); one x per orbit of p
+    assert len(gl_seed_codes(2, 3)) == 2
+    assert len(gl_seed_codes(4, 3)) == 0  # 3-orbits span at most rank 3
+    assert len(gl_seed_codes(3, 3)) == 56
+    assert len(gl_seed_codes(3, 7)) == 48
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_divisor_seeds_match_gl_sweep(r, p):
+    divisors = {elem_abelian_map(f, p).arc_code() for f in elem_abelian_seeds(r, p)}
+    assert divisors == set(gl_seed_codes(r, p))

