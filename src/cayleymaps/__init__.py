@@ -11,10 +11,6 @@ from .groups import (
     DihedralGroup,
     ElemAbelian2Group,
     FiniteGroup,
-    Gf2Matrix,
-    MatrixAut,
-    PowerPairAut,
-    UnitAut,
 )
 
 __version__ = "0.1.0"
@@ -25,9 +21,5 @@ __all__ = [
     "DihedralGroup",
     "ElemAbelian2Group",
     "FiniteGroup",
-    "Gf2Matrix",
-    "MatrixAut",
-    "PowerPairAut",
-    "UnitAut",
     "__version__",
 ]

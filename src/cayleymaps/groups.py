@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,101 +30,8 @@ __all__ = [
     "ElemAbelian2Group",
     "DihedralGroup",
     "DicyclicGroup",
-    "Gf2Matrix",
-    "UnitAut",
-    "MatrixAut",
-    "PowerPairAut",
-    "GeneratorImagesAut",
     "GroupElement",
 ]
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Square bit matrix over GF(2); rows[i] holds row i as a bit mask."""
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        r = len(self.rows)
-        if r == 0:
-            raise ValueError("matrix must have at least one row")
-        for row in self.rows:
-            if not 0 <= row < (1 << r):
-                raise ValueError(f"row mask {row} out of range for size {r}")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def apply(self, vec: int) -> int:
-        """Left action on a bit-mask column vector."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & vec).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-    def is_invertible(self) -> bool:
-        rows = list(self.rows)
-        rank = 0
-        for bit in range(self.size):
-            pivot = next(
-                (k for k in range(rank, self.size) if rows[k] >> bit & 1), None
-            )
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for k in range(self.size):
-                if k != rank and rows[k] >> bit & 1:
-                    rows[k] ^= rows[rank]
-            rank += 1
-        return rank == self.size
-
-    @classmethod
-    def enumerate_invertible(cls, r: int) -> Iterator["Gf2Matrix"]:
-        """Yield all invertible r x r bit matrices, rows in ascending mask order."""
-
-        def rec(rows: tuple[int, ...], span: frozenset[int]) -> Iterator[Gf2Matrix]:
-            if len(rows) == r:
-                yield cls(rows)
-                return
-            for cand in range(1, 1 << r):
-                if cand in span:
-                    continue
-                yield from rec(rows + (cand,), span | {cand ^ s for s in span})
-
-        return rec((), frozenset([0]))
-
-
-@dataclass(frozen=True)
-class UnitAut:
-    """Automorphism of a cyclic group: g -> unit * g."""
-
-    unit: int
-
-
-@dataclass(frozen=True)
-class MatrixAut:
-    """Automorphism of an elementary abelian 2-group: v -> M v."""
-
-    matrix: Gf2Matrix
-
-
-@dataclass(frozen=True)
-class PowerPairAut:
-    """Automorphism a -> a^i, b -> a^j * b of a dihedral or dicyclic group."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class GeneratorImagesAut:
-    """Automorphism of an abelian product, recorded by where the canonical
-    coordinate generators go."""
-
-    images: tuple[tuple[int, ...], ...]
 
 
 class FiniteGroup:
@@ -166,13 +72,6 @@ class FiniteGroup:
     def parse_element(self, text: str) -> GroupElement:
         raise NotImplementedError
 
-    def apply_aut(self, phi, g: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def automorphism_extending(self, assignment):
-        """First automorphism sending x to y for every (x, y) pair, or None."""
-        raise NotImplementedError
-
     def automorphism_ranks(self) -> np.ndarray:
         """A subgroup H of Aut(G) as an int64 array of shape (|H|, order):
         row h maps each element rank to the rank of its image under psi_h.
@@ -202,15 +101,6 @@ class FiniteGroup:
             return self._rank[g]
         except KeyError:
             raise ValueError(f"{g!r} is not an element of {self.name}") from None
-
-    def order_of(self, g: GroupElement) -> int:
-        self.check(g)
-        power = g
-        count = 1
-        while power != self.identity:
-            power = self.mul(power, g)
-            count += 1
-        return count
 
     @lru_cache(maxsize=1)
     def rank_table(self) -> tuple[list[list[int]], list[int]]:
@@ -274,13 +164,6 @@ class FiniteGroup:
         e = self.identity
         return [g for g in self.elements() if g != e and self.mul(g, g) == e]
 
-    def _checked_assignment(self, assignment) -> list[tuple[GroupElement, GroupElement]]:
-        pairs = [(self.check(x), self.check(y)) for x, y in assignment]
-        sources = [x for x, _ in pairs]
-        if len(set(sources)) != len(sources):
-            raise ValueError("assignment sources must be distinct")
-        return pairs
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
@@ -323,23 +206,6 @@ class CyclicGroup(FiniteGroup):
         except ValueError:
             raise ValueError(f"cannot parse {text!r} as a residue mod {self.n}") from None
         return value % self.n
-
-    def apply_aut(self, phi, g):
-        if not isinstance(phi, UnitAut):
-            raise ValueError(f"{self.name} expects a UnitAut, got {phi!r}")
-        if math.gcd(phi.unit % self.n, self.n) != 1:
-            raise ValueError(f"{phi.unit} is not a unit mod {self.n}")
-        self.check(g)
-        return (phi.unit * g) % self.n
-
-    def automorphism_extending(self, assignment) -> Optional[UnitAut]:
-        pairs = self._checked_assignment(assignment)
-        for u in range(self.n):
-            if math.gcd(u, self.n) != 1:
-                continue
-            if all((u * x) % self.n == y for x, y in pairs):
-                return UnitAut(u)
-        return None
 
     def automorphism_ranks(self) -> np.ndarray:
         """All of Aut(Z_n): g -> u * g for every unit u."""
@@ -385,25 +251,6 @@ class ElemAbelian2Group(FiniteGroup):
         if len(s) != self.r or any(c not in "01" for c in s):
             raise ValueError(f"cannot parse {text!r} as a length-{self.r} bit string")
         return sum(1 << j for j, c in enumerate(s) if c == "1")
-
-    def apply_aut(self, phi, g):
-        if not isinstance(phi, MatrixAut):
-            raise ValueError(f"{self.name} expects a MatrixAut, got {phi!r}")
-        if phi.matrix.size != self.r:
-            raise ValueError(f"matrix size {phi.matrix.size} does not match rank {self.r}")
-        if not phi.matrix.is_invertible():
-            raise ValueError("matrix automorphism must be invertible")
-        self.check(g)
-        return phi.matrix.apply(g)
-
-    def automorphism_extending(self, assignment) -> Optional[MatrixAut]:
-        if self.r > 4:
-            raise ValueError(f"matrix search is limited to rank <= 4, got {self.r}")
-        pairs = self._checked_assignment(assignment)
-        for mat in Gf2Matrix.enumerate_invertible(self.r):
-            if all(mat.apply(x) == y for x, y in pairs):
-                return MatrixAut(mat)
-        return None
 
     def automorphism_ranks(self) -> np.ndarray:
         """The r! coordinate permutations, a subgroup of GL(r, 2); bit j of
@@ -462,30 +309,8 @@ class _ExponentPairGroup(FiniteGroup):
         i = int(match.group(1)) if match.group(1) else 1
         return (i % self.m, 1 if match.group(2) else 0)
 
-    def apply_aut(self, phi, g):
-        if not isinstance(phi, PowerPairAut):
-            raise ValueError(f"{self.name} expects a PowerPairAut, got {phi!r}")
-        if math.gcd(phi.i % self.m, self.m) != 1:
-            raise ValueError(f"i={phi.i} must be a unit mod {self.m}")
-        i, e = self.check(g)
-        return ((phi.i * i + phi.j * e) % self.m, e)
-
-    def automorphism_extending(self, assignment) -> Optional[PowerPairAut]:
-        pairs = self._checked_assignment(assignment)
-        if any(e != d for (_, e), (_, d) in pairs):
-            return None
-        flips = [(s, t) for (s, e), (t, _) in pairs if e == 1]
-        for i in range(self.m):
-            if math.gcd(i, self.m) != 1:
-                continue
-            j = (flips[0][1] - i * flips[0][0]) % self.m if flips else 0
-            phi = PowerPairAut(i, j)
-            if all(self.apply_aut(phi, x) == y for x, y in pairs):
-                return phi
-        return None
-
     def automorphism_ranks(self) -> np.ndarray:
-        """Every PowerPairAut a -> a^u, b -> a^v * b (u a unit mod m), that
+        """Every automorphism a -> a^u, b -> a^v * b (u a unit mod m), that
         is (i, e) -> (u * i + v * e, e), rows ordered by (v, u). For the
         dihedral groups with n >= 3 this is all of Aut(D_n)."""
         m = self.m
@@ -595,30 +420,6 @@ class AbelianProductGroup(FiniteGroup):
         except ValueError:
             raise ValueError(f"{text!r} is not a residue tuple") from None
         return tuple(c % d for c, d in zip(coords, self.mods))
-
-    def apply_aut(self, phi: GeneratorImagesAut, g):
-        self.check(g)
-        out = self.identity
-        for c, img in zip(g, phi.images):
-            for _ in range(c):
-                out = self.mul(out, img)
-        return out
-
-    def automorphism_extending(self, assignment) -> Optional[GeneratorImagesAut]:
-        pairs = self._checked_assignment(assignment)
-        # candidate images for coordinate generator j must have order dividing mods[j]
-        candidates = [
-            [g for g in self.elements() if d % self.order_of(g) == 0]
-            for d in self.mods
-        ]
-        for images in product(*candidates):
-            phi = GeneratorImagesAut(tuple(images))
-            if any(self.apply_aut(phi, x) != y for x, y in pairs):
-                continue
-            seen = {self.apply_aut(phi, g) for g in self.elements()}
-            if len(seen) == self.order:
-                return phi
-        return None
 
     def automorphism_ranks(self) -> np.ndarray:
         """g -> u * g for every unit u modulo the exponent."""

@@ -161,12 +161,42 @@ class CayleyMap:
             self._code = arc_code(self._rotation_row, self._reversal_row)
         return self._code
 
-    def rotation_automorphism(self):
-        """Group automorphism sending each x_i to x_{i+1}, when one exists."""
-        assignment = [(self.xs[i], self.xs[(i + 1) % self.k]) for i in range(self.k)]
-        return self.group.automorphism_extending(assignment)
+    def rotation_automorphism(self) -> Optional[tuple[int, ...]]:
+        """The group automorphism phi with phi(x_i) = x_{i+1} for every
+        slot, as a rank tuple in the row convention of
+        FiniteGroup.automorphism_ranks, or None when there is none.
+
+        One breadth-first propagation over group.rank_table(): phi(e) = e
+        and phi(g * x_i) = phi(g) * x_{i+1}, None at the first clash. It is
+        exact. The generators generate, so every element is reached. With
+        every edge (g, x_i) consistent, phi(g * h) = phi(g) * phi(h) follows
+        word by word in h, so phi is a homomorphism; its image holds every
+        x_{i+1}, so it is onto and, the group being finite, an automorphism.
+        Conversely an automorphism psi with psi(x_i) = x_{i+1} satisfies
+        every one of these equations, so the propagation never clashes."""
+        mul = self.group.rank_table()[0]
+        xs = self.xs_ranks()
+        next_xs = xs[1:] + xs[:1]
+        identity = self.group.identity_rank
+        phi = [-1] * self.group.order
+        phi[identity] = identity
+        reached = [identity]
+        for g in reached:  # the list grows while it is read: a queue
+            row, image_row = mul[g], mul[phi[g]]
+            for x, y in zip(xs, next_xs):
+                h, image = row[x], image_row[y]
+                if phi[h] < 0:
+                    phi[h] = image
+                    reached.append(h)
+                elif phi[h] != image:
+                    return None
+        return tuple(phi)
 
     def balanced_regular_via_aut(self) -> bool:
+        """Skoviera-Siran criterion (Discrete Math. 109, 1992): a balanced
+        Cayley map is regular exactly when x_i -> x_{i+1} extends to an
+        automorphism of the group. The answer means regularity only for a
+        balanced map; is_regular decides it for every map."""
         return self.rotation_automorphism() is not None
 
     # -- faces and genus -------------------------------------------------------

@@ -44,7 +44,6 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
-    PowerPairAut,
 )
 from cayleymaps.maps import SizeGuardError, build_map, maps_isomorphic
 from cayleymaps.perms import Permutation, all_involutions, reflection_fixing_last
@@ -342,7 +341,10 @@ class TestBalancedDihedralFamily:
                     assert m.is_regular()
                     assert m.balance_type().is_balanced
                     assert entry_for_map(m, n, "x").mon_order == 2 * n * p
-                    assert m.rotation_automorphism() == PowerPairAut(l % n, 1)
+                    # a -> a^l, b -> a * b: a^i * b^e -> a^(l*i + e) * b^e
+                    assert m.rotation_automorphism() == tuple(
+                        e * n + (l * i + e) % n for e in (0, 1) for i in range(n)
+                    )
 
     def test_distinct_parameters_give_distinct_classes(self):
         for n, p in ((7, 3), (13, 3), (21, 3), (11, 5)):
@@ -420,14 +422,15 @@ class TestElemAbelianSeeds:
         assert maps_isomorphic(m, k4)
 
     def test_seed_maps_are_regular_balanced(self):
-        for p in (3, 5, 7):
-            for r in range(2, 5):
-                for f in elem_abelian_seeds(r, p):
-                    m = elem_abelian_map(f, p)
-                    assert m.group.order == 1 << r and m.k == p
-                    assert m.is_regular()
-                    assert m.balance_type().is_balanced
-                    assert m.balanced_regular_via_aut()
+        # ranks above 4 too: E6 and E7 at p = 7, and E5 at p = 31 (6 divisors)
+        cases = [(p, r) for p in (3, 5, 7) for r in range(2, 5)]
+        for p, r in cases + [(7, 6), (7, 7), (31, 5)]:
+            for f in elem_abelian_seeds(r, p):
+                m = elem_abelian_map(f, p)
+                assert m.group.order == 1 << r and m.k == p
+                assert m.is_regular()
+                assert m.balance_type().is_balanced
+                assert m.balanced_regular_via_aut()
 
 
 # -- counting formula ------------------------------------------------------------
@@ -521,16 +524,6 @@ class TestAbelianCatalogue:
             g.parse_element("1")
         with pytest.raises(ValueError):
             g.parse_element("1:x")
-
-    def test_product_group_automorphisms(self):
-        g = AbelianProductGroup([2, 4])
-        # negation fixes the order-2 coordinate and inverts the order-4 one
-        phi = g.automorphism_extending([((0, 1), (0, 3))])
-        assert phi is not None
-        assert g.apply_aut(phi, (0, 1)) == (0, 3)
-        # (1, 0) is not a doubled element, (0, 2) is; no automorphism maps one
-        # to the other
-        assert g.automorphism_extending([((1, 0), (0, 2))]) is None
 
     def test_rejects_bad_moduli(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,16 @@ group (FiniteGroup.closure), and the full search over every generating set
 (`reference_regular_maps`, which lives only here). Claim 1.1's seed maps,
 built from the divisors of t^p - 1 over GF(2), are compared with the sweep
 over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here).
+A map's rotation automorphism, found by one propagation over the rank table
+(CayleyMap.rotation_automorphism), is compared with the rows of Aut(G) that
+send each x_i to x_(i+1), where a reference lists all of Aut(G): the
+automorphism_ranks() of Z_n and of D_n with n >= 3, and GL(r, 2) for E_r
+(`Gf2Matrix`, which lives only here).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -40,7 +46,6 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
-    Gf2Matrix,
 )
 from cayleymaps.maps import CayleyMap, arc_code, build_map, maps_isomorphic
 
@@ -86,6 +91,82 @@ def full_sweep_isomorphic(m1, m2):
     return m1.n_arcs == m2.n_arcs and arc_bijection_exists(
         m1._rotation_row, m1._reversal_row, m2._rotation_row, m2._reversal_row
     )
+
+
+@dataclass(frozen=True)
+class Gf2Matrix:
+    """Square bit matrix over GF(2); rows[i] holds row i as a bit mask."""
+
+    rows: tuple[int, ...]
+
+    def apply(self, vec: int) -> int:
+        """Left action on a bit-mask column vector."""
+        out = 0
+        for i, row in enumerate(self.rows):
+            if (row & vec).bit_count() & 1:
+                out |= 1 << i
+        return out
+
+    @classmethod
+    def enumerate_invertible(cls, r: int):
+        """Yield all invertible r x r bit matrices, rows in ascending mask order."""
+
+        def rec(rows, span):
+            if len(rows) == r:
+                yield cls(rows)
+                return
+            for cand in range(1, 1 << r):
+                if cand in span:
+                    continue
+                yield from rec(rows + (cand,), span | {cand ^ s for s in span})
+
+        return rec((), frozenset([0]))
+
+
+def test_gl2_count_formula():
+    for r in range(1, 5):
+        expected = 1
+        for k in range(r):
+            expected *= (1 << r) - (1 << k)
+        assert sum(1 for _ in Gf2Matrix.enumerate_invertible(r)) == expected
+
+
+@lru_cache(maxsize=None)
+def gl_rows(r):
+    """GL(r, 2) as rank rows: E_r lists its elements as ascending bit masks,
+    so an element's rank is its mask."""
+    return np.array(
+        [[A.apply(v) for v in range(1 << r)] for A in Gf2Matrix.enumerate_invertible(r)],
+        dtype=np.int64,
+    )
+
+
+def full_automorphism_rows(group):
+    """All of Aut(G) as rank rows, or None for a group no reference lists."""
+    if isinstance(group, CyclicGroup) or isinstance(group, DihedralGroup) and group.n >= 3:
+        return group.automorphism_ranks()
+    if isinstance(group, ElemAbelian2Group) and group.r <= 4:
+        return gl_rows(group.r)
+    return None
+
+
+def check_rotation_automorphism(m):
+    """A non-None rotation automorphism is a bijective homomorphism on the
+    full product table sending each x_i to x_(i+1); where Aut(G) is listed,
+    it is the row that does so, and None exactly when no row does."""
+    phi = m.rotation_automorphism()
+    xs = np.array(m.xs_ranks())
+    if phi is not None:
+        mul = np.array(m.group.rank_table()[0])
+        row = np.array(phi)
+        assert (np.sort(row) == np.arange(m.group.order)).all(), m
+        assert (row[mul] == mul[row[:, None], row]).all(), m
+        assert (row[xs] == np.roll(xs, -1)).all(), m
+    auts = full_automorphism_rows(m.group)
+    if auts is not None:
+        extending = auts[(auts[:, xs] == np.roll(xs, -1)).all(axis=1)]
+        assert phi == (tuple(extending[0].tolist()) if len(extending) else None), m
+    return phi
 
 
 def full_inverse_closed_sets(group, valence):
@@ -331,6 +412,40 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     assert m.is_regular() == (size == m.n_arcs and not exceeded), m
     if m.balance_type().is_balanced:
         assert m.balanced_regular_via_aut() == m.is_regular(), m
+    # and a balanced map x_(i+h) = x_i^-1 on h drawn inverse pairs: a
+    # balanced map of odd valence has only involutions, so Z_n, Dic_n and the
+    # products have balanced maps of even valence only
+    pairs = [sorted(b, key=group.rank) for b in sorted(blocks, key=sorted) if len(b) == 2]
+    ys = [b[0] for b in data.draw(st.permutations(pairs))[: (valence + 1) // 2]]
+    balanced = ys + [group.inv(y) for y in ys]
+    if len(balanced) >= 4 and len(group.closure(balanced)) == group.order:
+        m = build_map(group, balanced)
+        assert m.balance_type().is_balanced
+        assert m.balanced_regular_via_aut() == m.is_regular(), m
+
+
+def test_rotation_automorphism_matches_references(case):
+    _, _, candidates = case
+    for m in candidates:
+        check_rotation_automorphism(m)
+
+
+def test_rotation_automorphism_on_more_maps():
+    # Z5 with unit 3 and K4 on E2 with 01 -> 10 -> 11, and E4 beyond the
+    # cases: the seed maps at p = 5 and 7, and each p = 7 seed with its
+    # last three slots in every order
+    assert check_rotation_automorphism(build_map(CyclicGroup(5), [1, 3, 4, 2])) == (
+        0, 3, 1, 4, 2
+    )
+    assert check_rotation_automorphism(build_map(ElemAbelian2Group(2), [1, 2, 3])) == (
+        0, 2, 3, 1
+    )
+    e4 = [elem_abelian_map(f, 5) for f in elem_abelian_seeds(4, 5)]
+    for f in elem_abelian_seeds(4, 7):
+        seed = elem_abelian_map(f, 7)
+        e4 += [build_map(seed.group, seed.xs[:4] + t) for t in permutations(seed.xs[4:])]
+    found = [check_rotation_automorphism(m) is not None for m in e4]
+    assert any(found) and not all(found)
 
 
 def test_candidate_zero_isomorphism_matches_full_sweep(case):

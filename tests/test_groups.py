@@ -9,7 +9,6 @@ share no code with the library.
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,6 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
-    Gf2Matrix,
-    MatrixAut,
-    PowerPairAut,
-    UnitAut,
 )
 
 SMALL_GROUPS = [
@@ -186,27 +181,6 @@ def test_inverse_examples_against_scan():
     assert DicyclicGroup(3).inv((0, 1)) == (3, 1)
 
 
-def test_order_of_examples():
-    assert DihedralGroup(7).order_of((1, 0)) == 7
-    assert DicyclicGroup(4).order_of((0, 1)) == 4
-    G = ElemAbelian2Group(3)
-    assert all(G.order_of(g) == 2 for g in G.elements() if g)
-    for H in SMALL_GROUPS:
-        for g in H.elements():
-            assert H.order % H.order_of(g) == 0
-
-
-def test_order_of_matches_repeated_multiplication_oracle():
-    for G in SMALL_GROUPS:
-        for g in G.elements():
-            power = g
-            count = 1
-            while power != G.identity:
-                power = G.mul(power, g)
-                count += 1
-            assert G.order_of(g) == count
-
-
 def test_involutions_by_scan():
     for G in SMALL_GROUPS:
         e = G.identity
@@ -295,129 +269,6 @@ def test_generates_matches_closure_on_every_pair(G):
     for (i, g), (j, h) in itertools.combinations_with_replacement(enumerate(elems), 2):
         expected = len(G.closure([g, h])) == G.order
         assert G.generates([g, h]) == G.generates_ranks([i, j]) == expected, (g, h)
-
-
-# -- automorphisms ---------------------------------------------------------------
-
-
-def test_dihedral_aut_formula():
-    G = DihedralGroup(5)
-    phi = PowerPairAut(2, 1)
-    assert G.apply_aut(phi, (1, 0)) == (2, 0)
-    assert G.apply_aut(phi, (0, 1)) == (1, 1)
-
-
-def test_identity_aut_fixes_everything():
-    G = DihedralGroup(6)
-    phi = PowerPairAut(1, 0)
-    assert all(G.apply_aut(phi, g) == g for g in G.elements())
-
-
-def test_aut_is_homomorphism_for_all_parameters():
-    for n in [3, 5, 8, 12]:
-        G = DihedralGroup(n)
-        for i in range(1, n):
-            if math.gcd(i, n) != 1:
-                continue
-            for j in range(n):
-                phi = PowerPairAut(i, j)
-                images = [G.apply_aut(phi, g) for g in G.elements()]
-                assert len(set(images)) == G.order
-                for g in G.elements():
-                    for h in G.elements():
-                        assert G.apply_aut(phi, G.mul(g, h)) == G.mul(
-                            G.apply_aut(phi, g), G.apply_aut(phi, h)
-                        )
-
-
-def test_dicyclic_aut_preserves_defining_relation():
-    G = DicyclicGroup(2)
-    phi = PowerPairAut(3, 0)
-    assert G.apply_aut(phi, (1, 0)) == (3, 0)
-    assert G.apply_aut(phi, (0, 1)) == (0, 1)
-    for g in G.elements():
-        for h in G.elements():
-            assert G.apply_aut(phi, G.mul(g, h)) == G.mul(
-                G.apply_aut(phi, g), G.apply_aut(phi, h)
-            )
-
-
-def test_aut_rejects_non_unit():
-    with pytest.raises(ValueError):
-        DihedralGroup(6).apply_aut(PowerPairAut(2, 0), (1, 0))
-    with pytest.raises(ValueError):
-        CyclicGroup(6).apply_aut(UnitAut(3), 1)
-    with pytest.raises(ValueError):
-        DicyclicGroup(3).apply_aut(PowerPairAut(2, 1), (1, 0))
-
-
-def test_aut_rejects_wrong_payload_kind():
-    with pytest.raises(ValueError):
-        DihedralGroup(6).apply_aut(UnitAut(1), (1, 0))
-    with pytest.raises(ValueError):
-        ElemAbelian2Group(2).apply_aut(UnitAut(1), 1)
-
-
-def test_automorphism_extending_dihedral_example():
-    G = DihedralGroup(7)
-    phi = G.automorphism_extending([((0, 1), (1, 1)), ((1, 1), (3, 1))])
-    assert phi == PowerPairAut(2, 1)
-
-
-def test_automorphism_extending_cyclic():
-    G = CyclicGroup(6)
-    assert G.automorphism_extending([(1, 1)]) == UnitAut(1)
-    assert CyclicGroup(4).automorphism_extending([(1, 2)]) is None
-    assert CyclicGroup(5).automorphism_extending([(1, 3)]) == UnitAut(3)
-
-
-def test_automorphism_extending_satisfies_assignment_exactly():
-    G = DihedralGroup(9)
-    assignment = [((0, 1), (2, 1)), ((1, 0), (2, 0))]
-    phi = G.automorphism_extending(assignment)
-    assert phi is not None
-    for x, y in assignment:
-        assert G.apply_aut(phi, x) == y
-
-
-def test_automorphism_extending_none_when_impossible():
-    G = DihedralGroup(4)
-    # would need a -> a and a -> a^2 at once
-    assert G.automorphism_extending([((1, 0), (1, 0)), ((2, 0), (1, 0))]) is None
-    # rotations cannot map to reflections
-    assert G.automorphism_extending([((1, 0), (1, 1))]) is None
-
-
-def test_automorphism_extending_rejects_duplicate_sources():
-    with pytest.raises(ValueError):
-        CyclicGroup(5).automorphism_extending([(1, 1), (1, 2)])
-
-
-def test_elem_abelian_matrix_aut():
-    G = ElemAbelian2Group(2)
-    swap = Gf2Matrix((0b10, 0b01))
-    assert G.apply_aut(MatrixAut(swap), 0b01) == 0b10
-    found = G.automorphism_extending([(0b01, 0b10), (0b10, 0b11)])
-    assert found is not None
-    assert found.matrix.apply(0b01) == 0b10
-    assert found.matrix.apply(0b10) == 0b11
-
-
-# -- GF(2) matrices ---------------------------------------------------------------
-
-
-def test_gl2_count_formula():
-    for r in range(1, 5):
-        expected = 1
-        for k in range(r):
-            expected *= (1 << r) - (1 << k)
-        assert sum(1 for _ in Gf2Matrix.enumerate_invertible(r)) == expected
-
-
-def test_gf2_matrix_order_and_inverse():
-    assert Gf2Matrix((0b10, 0b11)).is_invertible()  # rows: (0 1), (1 1)
-    singular = Gf2Matrix((0b01, 0b01))
-    assert not singular.is_invertible()
 
 
 # -- element encoding --------------------------------------------------------------

@@ -18,7 +18,6 @@ from cayleymaps.groups import (
     CyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
-    PowerPairAut,
 )
 from cayleymaps.maps import (
     BalanceType,
@@ -216,7 +215,10 @@ def test_all_involution_sets_are_balanced():
 def test_balanced_regular_via_aut():
     m = heawood_map()
     assert m.balanced_regular_via_aut()
-    assert m.rotation_automorphism() == PowerPairAut(2, 1)
+    # a -> a^2, b -> a * b: rank e * 7 + i goes to e * 7 + (2 * i + e) % 7
+    assert m.rotation_automorphism() == tuple(
+        e * 7 + (2 * i + e) % 7 for e in (0, 1) for i in range(7)
+    )
 
     irregular = build_map(DihedralGroup(4), [(0, 1), (1, 1), (2, 1)])
     assert not irregular.balanced_regular_via_aut()
