@@ -5,9 +5,9 @@ For each (group, valence) case the script times the three stages that
 
 - generation: `inverse_closed_sets`, one generating set per orbit of the
   group's listed automorphisms (`automorphism_ranks`);
-- regularity: `_survivors_for_sets`, the arc propagation
-  (`rotates_base_star`) over every ordering of those sets, first element
-  pinned, with each survivor keyed by its arc code;
+- regularity: `_survivors_for_sets`, the skew-morphism walk
+  (`maps.skew_morphism`) over every ordering of those sets, first element
+  pinned, with each survivor's rows built and keyed by its arc code;
 - dedup: grouping the survivors' rows by `arc_code` alone.
 
 It checks that grouping, and the classes `_survivors_for_sets` returns,
@@ -24,7 +24,7 @@ fails:
 - every candidate of the full search (each set in every ordering) gets the
   same regularity verdict from the monodromy closure (regular when the group
   has exactly |D| elements), which only the tests use, and from the
-  propagation the census uses.
+  skew-morphism walk the census uses.
 
 A counting case then times the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
@@ -60,7 +60,7 @@ from cayleymaps.classify import (
     triples_for,
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
-from cayleymaps.maps import arc_code, reversal_row, rotates_base_star, rotation_row
+from cayleymaps.maps import arc_code, reversal_row, rotation_row, skew_morphism
 
 CASES = [
     ("D12 valence 3", DihedralGroup(12), 3),
@@ -98,22 +98,19 @@ def orbits_partition(group, reps, full_sets) -> bool:
     return covered == set(full_sets)
 
 
+def kappa0_of(group, xs) -> list[int]:
+    """The 0-based slot of each x_i^-1 in the rank ordering xs."""
+    inv = group.rank_table()[1]
+    return [xs.index(inv[r]) for r in xs]
+
+
 def ordering_rows(group, valence, orderings) -> list[tuple[np.ndarray, np.ndarray]]:
     """(R, L) rows of each rank ordering."""
-    table, inv = group.rank_table()
-    mul = np.array(table, dtype=np.int64)
+    table = group.rank_table()[0]
     row_R = rotation_row(group.order * valence, valence)
-    out = []
-    for xs in orderings:
-        kappa0 = [xs.index(inv[r]) for r in xs]
-        out.append((row_R, reversal_row(mul[:, list(xs)], kappa0)))
-    return out
-
-
-def candidate_rows(group, valence, sets) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(R, L) rows of every ordering, least rank first, of the rank sets."""
-    orderings = [xs for xset in sets for xs in cyclic_orderings(xset)]
-    return ordering_rows(group, valence, orderings)
+    return [
+        (row_R, reversal_row(table, xs, kappa0_of(group, xs))) for xs in orderings
+    ]
 
 
 def classes_by_code(rows) -> list[list[int]]:
@@ -210,7 +207,7 @@ def main() -> None:
     print(
         f"{'case':<16} {'sets':>5} {'orders':>7} {'generation':>11} "
         f"{'regularity':>11} {'dedup':>8} {'classes':>8}   "
-        f"{'full search':>12} {'closure':>9} {'propagation':>12}"
+        f"{'full search':>12} {'closure':>9} {'skew walk':>12}"
     )
     for label, group, valence in CASES:
         t_gen, sets = best_of(args.repeat, lambda: inverse_closed_sets(group, valence))
@@ -233,19 +230,22 @@ def main() -> None:
         reps = [tuple(group.rank(x) for x in xset) for xset in sets]
         if not orbits_partition(group, reps, full_sets):
             raise SystemExit(f"{label}: the representatives miss or repeat an orbit")
-        rows = candidate_rows(group, valence, full_sets)
+        candidates = [xs for xset in full_sets for xs in cyclic_orderings(xset)]
+        rows = ordering_rows(group, valence, candidates)
         t_closure, by_closure = best_of(
             args.repeat, lambda: [closure_route(rot, rev) for rot, rev in rows]
         )
-        t_prop, by_prop = best_of(
-            args.repeat, lambda: [rotates_base_star(rot, rev) for rot, rev in rows]
+        walks = [(xs, kappa0_of(group, xs)) for xs in candidates]
+        t_walk, by_walk = best_of(
+            args.repeat,
+            lambda: [skew_morphism(group, xs, k0) is not None for xs, k0 in walks],
         )
-        if by_closure != by_prop:
+        if by_closure != by_walk:
             raise SystemExit(f"{label}: the two regularity routes disagree")
         print(
             f"{label:<16} {len(sets):>5} {orderings:>7} {t_gen:>10.4f}s "
             f"{t_reg:>10.4f}s {t_dedup:>7.4f}s {len(classes):>8}   "
-            f"{len(rows):>6} maps {t_closure:>8.3f}s {t_prop:>11.3f}s"
+            f"{len(rows):>6} maps {t_closure:>8.3f}s {t_walk:>11.3f}s"
         )
 
     t_triples, by_horner = best_of(args.repeat, lambda: count_sweep(triples_for))

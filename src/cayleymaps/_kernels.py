@@ -58,63 +58,39 @@ def closure_table(gens: np.ndarray, cutoff: int):
 # -- arc-bijection propagation --------------------------------------------------
 
 
-def _iso_any_python(r1, l1, r2, l2, candidates):
-    m = len(r1)
-    r1l = r1.tolist()
-    l1l = l1.tolist()
-    r2l = r2.tolist()
-    l2l = l2.tolist()
-    for f in candidates.tolist():
-        phi = [-1] * m
-        used = [False] * m
-        phi[0] = f
-        used[f] = True
-        stack = [0]
-        visited = 1
-        ok = True
-        while stack and ok:
-            a = stack.pop()
-            fa = phi[a]
-            for p1, p2 in ((r1l, r2l), (l1l, l2l)):
-                b = p1[a]
-                fb = p2[fa]
-                if phi[b] == -1:
-                    if used[fb]:
-                        ok = False
-                        break
-                    phi[b] = fb
-                    used[fb] = True
-                    stack.append(b)
-                    visited += 1
-                elif phi[b] != fb:
-                    ok = False
-                    break
-        if ok and visited == m:
-            return True
-    return False
-
-
 def arc_bijection_exists(
     r1: np.ndarray,
     l1: np.ndarray,
     r2: np.ndarray,
     l2: np.ndarray,
-    candidates: np.ndarray | None = None,
 ) -> bool:
     """True when some bijection phi of arcs maps (R1, L1) onto (R2, L2).
 
-    phi is grown from phi(0) = f for each candidate f, propagating along both
+    phi is grown from phi(0) = f for each arc f, propagating along both
     permutations and rejecting on any clash; connectivity of the arc action
     makes a full propagation a complete proof.
     """
-    r1 = np.ascontiguousarray(r1, dtype=np.int64)
-    l1 = np.ascontiguousarray(l1, dtype=np.int64)
-    r2 = np.ascontiguousarray(r2, dtype=np.int64)
-    l2 = np.ascontiguousarray(l2, dtype=np.int64)
-    if not (r1.shape == l1.shape == r2.shape == l2.shape) or r1.ndim != 1:
+    rows = [np.asarray(row, dtype=np.int64) for row in (r1, l1, r2, l2)]
+    if len({row.shape for row in rows}) != 1 or rows[0].ndim != 1:
         raise ValueError("all four permutation rows must share one 1-d shape")
-    if candidates is None:
-        candidates = np.arange(r1.shape[0], dtype=np.int64)
-    else:
-        candidates = np.ascontiguousarray(candidates, dtype=np.int64)
-    return _iso_any_python(r1, l1, r2, l2, candidates)
+    r1l, l1l, r2l, l2l = (row.tolist() for row in rows)
+    m = len(r1l)
+
+    def extends(f: int) -> bool:
+        phi = [-1] * m
+        phi[0] = f
+        used = {f}
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            for p1, p2 in ((r1l, r2l), (l1l, l2l)):
+                b, fb = p1[a], p2[phi[a]]
+                if phi[b] == -1 and fb not in used:
+                    phi[b] = fb
+                    used.add(fb)
+                    stack.append(b)
+                elif phi[b] != fb:
+                    return False
+        return len(used) == m
+
+    return any(extends(f) for f in range(m))

@@ -43,8 +43,8 @@ from .maps import (
     build_map,
     maps_isomorphic,  # unused here; the benchmark's tracer wraps it by this name
     reversal_row,
-    rotates_base_star,
     rotation_row,
+    skew_morphism,
 )
 from .perms import (
     Permutation,
@@ -580,16 +580,15 @@ def _survivors_for_sets(
     group per isomorphism class."""
     classes: dict[bytes, list[tuple[int, ...]]] = {}
     if not sets:
-        return classes  # spares the product table of a group with no candidates
+        return classes  # spares the product table of a group with no sets
     table, inv = group.rank_table()
-    mul = np.array(table, dtype=np.int64)
     row_R = rotation_row(group.order * valence, valence)
     for xset in sets:
         set_ranks = tuple(group.rank(x) for x in xset)
         for xs_ranks in cyclic_orderings(set_ranks):
             kappa0 = [xs_ranks.index(inv[r]) for r in xs_ranks]
-            row_L = reversal_row(mul[:, list(xs_ranks)], kappa0)
-            if rotates_base_star(row_R, row_L):
+            if skew_morphism(group, xs_ranks, kappa0) is not None:
+                row_L = reversal_row(table, xs_ranks, kappa0)
                 classes.setdefault(arc_code(row_R, row_L), []).append(xs_ranks)
     return classes
 

@@ -37,8 +37,6 @@ __all__ = [
 class FiniteGroup:
     """A finite group whose elements are canonical hashable values."""
 
-    kind = "abstract"
-
     def __init__(self, name: str, order: int) -> None:
         if order < 1:
             raise ValueError(f"group order must be positive, got {order}")
@@ -171,8 +169,6 @@ class FiniteGroup:
 class CyclicGroup(FiniteGroup):
     """Residues mod n under addition."""
 
-    kind = "cyclic"
-
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
@@ -216,8 +212,6 @@ class CyclicGroup(FiniteGroup):
 
 class ElemAbelian2Group(FiniteGroup):
     """Bit vectors of length r under XOR; every non-identity element squares to e."""
-
-    kind = "elem2"
 
     def __init__(self, r: int) -> None:
         if r < 1:
@@ -328,8 +322,6 @@ class _ExponentPairGroup(FiniteGroup):
 class DihedralGroup(_ExponentPairGroup):
     """Symmetries of a regular n-gon: a rotates, b reflects, (ab)^2 = e."""
 
-    kind = "dihedral"
-
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
@@ -347,8 +339,6 @@ class DihedralGroup(_ExponentPairGroup):
 
 class DicyclicGroup(_ExponentPairGroup):
     """Order-4n group where b^2 = a^n and b inverts a by conjugation."""
-
-    kind = "dicyclic"
 
     def __init__(self, n: int) -> None:
         # n = 1 would collapse to Z4; the presentation is kept faithful.
@@ -372,8 +362,6 @@ class DicyclicGroup(_ExponentPairGroup):
 class AbelianProductGroup(FiniteGroup):
     """Direct product of cyclic groups; elements are residue tuples, written
     with colons ("1:3" in Z2xZ4)."""
-
-    kind = "abelian"
 
     def __init__(self, mods: Sequence[int]) -> None:
         mods = tuple(int(d) for d in mods)

@@ -4,9 +4,9 @@ A map is a group together with an ordered generating list (x_1, ..., x_k);
 the rotation R advances the generator slot at a vertex, and the reversal L
 crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
 (slot - 1), so every permutation here is an int64 row over that numbering.
-`rotation_row` and `reversal_row` build R and L, `rotates_base_star`
-decides regularity and `arc_code` names a regular map's isomorphism class,
-for maps and for the census alike.
+`skew_morphism` decides regularity by one walk over the group's rank table,
+`rotation_row` and `reversal_row` build R and L, and `arc_code` names a
+regular map's isomorphism class, for maps and for the census alike.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ __all__ = [
     "build_map",
     "maps_isomorphic",
     "reversal_row",
-    "rotates_base_star",
     "rotation_row",
+    "skew_morphism",
 ]
 
 GRAPH_AUT_MAX_VERTICES = 64
-_ARC_ONE = np.array([1], dtype=np.int64)
+# K9 has 9! automorphisms and takes seconds to list; K12 has 12!
+GRAPH_AUT_MAX_COUNT = 20_000
 
 
 class SizeGuardError(Exception):
@@ -111,10 +112,10 @@ class CayleyMap:
         self.k = k
         self.n_arcs = group.order * k
         self.kappa = Kappa(Permutation(tuple(kappa_images)))
-        ranks = self.xs_ranks()
-        cols = [[row[x] for x in ranks] for row in group.rank_table()[0]]
+        self._kappa0 = [s - 1 for s in kappa_images]
+        mul = group.rank_table()[0]
         self._rotation_row = rotation_row(self.n_arcs, k)
-        self._reversal_row = reversal_row(cols, [s - 1 for s in kappa_images])
+        self._reversal_row = reversal_row(mul, self.xs_ranks(), self._kappa0)
         self._regular: Optional[bool] = None
         self._code: Optional[bytes] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
@@ -124,14 +125,14 @@ class CayleyMap:
     def canonical_base_rotation(self) -> "CayleyMap":
         """Rotate xs so the last generator is self-inverse, breaking ties by
         the lexicographically smallest rank tuple."""
-        candidates = []
+        rotations = []
         for shift in range(self.k):
             rotated = self.xs[shift:] + self.xs[:shift]
             if self.group.inv(rotated[-1]) == rotated[-1]:
-                candidates.append(rotated)
-        if not candidates:
+                rotations.append(rotated)
+        if not rotations:
             raise ValueError("no rotation of xs puts a self-inverse generator last")
-        best = min(candidates, key=lambda xs: tuple(self.group.rank(x) for x in xs))
+        best = min(rotations, key=lambda xs: tuple(self.group.rank(x) for x in xs))
         return CayleyMap(self.group, best)
 
     def balance_type(self) -> BalanceType:
@@ -149,10 +150,11 @@ class CayleyMap:
     # -- regularity ---------------------------------------------------------
 
     def is_regular(self) -> bool:
-        """Do the map's automorphisms act regularly on its arcs?
-        rotates_base_star on this map's rows: one O(|D|) propagation, cached."""
+        """Do the map's automorphisms act regularly on its arcs? Exactly when
+        x_i -> x_(i+1) extends to a skew-morphism (skew_morphism); cached."""
         if self._regular is None:
-            self._regular = rotates_base_star(self._rotation_row, self._reversal_row)
+            walk = skew_morphism(self.group, self.xs_ranks(), self._kappa0)
+            self._regular = walk is not None
         return self._regular
 
     def arc_code(self) -> bytes:
@@ -162,35 +164,11 @@ class CayleyMap:
         return self._code
 
     def rotation_automorphism(self) -> Optional[tuple[int, ...]]:
-        """The group automorphism phi with phi(x_i) = x_{i+1} for every
-        slot, as a rank tuple in the row convention of
-        FiniteGroup.automorphism_ranks, or None when there is none.
-
-        One breadth-first propagation over group.rank_table(): phi(e) = e
-        and phi(g * x_i) = phi(g) * x_{i+1}, None at the first clash. It is
-        exact. The generators generate, so every element is reached. With
-        every edge (g, x_i) consistent, phi(g * h) = phi(g) * phi(h) follows
-        word by word in h, so phi is a homomorphism; its image holds every
-        x_{i+1}, so it is onto and, the group being finite, an automorphism.
-        Conversely an automorphism psi with psi(x_i) = x_{i+1} satisfies
-        every one of these equations, so the propagation never clashes."""
-        mul = self.group.rank_table()[0]
-        xs = self.xs_ranks()
-        next_xs = xs[1:] + xs[:1]
-        identity = self.group.identity_rank
-        phi = [-1] * self.group.order
-        phi[identity] = identity
-        reached = [identity]
-        for g in reached:  # the list grows while it is read: a queue
-            row, image_row = mul[g], mul[phi[g]]
-            for x, y in zip(xs, next_xs):
-                h, image = row[x], image_row[y]
-                if phi[h] < 0:
-                    phi[h] = image
-                    reached.append(h)
-                elif phi[h] != image:
-                    return None
-        return tuple(phi)
+        """The group automorphism phi with phi(x_i) = x_(i+1) for every slot,
+        as a rank tuple in the row convention of automorphism_ranks, or None:
+        skew_morphism's phi when its power function is 1 everywhere."""
+        walk = skew_morphism(self.group, self.xs_ranks(), self._kappa0)
+        return tuple(walk[0]) if walk and set(walk[1]) == {1} else None
 
     def balanced_regular_via_aut(self) -> bool:
         """Skoviera-Siran criterion (Discrete Math. 109, 1992): a balanced
@@ -304,19 +282,52 @@ def rotation_row(n_arcs: int, k: int) -> np.ndarray:
     return (ids // k) * k + ((ids % k) + 1) % k
 
 
-def reversal_row(cols, kappa0: Sequence[int]) -> np.ndarray:
-    """L: arc (v, i) -> (g_v * x_i, kappa(i)), where cols[v, i] is the rank
-    of g_v * x_i and kappa0[i] the 0-based slot of x_i^-1."""
-    cols = np.asarray(cols, dtype=np.int64)
-    return (cols * cols.shape[1] + np.asarray(kappa0, dtype=np.int64)).reshape(-1)
+def reversal_row(mul, xs: Sequence[int], kappa0: Sequence[int]) -> np.ndarray:
+    """L: arc (v, i) -> (v * x_i, kappa(i)), where mul is the group's rank
+    table, xs the slot ranks and kappa0[i] the 0-based slot of x_i^-1."""
+    cols = np.array([[row[x] for x in xs] for row in mul], dtype=np.int64)
+    return (cols * len(xs) + np.asarray(kappa0, dtype=np.int64)).reshape(-1)
 
 
-def rotates_base_star(R: np.ndarray, L: np.ndarray) -> bool:
-    """Is the map with rows R and L regular? Left translations are
-    transitive on vertices (the generators generate), so it is regular
-    exactly when some automorphism fixes the base vertex and sends arc 0 to
-    arc 1: one O(|D|) propagation."""
-    return arc_bijection_exists(R, L, R, L, candidates=_ARC_ONE)
+def skew_morphism(
+    group: FiniteGroup, xs: Sequence[int], kappa0: Sequence[int]
+) -> Optional[tuple[list[int], list[int]]]:
+    """(phi, delta) when x_i -> x_(i+1) extends to a skew-morphism phi of G
+    with power function delta, else None: the map with slot ranks xs and
+    0-based inverse slots kappa0 is regular exactly when it is not None
+    (Jajcay and Siran, Discrete Math. 244, 2002). A breadth-first walk over
+    group.rank_table() from phi(e) = e, delta(e) = 1 sets, on each edge,
+    phi(g x_i) = phi(g) x_(i+delta(g)) and
+    delta(g x_i) = kappa(i + delta(g)) - kappa(i) (mod k),
+    and stops at the first clash. It is exact:
+    - An arc map commuting with R is Phi(g, i) = (phi(g), i + delta(g)); it
+      commutes with L exactly when these equations hold, and a walk without
+      a clash defines it on every arc, as the generators reach every vertex.
+    - Phi's image is closed under <R, L>, which is transitive on arcs, so
+      Phi is an automorphism fixing e and sending arc 0 to arc 1: the map
+      is regular. Conversely that automorphism of a regular map solves
+      every equation, so the walk never clashes.
+    - A rotation automorphism psi forces kappa(i+1) = kappa(i) + 1, and
+      (psi, 1) is then the unique solution; delta = 1 everywhere makes phi
+      a homomorphism word by word, so phi is psi."""
+    mul = group.rank_table()[0]
+    k = len(xs)
+    identity = group.identity_rank
+    phi = [-1] * group.order
+    delta = [0] * group.order
+    phi[identity], delta[identity] = identity, 1
+    reached = [identity]
+    for g in reached:  # the list grows while it is read: a queue
+        row, image_row, d = mul[g], mul[phi[g]], delta[g]
+        for i, x in enumerate(xs):
+            j = (i + d) % k
+            h, image, power = row[x], image_row[xs[j]], (kappa0[j] - kappa0[i]) % k
+            if phi[h] < 0:
+                phi[h], delta[h] = image, power
+                reached.append(h)
+            elif phi[h] != image or delta[h] != power:
+                return None
+    return phi, delta
 
 
 def arc_code(R: np.ndarray, L: np.ndarray) -> bytes:
@@ -377,6 +388,8 @@ def _graph_automorphisms(adj: list[int]) -> list[tuple[int, ...]]:
 
     def extend(pos: int, used: int) -> None:
         if pos == n:
+            if len(found) == GRAPH_AUT_MAX_COUNT:
+                raise SizeGuardError(f"over {GRAPH_AUT_MAX_COUNT} graph automorphisms")
             out = [0] * n
             for p, v in enumerate(order):
                 out[v] = images[p]

@@ -187,6 +187,14 @@ class TestExitCodes:
         entry = json.loads(out)["entries"][0]
         assert (entry["group"], entry["p"], entry["regular"]) == ("Z600", 3, False)
 
+    def test_checkmap_refuses_too_many_graph_automorphisms(self, capsys):
+        # the underlying graph of Z12 on every non-zero residue is K12, with
+        # 12! automorphisms; listing stops at the bound
+        xs = ",".join(str(x) for x in range(1, 12))
+        code, out, err = run_cli(capsys, "checkmap", "--group", "Z12", "--xs", xs)
+        assert (code, out) == (3, "")
+        assert err.startswith("size guard: over ")
+
     def test_count_guard_refuses_before_any_scan(self, capsys, monkeypatch):
         scanned = []
         monkeypatch.setattr(

@@ -1,23 +1,26 @@
 """The census's fast paths against the slow routes they replace.
 
-Maps and the census decide regularity with one arc propagation (is there an
-automorphism that fixes the base vertex and sends arc 0 to arc 1?), decide
-isomorphism between regular maps by comparing arc codes (the breadth-first
-relabelling of R and L from arc 0, `maps.arc_code`), check generation
-(FiniteGroup.generates) on the rank multiplication table, and search one
-generating set per orbit of group.automorphism_ranks().
+Maps and the census decide regularity with one walk over the rank table
+(`maps.skew_morphism`: does x_i -> x_(i+1) extend to a skew-morphism of the
+group?), decide isomorphism between regular maps by comparing arc codes (the
+breadth-first relabelling of R and L from arc 0, `maps.arc_code`), check
+generation (FiniteGroup.generates) on the rank multiplication table, and
+search one generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
-the monodromy closure (`monodromy_closure`, which lives only here), the sweep
-over every image of arc 0, the element-level breadth-first closure in the
-group (FiniteGroup.closure), and the full search over every generating set
-(`reference_regular_maps`, which lives only here). Claim 1.1's seed maps,
-built from the divisors of t^p - 1 over GF(2), are compared with the sweep
-over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here).
-A map's rotation automorphism, found by one propagation over the rank table
-(CayleyMap.rotation_automorphism), is compared with the rows of Aut(G) that
-send each x_i to x_(i+1), where a reference lists all of Aut(G): the
-automorphism_ranks() of Z_n and of D_n with n >= 3, and GL(r, 2) for E_r
-(`Gf2Matrix`, which lives only here).
+the monodromy closure (`monodromy_closure`, which lives only here) and the
+arc permutation the walk's skew-morphism and power function define, which
+must commute with R and L; the sweep over every image of arc 0; the
+element-level breadth-first closure in the group (FiniteGroup.closure); and
+the full search over every generating set (`reference_regular_maps`, which
+lives only here). Claim 1.1's seed maps, built from the divisors of t^p - 1
+over GF(2), are compared with the sweep over GL(r, 2) that they replace
+(`gl_seed_codes`, which lives only here). A map's rotation automorphism
+(CayleyMap.rotation_automorphism, the walk with power function 1) is
+compared with a propagation of phi(g * x_i) = phi(g) * x_(i+1) alone
+(`reference_rotation_automorphism`, which lives only here) in every family,
+and with the rows of Aut(G) that send each x_i to x_(i+1) where a reference
+lists all of Aut(G): the automorphism_ranks() of Z_n and of D_n with n >= 3,
+and GL(r, 2) for E_r (`Gf2Matrix`, which lives only here).
 """
 
 from __future__ import annotations
@@ -47,7 +50,13 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
 )
-from cayleymaps.maps import CayleyMap, arc_code, build_map, maps_isomorphic
+from cayleymaps.maps import (
+    CayleyMap,
+    arc_code,
+    build_map,
+    maps_isomorphic,
+    skew_morphism,
+)
 
 CASES = (
     [(DihedralGroup(n), 3) for n in range(3, 11)]
@@ -85,6 +94,12 @@ def monodromy_closure(m):
     rows = np.stack([m._rotation_row, m._reversal_row])
     size, exceeded, _ = closure_table(rows, m.n_arcs + 1)
     return size, exceeded
+
+
+def closure_regular(m):
+    """Regularity by the monodromy closure: <R, L> has exactly |D| elements."""
+    size, exceeded = monodromy_closure(m)
+    return size == m.n_arcs and not exceeded
 
 
 def full_sweep_isomorphic(m1, m2):
@@ -150,10 +165,39 @@ def full_automorphism_rows(group):
     return None
 
 
+def reference_rotation_automorphism(m):
+    """The automorphism phi with phi(x_i) = x_(i+1), as a rank tuple, or
+    None: one breadth-first propagation over the rank table from phi(e) = e
+    setting phi(g * x_i) = phi(g) * x_(i+1), None at the first clash. The
+    generators reach every element; with every edge consistent,
+    phi(g * h) = phi(g) * phi(h) follows word by word in h, and phi is onto
+    since its image holds every x_(i+1). Conversely an automorphism psi with
+    psi(x_i) = x_(i+1) satisfies every equation, so the propagation never
+    clashes."""
+    mul = m.group.rank_table()[0]
+    xs = m.xs_ranks()
+    next_xs = xs[1:] + xs[:1]
+    identity = m.group.identity_rank
+    phi = [-1] * m.group.order
+    phi[identity] = identity
+    reached = [identity]
+    for g in reached:  # the list grows while it is read: a queue
+        row, image_row = mul[g], mul[phi[g]]
+        for x, y in zip(xs, next_xs):
+            h, image = row[x], image_row[y]
+            if phi[h] < 0:
+                phi[h] = image
+                reached.append(h)
+            elif phi[h] != image:
+                return None
+    return tuple(phi)
+
+
 def check_rotation_automorphism(m):
     """A non-None rotation automorphism is a bijective homomorphism on the
-    full product table sending each x_i to x_(i+1); where Aut(G) is listed,
-    it is the row that does so, and None exactly when no row does."""
+    full product table sending each x_i to x_(i+1); it is the reference
+    propagation's answer in every family, and where Aut(G) is listed, it is
+    the row that does so, and None exactly when no row does."""
     phi = m.rotation_automorphism()
     xs = np.array(m.xs_ranks())
     if phi is not None:
@@ -162,6 +206,7 @@ def check_rotation_automorphism(m):
         assert (np.sort(row) == np.arange(m.group.order)).all(), m
         assert (row[mul] == mul[row[:, None], row]).all(), m
         assert (row[xs] == np.roll(xs, -1)).all(), m
+    assert phi == reference_rotation_automorphism(m), m
     auts = full_automorphism_rows(m.group)
     if auts is not None:
         extending = auts[(auts[:, xs] == np.roll(xs, -1)).all(axis=1)]
@@ -383,6 +428,31 @@ def test_propagation_regularity_matches_closure(case):
         assert m.is_regular() or exceeded, m
 
 
+def test_skew_morphism_defines_a_map_automorphism(case):
+    # a walk without a clash gives the arc permutation
+    # Phi(g, i) = (phi(g), i + delta(g)), which commutes with R and L and
+    # sends the base arc (e, 0) to (e, 1); a clash means the monodromy
+    # closure passes |D|
+    group, _, candidates = case
+    e = group.identity_rank
+    for m in candidates:
+        kappa0 = [m.kappa.perm(i) - 1 for i in range(1, m.k + 1)]
+        walk = skew_morphism(group, m.xs_ranks(), kappa0)
+        size, exceeded = monodromy_closure(m)
+        if walk is None:
+            assert exceeded, m
+            continue
+        assert size == m.n_arcs and not exceeded, m
+        phi, delta = np.array(walk[0]), np.array(walk[1])
+        arcs = np.arange(m.n_arcs)
+        g, i = arcs // m.k, arcs % m.k
+        Phi = phi[g] * m.k + (i + delta[g]) % m.k
+        R, L = m._rotation_row, m._reversal_row
+        assert (np.sort(Phi) == arcs).all(), m
+        assert (Phi[R] == R[Phi]).all() and (Phi[L] == L[Phi]).all(), m
+        assert Phi[e * m.k] == e * m.k + 1, m
+
+
 SMALL_GROUPS = st.one_of(
     st.integers(3, 40).map(DihedralGroup),
     st.integers(2, 10).map(DicyclicGroup),
@@ -408,10 +478,10 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     assume(len(xset) == valence)
     assume(len(group.closure(xset)) == group.order)
     m = build_map(group, data.draw(st.permutations(xset)))
-    size, exceeded = monodromy_closure(m)
-    assert m.is_regular() == (size == m.n_arcs and not exceeded), m
+    regular = closure_regular(m)
+    assert m.is_regular() == regular, m
     if m.balance_type().is_balanced:
-        assert m.balanced_regular_via_aut() == m.is_regular(), m
+        assert m.balanced_regular_via_aut() == regular, m
     # and a balanced map x_(i+h) = x_i^-1 on h drawn inverse pairs: a
     # balanced map of odd valence has only involutions, so Z_n, Dic_n and the
     # products have balanced maps of even valence only
@@ -421,7 +491,7 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     if len(balanced) >= 4 and len(group.closure(balanced)) == group.order:
         m = build_map(group, balanced)
         assert m.balance_type().is_balanced
-        assert m.balanced_regular_via_aut() == m.is_regular(), m
+        assert m.balanced_regular_via_aut() == closure_regular(m), m
 
 
 def test_rotation_automorphism_matches_references(case):
@@ -468,7 +538,7 @@ def test_census_matches_slow_reference(case):
     group, valence, candidates = case
     classes: list[list] = []
     for m in candidates:
-        if not m.is_regular():
+        if not closure_regular(m):
             continue
         for cls in classes:
             if full_sweep_isomorphic(cls[0], m):

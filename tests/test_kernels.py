@@ -81,21 +81,6 @@ def test_arc_bijection_detects_mismatch():
     assert not arc_bijection_exists(r1, l1, r1, l2)
 
 
-def test_arc_bijection_candidate_restriction():
-    r1 = np.array([1, 2, 0], dtype=np.int64)
-    l1 = np.array([2, 0, 1], dtype=np.int64)
-    good = arc_bijection_exists(
-        r1, l1, r1, l1, candidates=np.array([0], dtype=np.int64)
-    )
-    assert good
-    # 0 -> 1 forces a shift that the second pair cannot realize
-    shifted = arc_bijection_exists(
-        r1, l1, r1, np.array([1, 2, 0], dtype=np.int64),
-        candidates=np.array([1], dtype=np.int64),
-    )
-    assert not shifted
-
-
 def test_closure_rejects_bad_input():
     with pytest.raises(ValueError):
         closure_table(np.zeros((0, 3), dtype=np.int64), 5)

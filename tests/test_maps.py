@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleymaps import maps
 from cayleymaps._kernels import closure_table
 from cayleymaps.classify import entry_for_map
 from cayleymaps.groups import (
@@ -363,6 +364,15 @@ def test_graph_aut_size_guard():
         m.graph_aut_order()
 
 
+def test_graph_aut_count_guard(monkeypatch):
+    # K4 has 24 automorphisms: a bound of 24 lists them all, 23 refuses
+    monkeypatch.setattr(maps, "GRAPH_AUT_MAX_COUNT", 24)
+    assert k4_map().graph_aut_order() == 24
+    monkeypatch.setattr(maps, "GRAPH_AUT_MAX_COUNT", 23)
+    with pytest.raises(SizeGuardError, match="over 23 graph automorphisms"):
+        k4_map().graph_aut_order()
+
+
 # -- property sweeps -------------------------------------------------------------------
 
 
@@ -389,4 +399,8 @@ def test_random_reflection_maps_are_wellformed(data):
     faces, genus = m.faces_and_genus()
     assert genus >= 0
     assert sum(m.face_sizes()) == m.n_arcs
+    size, exceeded, _ = closure_table(
+        np.stack([m._rotation_row, m._reversal_row]), m.n_arcs + 1
+    )
+    assert m.balanced_regular_via_aut() == (size == m.n_arcs and not exceeded)
     assert m.is_regular() == m.balanced_regular_via_aut()
