@@ -36,29 +36,32 @@ and root memos emptied before each timed sweep. For n <= 500 it checks
 against its roots found by Python's `pow`, and exits non-zero on any
 mismatch.
 
-Run with:
+Run from the checkout, which imports the package from its `src`:
 
-    PYTHONPATH=src python3 benchmarks/closure_benchmark.py [--repeat N]
+    python3 benchmarks/closure_benchmark.py [--repeat N]
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
-from cayleymaps import _kernels, classify
+# the checkout's own package, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cayleymaps import _kernels, counting
 from cayleymaps.classify import (
-    _factorize,
     _survivors_for_sets,
-    crt_lift_solutions,
     cyclic_orderings,
     inverse_closed_sets,
-    triples_for,
 )
+from cayleymaps.counting import _factorize, crt_lift_solutions, triples_for
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import arc_code, reversal_row, rotation_row, skew_morphism
 
@@ -184,8 +187,8 @@ def pow_lift(n: int, p: int) -> list[int]:
 
 
 def count_sweep(scan) -> list[list[int]]:
-    classify._triples.cache_clear()
-    classify._prime_power_roots.cache_clear()
+    counting._triples.cache_clear()
+    counting._prime_power_roots.cache_clear()
     return [scan(n, COUNT_P) for n in range(1, COUNT_N_MAX + 1)]
 
 

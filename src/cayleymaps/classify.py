@@ -1,11 +1,11 @@
-"""Constructions, counting formulas, and the exhaustive census oracle.
+"""Constructions, the exhaustive census oracle, and the claim verifiers.
 
 This module has two independent halves that check each other:
 
-* closed-form machinery — geometric-sum orders, the dihedral construction
-  from a triple (n, l, k), the anti-balanced cyclic construction, seed maps
-  from the divisors of t^p - 1 over GF(2), a product formula for the number
-  of isomorphism classes, and a CRT-based enumeration of the same classes;
+* closed-form machinery — the dihedral construction from a triple
+  (n, l, k), the anti-balanced cyclic construction, and seed maps from the
+  divisors of t^p - 1 over GF(2), next to the counting formula and its CRT
+  enumeration in `counting` (re-exported here);
 * an exhaustive search (`exhaustive_regular_maps`) that enumerates one
   inverse-closed generating subset per orbit of a group of automorphisms,
   in every cyclic ordering, at desk scale, keeps the regular maps, and
@@ -22,11 +22,35 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+# re-exported: the counting layer's names keep working from classify
+from .counting import (
+    CLAIM_IDS,
+    COUNT_BLOCK,
+    COUNT_MEMO_SIZE,
+    MAX_COUNT_N,
+    SizeGuardError,
+    UsageError,
+    _crt,
+    _factorize,
+    _lift_blocks,
+    _pow_mod,
+    _prime_power_roots,
+    _require_odd_prime,
+    _residue_blocks,
+    _smallest_prime_factor,
+    _triples,
+    count_agreement,
+    count_regular_dihedral_maps,
+    crt_lift_solutions,
+    geosum_order,
+    guard_count_n,
+    triples_for,
+)
 from .groups import (
     AbelianProductGroup,
     CyclicGroup,
@@ -38,7 +62,6 @@ from .groups import (
 from .maps import (
     GRAPH_AUT_MAX_VERTICES,
     CayleyMap,
-    SizeGuardError,
     arc_code,
     build_map,
     maps_isomorphic,  # unused here; the benchmark's tracer wraps it by this name
@@ -60,165 +83,6 @@ MAX_CENSUS_ARCS = 400
 # 3.9 s of it on E4 and 2.9 s on Z2xZ2xZ4, and p = 13 does not finish in
 # 5 minutes.
 MAX_ABELIAN_VERIFY_ORDER = 16
-# The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
-# of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
-# of two residues mod n is exact in int64 while n^2 < 2^63; MAX_COUNT_N keeps
-# n^2 <= 2^62. It bounds exactness, not time: both scans are linear in a
-# prime n, and a triples_for sweep over n <= N scans about the sum of the
-# primes up to N (a composite n scans only the lifts of a divisor's answers).
-COUNT_BLOCK = 1 << 16
-MAX_COUNT_N = 2**31
-# A counting sweep meets the same primes, prime powers and divisors again
-# and again; the validated primes, each prime power's root scan and each n's
-# triples are memoised, the most recent COUNT_MEMO_SIZE of each (a prime
-# power's roots number < p).
-COUNT_MEMO_SIZE = 1 << 12
-
-CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
-
-
-class UsageError(ValueError):
-    """A caller's input is invalid: a bad claim id, prime or range, or a
-    malformed group or map. Internal errors stay plain exceptions."""
-
-
-@lru_cache(maxsize=COUNT_MEMO_SIZE)
-def _require_odd_prime(p: int) -> int:
-    if p < 3 or p % 2 == 0:
-        raise UsageError(f"expected an odd prime, got {p}")
-    # refused before the trial division, which takes about sqrt(p)/2 steps
-    if p > MAX_COUNT_N:
-        raise SizeGuardError(f"count guard: p={p} exceeds {MAX_COUNT_N}")
-    if _smallest_prime_factor(p) != p:
-        raise UsageError(f"expected an odd prime, got {p}")
-    return p
-
-
-def _factorize(m: int) -> list[tuple[int, int]]:
-    out = []
-    while m > 1:
-        q = _smallest_prime_factor(m)
-        e = 0
-        while m % q == 0:
-            m //= q
-            e += 1
-        out.append((q, e))
-    return out
-
-
-# -- geometric-sum orders and triples -----------------------------------------
-
-
-def geosum_order(n: int, l: int) -> Optional[int]:
-    """Smallest k >= 1 with 1 + l + ... + l^(k-1) divisible by n, else None.
-
-    The pair (partial sum, l^k) mod n takes at most n^2 values, so searching
-    k <= n^2 is exhaustive: beyond that the sequence of pairs has cycled.
-    """
-    if not 0 < l < n:
-        raise ValueError(f"need 0 < l < n, got l={l}, n={n}")
-    s = 0
-    power = 1
-    for k in range(1, n * n + 1):
-        s = (s + power) % n
-        if s == 0:
-            return k
-        power = (power * l) % n
-    return None
-
-
-def guard_count_n(n: int) -> None:
-    """SizeGuardError when the counting scans cannot run exactly for n."""
-    if n > MAX_COUNT_N:
-        raise SizeGuardError(f"count guard: n={n} exceeds {MAX_COUNT_N}")
-
-
-def _residue_blocks(m: int, block: int) -> Iterator[np.ndarray]:
-    """The residues 1..m-1 in ascending int64 blocks of at most block."""
-    for start in range(1, m, block):
-        yield np.arange(start, min(start + block, m), dtype=np.int64)
-
-
-def triples_for(n: int, p: int) -> list[int]:
-    """All l with geosum_order(n, l) == p, ascending.
-
-    Only the first p partial sums S_k = 1 + l + ... + l^(k-1) are needed:
-    the order equals p exactly when S_p vanishes mod n and no earlier one
-    does (S_1 = 1 never does for n >= 2). They are stepped by Horner's rule,
-    S_2 = l + 1 and S_(k+1) = l * S_k + 1, with one modulus per step: S_k is
-    reduced below n and l < n, so l * S_k + 1 <= (n-1)^2 + 1 < 2^63 stays
-    exact in int64 for n <= MAX_COUNT_N.
-
-    No l qualifies when p > n: S_1, ..., S_k are distinct mod n up to the
-    first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
-    geosum_order(n, l) <= n. A prime n has every l in [1, n) scanned, a
-    block at a time. A composite n scans only the lifts r + j * d of the
-    answers r for d = n / (its smallest prime factor), because an l of
-    order p mod n has order p mod every divisor d >= 2 of n: S_p = 0 mod d
-    (so l is not 0 mod d, where every S_k = 1); if k is the order mod d,
-    then l^k = 1 + (l - 1) S_k = 1 mod d, so S_(j+k) = S_j mod d and the
-    zeros of S mod d are exactly the multiples of k; hence k divides p, and
-    k != 1 since S_1 = 1, so k = p.
-    """
-    _require_odd_prime(p)
-    guard_count_n(n)
-    return list(_triples(n, p, COUNT_BLOCK))
-
-
-@lru_cache(maxsize=COUNT_MEMO_SIZE)
-def _triples(n: int, p: int, block: int) -> tuple[int, ...]:
-    """triples_for(n, p), scanning int64 blocks of at most block residues.
-    Keyed on the block size like _prime_power_roots; an evicted divisor's
-    answer is simply scanned again."""
-    if p > n:
-        return ()
-    q = _smallest_prime_factor(n)
-    if q == n:
-        blocks = _residue_blocks(n, block)
-    else:
-        d = n // q
-        base = _triples(d, p, block)
-        if not base:
-            return ()
-        blocks = _lift_blocks(base, d, q, block)
-    out: list[int] = []
-    for l in blocks:
-        s = l + 1  # S_2, stepped in place
-        s %= n
-        unhit = s != 0
-        for _ in range(p - 3):
-            s *= l
-            s += 1
-            s %= n
-            unhit &= s != 0
-        s *= l
-        s += 1
-        s %= n
-        out.extend(l[unhit & (s == 0)].tolist())
-    return tuple(out)
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
-def _lift_blocks(
-    base: Sequence[int], d: int, count: int, block: int
-) -> Iterator[np.ndarray]:
-    """The residues r + j * d for r in base and 0 <= j < count, ascending
-    when base is ascending below d, in int64 blocks of at most block."""
-    rs = np.array(base, dtype=np.int64)
-    total = len(rs) * count
-    for start in range(0, total, block):
-        i = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield i // len(rs) * d + rs[i % len(rs)]
 
 
 @dataclass(frozen=True)
@@ -316,104 +180,6 @@ def elem_abelian_map(f: int, p: int) -> CayleyMap:
     deg f."""
     return build_map(ElemAbelian2Group(f.bit_length() - 1), _seed_orbit(f, p))
 
-
-# -- counting formula and CRT enumeration ------------------------------------------
-
-
-def count_regular_dihedral_maps(n: int, p: int) -> int:
-    """Closed-form count of isomorphism classes of regular balanced p-valent
-    maps on the dihedral group of order 2n: (p-1)^t when n is odd, divisible
-    by p at most once, and every other prime factor is 1 mod p; else 0."""
-    _require_odd_prime(p)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n == 1 or n % 2 == 0:
-        return 0
-    m = n
-    a0 = 0
-    while m % p == 0:
-        m //= p
-        a0 += 1
-    if a0 > 1:
-        return 0
-    t = 0
-    for q, _ in _factorize(m):
-        if (q - 1) % p != 0:
-            return 0
-        t += 1
-    return (p - 1) ** t
-
-
-def crt_lift_solutions(n: int, p: int) -> list[int]:
-    """Enumerate the same classes as triples_for(n, p), but constructively:
-    pick a p-th root of unity that is not 1 modulo each odd prime-power
-    factor of n (and 1 modulo p itself when p divides n once), then combine
-    the residues by the Chinese remainder theorem."""
-    _require_odd_prime(p)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    guard_count_n(n)
-    if n == 1 or n % 2 == 0:
-        return []
-    m = n
-    a0 = 0
-    while m % p == 0:
-        m //= p
-        a0 += 1
-    if a0 > 1:
-        return []
-    moduli: list[int] = []
-    residue_sets: list[tuple[int, ...]] = []
-    if a0 == 1:
-        moduli.append(p)
-        residue_sets.append((1,))
-    for q, e in _factorize(m):
-        roots = _prime_power_roots(q, e, p, COUNT_BLOCK)
-        if not roots:
-            return []
-        moduli.append(q**e)
-        residue_sets.append(roots)
-    out = []
-    for combo in product(*residue_sets):
-        out.append(_crt(moduli, combo))
-    return sorted(out)
-
-
-@lru_cache(maxsize=COUNT_MEMO_SIZE)
-def _prime_power_roots(q: int, e: int, p: int, block: int) -> tuple[int, ...]:
-    """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, ascending,
-    by an exhaustive scan in int64 blocks of at most block residues. The
-    memo is keyed on the block size too, so a scan under another block size
-    is a scan, never a lookup."""
-    qe = q**e
-    roots: list[int] = []
-    for x in _residue_blocks(qe, block):
-        keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
-        roots.extend(x[keep].tolist())
-    return tuple(roots)
-
-
-def _pow_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
-    """x^e mod m elementwise by square-and-multiply (e >= 1), exact in int64
-    while m^2 < 2^63."""
-    result = np.ones_like(x)
-    base = x % m
-    while True:
-        if e & 1:
-            result = (result * base) % m
-        e >>= 1
-        if not e:
-            return result
-        base = (base * base) % m
-
-
-def _crt(moduli: Sequence[int], residues: Sequence[int]) -> int:
-    x, modulus = 0, 1
-    for q, r in zip(moduli, residues):
-        inc = ((r - x) * pow(modulus, -1, q)) % q
-        x += modulus * inc
-        modulus *= q
-    return x % modulus
 
 
 # -- the abelian catalogue ------------------------------------------------------------
@@ -833,15 +599,6 @@ def affine_compatible_involutions(k: int) -> list[Permutation]:
 def _entry_str(m: CayleyMap, n_param: int) -> str:
     return ",".join(entry_for_map(m, n_param, "counterexample").csv_row())
 
-
-def count_agreement(n: int, p: int) -> tuple[int, list[int], list[int], bool]:
-    """The closed-form class count for the dihedral parameter n, the l values
-    found by enumeration and by CRT lifting, and whether all three agree."""
-    formula = count_regular_dihedral_maps(n, p)
-    enumerated = triples_for(n, p)
-    lifted = crt_lift_solutions(n, p)
-    agree = formula == len(enumerated) == len(lifted) and enumerated == lifted
-    return formula, enumerated, lifted, agree
 
 
 def verify_claim(

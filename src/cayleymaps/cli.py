@@ -5,7 +5,12 @@ Every command writes a deterministic report to standard output (diagnostics
 go to standard error) and returns one of five exit codes: 0 success or pass,
 1 verification failure or count disagreement, 2 usage/parse error (a
 UsageError), 3 refusal by a size guard, 4 internal error (any other
-exception, reported with its traceback on standard error).
+exception, a failed import included, reported with its traceback on
+standard error).
+
+This module imports no other module of the package at load time. Each
+command imports what it runs when `main` runs it: `count` and `triples`
+load `counting` alone, and `census`, `verify` and `checkmap` the search.
 """
 
 from __future__ import annotations
@@ -13,34 +18,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import traceback
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .classify import (
-    CLAIM_IDS,
-    CSV_COLUMNS,
-    CensusEntry,
-    UsageError,
-    _require_odd_prime,
-    census_entries,
-    count_agreement,
-    entry_for_map,
-    family_groups,
-    guard_count_n,
-    guarded_targets,
-    verify_claim,
-)
-from .groups import (
-    AbelianProductGroup,
-    CyclicGroup,
-    DicyclicGroup,
-    DihedralGroup,
-    ElemAbelian2Group,
-    FiniteGroup,
-)
-from .maps import SizeGuardError, build_map
+if TYPE_CHECKING:
+    from .classify import CensusEntry
+    from .groups import FiniteGroup
 
 SCHEMA_VERSION = 1
 # checkmap builds its group's N x N product table, the one part of a map that
@@ -61,6 +47,8 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .counting import CLAIM_IDS
+
     parser = argparse.ArgumentParser(
         prog="cayleymaps",
         description=(
@@ -151,6 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_group_spec(spec: str) -> tuple[FiniteGroup, int]:
     """Turn a short group name into a group plus its report parameter n."""
+    from .groups import (
+        AbelianProductGroup,
+        CyclicGroup,
+        DicyclicGroup,
+        DihedralGroup,
+        ElemAbelian2Group,
+    )
+
     m = re.fullmatch(r"Dic(\d+)", spec)
     if m:
         n = int(m.group(1))
@@ -198,23 +194,31 @@ def _emit_json(params: dict, entries: Sequence[CensusEntry]) -> None:
 
 
 def _emit_csv(entries: Sequence[CensusEntry]) -> None:
+    from .classify import CSV_COLUMNS
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for e in entries:
         writer.writerow(e.csv_row())
 
 
-def _count_line(n: int, p: int) -> tuple[str, bool]:
-    formula, enumerated, _, agree = count_agreement(n, p)
-    shown = ",".join(str(l) for l in enumerated)
-    flag = "AGREE" if agree else "DISAGREE"
-    return f"n={n} p={p} count={formula} l=[{shown}] {flag}", agree
+def _count_lines(ns: Iterable[int], p: int) -> Iterator[tuple[str, bool]]:
+    from .counting import count_agreement
+
+    for n in ns:
+        formula, enumerated, _, agree = count_agreement(n, p)
+        shown = ",".join(str(l) for l in enumerated)
+        flag = "AGREE" if agree else "DISAGREE"
+        yield f"n={n} p={p} count={formula} l=[{shown}] {flag}", agree
 
 
 # -- subcommand bodies -----------------------------------------------------------
 
 
 def _run_census(args: argparse.Namespace) -> int:
+    from .classify import census_entries, family_groups, guarded_targets
+    from .counting import _require_odd_prime
+
     _require_odd_prime(args.p)
     targets = guarded_targets(
         (group, n, args.p) for group, n in family_groups(args.group, args.n_max)
@@ -236,6 +240,8 @@ def _run_census(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .classify import verify_claim
+
     report = verify_claim(args.theorem, p=args.p, n_max=args.n_max, jobs=args.jobs)
     sys.stdout.write(report.as_text())
     print(f"covered: {report.covered}", file=sys.stderr)
@@ -243,28 +249,35 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_count(args: argparse.Namespace) -> int:
+    from .counting import UsageError, _require_odd_prime, guard_count_n
+
     _require_odd_prime(args.p)
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
     guard_count_n(args.n)
-    line, agree = _count_line(args.n, args.p)
+    line, agree = next(_count_lines([args.n], args.p))
     print(line)
     return 0 if agree else 1
 
 
 def _run_triples(args: argparse.Namespace) -> int:
+    from .counting import UsageError, guard_count_n
+
     if args.n_max < 1:
         raise UsageError(f"--n-max must be positive, got {args.n_max}")
     guard_count_n(args.n_max)
     all_agree = True
-    for n in range(1, args.n_max + 1):
-        line, agree = _count_line(n, args.p)
+    for line, agree in _count_lines(range(1, args.n_max + 1), args.p):
         all_agree = all_agree and agree
         print(line)
     return 0 if all_agree else 1
 
 
 def _run_checkmap(args: argparse.Namespace) -> int:
+    from .classify import entry_for_map
+    from .counting import SizeGuardError, UsageError
+    from .maps import build_map
+
     try:
         group, n_param = parse_group_spec(args.group)
         xs = parse_generator_list(group, args.xs)
@@ -283,26 +296,34 @@ def _run_checkmap(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # before numpy's first import, which would start an OpenBLAS thread per
+    # CPU: nothing here calls BLAS (the few matrix products are int64)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if args.command == "census":
-            return _run_census(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "count":
-            return _run_count(args)
-        if args.command == "triples":
-            return _run_triples(args)
-        return _run_checkmap(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return 3
+        # importing counting loads numpy, so a missing dependency lands in
+        # the internal-error branch below
+        from .counting import SizeGuardError, UsageError
+
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            if args.command == "census":
+                return _run_census(args)
+            if args.command == "verify":
+                return _run_verify(args)
+            if args.command == "count":
+                return _run_count(args)
+            if args.command == "triples":
+                return _run_triples(args)
+            return _run_checkmap(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except SizeGuardError as exc:
+            print(f"size guard: {exc}", file=sys.stderr)
+            return 3
     except Exception:
         # exit 1 means a claim failed; a crash must not be mistaken for one
         print("internal error:", file=sys.stderr)

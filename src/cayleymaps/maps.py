@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._kernels import arc_bijection_exists
+from .counting import SizeGuardError
 from .groups import FiniteGroup, GroupElement
 from .perms import Permutation
 
@@ -36,10 +37,6 @@ __all__ = [
 GRAPH_AUT_MAX_VERTICES = 64
 # K9 has 9! automorphisms and takes seconds to list; K12 has 12!
 GRAPH_AUT_MAX_COUNT = 20_000
-
-
-class SizeGuardError(Exception):
-    """A computation was refused because its input exceeds a desk-scale bound."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from cayleymaps import classify
+from cayleymaps import classify, counting, maps
 from cayleymaps.classify import (
     CLAIM_IDS,
     CSV_COLUMNS,
@@ -91,9 +91,23 @@ def pow_roots(q: int, e: int, p: int) -> list[int]:
     return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
 
 
+def reference_factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs by trial division by every integer from 2."""
+    out, q = [], 2
+    while n > 1:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out.append((q, e))
+        q += 1
+    return out
+
+
 def empty_count_memos() -> None:
-    classify._triples.cache_clear()
-    classify._prime_power_roots.cache_clear()
+    counting._triples.cache_clear()
+    counting._prime_power_roots.cache_clear()
 
 
 @pytest.fixture
@@ -103,6 +117,21 @@ def fresh_root_memo():
     empty_count_memos()
     yield
     empty_count_memos()
+
+
+@pytest.fixture
+def scan_blocks(monkeypatch):
+    """The block sizes the residue scans run with, so that a test patching
+    COUNT_BLOCK can check that the scans saw the patch."""
+    seen = set()
+    residue_blocks = counting._residue_blocks
+
+    def recorded(m, block):
+        seen.add(block)
+        return residue_blocks(m, block)
+
+    monkeypatch.setattr(counting, "_residue_blocks", recorded)
+    return seen
 
 
 class TestGeosumOrder:
@@ -161,34 +190,38 @@ class TestTriples:
     def test_matches_scalar_loop_at_block_boundaries(self, p):
         # one block short, exactly one, one into the second, one into the
         # third; above 65536 the products l * l exceed 2^32
-        chunk = classify.COUNT_BLOCK
+        chunk = counting.COUNT_BLOCK
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             assert triples_for(n, p) == scalar_triples_for(n, p), n
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("block", [None, 1, 2, 7])
-    def test_horner_scan_matches_scalar_loop(self, p, block, monkeypatch):
+    def test_horner_scan_matches_scalar_loop(
+        self, p, block, monkeypatch, fresh_root_memo, scan_blocks
+    ):
         # tiny blocks put l = n - 1 (where S_2 = n) and admissible l on
         # block edges; at 1 and 2 every l is on one, so n <= 100 suffices;
         # n = p and p^2 are where p divides n
         if block is not None:
-            monkeypatch.setattr(classify, "COUNT_BLOCK", block)
+            monkeypatch.setattr(counting, "COUNT_BLOCK", block)
         n_top = 100 if block in (1, 2) else 300
         for n in sorted({1, 2, 3, p, p * p, *range(1, n_top + 1)}):
             assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+        assert scan_blocks == {counting.COUNT_BLOCK}
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_block_size_does_not_change_the_scans(
-        self, block, monkeypatch, fresh_root_memo
+        self, block, monkeypatch, fresh_root_memo, scan_blocks
     ):
         # tiny blocks put many admissible l and roots on a block boundary
-        monkeypatch.setattr(classify, "COUNT_BLOCK", block)
+        monkeypatch.setattr(counting, "COUNT_BLOCK", block)
         for p in (3, 5, 7):
             for n in range(1, 100):
                 assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
             for q, e in ((7, 2), (13, 1), (29, 1), (31, 1)):
                 if q != p:
                     assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
+        assert scan_blocks == {block}
 
     def test_another_block_size_scans_the_roots_again(
         self, monkeypatch, fresh_root_memo
@@ -198,16 +231,16 @@ class TestTriples:
         q, e, p = 7, 2, 3
         assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
         calls = []
-        pow_mod = classify._pow_mod
+        pow_mod = counting._pow_mod
 
         def counted(*args):
             calls.append(args)
             return pow_mod(*args)
 
-        monkeypatch.setattr(classify, "_pow_mod", counted)
+        monkeypatch.setattr(counting, "_pow_mod", counted)
         assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
         assert calls == []  # same block size: the memo answers
-        monkeypatch.setattr(classify, "COUNT_BLOCK", 5)
+        monkeypatch.setattr(counting, "COUNT_BLOCK", 5)
         assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
         assert len(calls) == -(-(q**e - 1) // 5)  # one call per block
 
@@ -231,12 +264,46 @@ class TestTriples:
         for n in sorted(ns, reverse=True):
             assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
 
+    def test_a_sweep_scans_each_modulus_once(self, monkeypatch, fresh_root_memo):
+        # an ascending sweep needs the answer for d = n / q <= n / 2 when it
+        # reaches n; a memo that has evicted d scans it again, a prime d in
+        # full, so each n is scanned once only if none is evicted
+        n_max, p = 20000, 3
+        scanned = []  # (modulus, residues scanned) per scan
+        residue_blocks, lift_blocks = counting._residue_blocks, counting._lift_blocks
+
+        def residues(m, block):
+            scanned.append((m, m - 1))
+            return residue_blocks(m, block)
+
+        def lifts(base, d, count, block):
+            scanned.append((d * count, len(base) * count))
+            return lift_blocks(base, d, count, block)
+
+        monkeypatch.setattr(counting, "_residue_blocks", residues)
+        monkeypatch.setattr(counting, "_lift_blocks", lifts)
+        answers = {n: triples_for(n, p) for n in range(1, n_max + 1)}
+        moduli = [m for m, _ in scanned]
+        assert len(moduli) == len(set(moduli))
+        # the residues an unbounded memo scans: every prime n >= p in full,
+        # and a composite n's lifts of the answers for n / (least prime q)
+        spf = list(range(n_max + 1))
+        for q in range(2, math.isqrt(n_max) + 1):
+            if spf[q] == q:
+                for m in range(q * q, n_max + 1, q):
+                    spf[m] = min(spf[m], q)
+        expected = sum(
+            n - 1 if spf[n] == n else len(answers[n // spf[n]]) * spf[n]
+            for n in range(p, n_max + 1)
+        )
+        assert sum(count for _, count in scanned) == expected
+
     def test_fresh_root_memo_empties_both_memos(self, fresh_root_memo):
         triples_for(91, 3)
         crt_lift_solutions(91, 3)
         empty_count_memos()
-        assert classify._triples.cache_info().currsize == 0
-        assert classify._prime_power_roots.cache_info().currsize == 0
+        assert counting._triples.cache_info().currsize == 0
+        assert counting._prime_power_roots.cache_info().currsize == 0
 
     def test_another_block_size_scans_the_triples_again(
         self, monkeypatch, fresh_root_memo
@@ -246,7 +313,7 @@ class TestTriples:
         n, p = 91, 3  # 91 = 7 * 13 lifts the answers for 13
         assert triples_for(n, p) == [9, 16, 74, 81]
         calls = []
-        residue_blocks, lift_blocks = classify._residue_blocks, classify._lift_blocks
+        residue_blocks, lift_blocks = counting._residue_blocks, counting._lift_blocks
 
         def counted(route):
             def run(*args):
@@ -255,11 +322,11 @@ class TestTriples:
 
             return run
 
-        monkeypatch.setattr(classify, "_residue_blocks", counted(residue_blocks))
-        monkeypatch.setattr(classify, "_lift_blocks", counted(lift_blocks))
+        monkeypatch.setattr(counting, "_residue_blocks", counted(residue_blocks))
+        monkeypatch.setattr(counting, "_lift_blocks", counted(lift_blocks))
         assert triples_for(n, p) == [9, 16, 74, 81]
         assert calls == []  # same block size: the memo answers
-        monkeypatch.setattr(classify, "COUNT_BLOCK", 5)
+        monkeypatch.setattr(counting, "COUNT_BLOCK", 5)
         assert triples_for(n, p) == [9, 16, 74, 81]
         # 13 is scanned in full, then its 2 answers lifted 7 ways
         assert calls == [(13, 5), ((3, 9), 13, 7, 5)]
@@ -269,14 +336,14 @@ class TestTriples:
     ):
         # one triples_for call per n asked for, however deep the lift
         calls = []
-        public = classify.triples_for
+        public = counting.triples_for
 
         def counted(n, p):
             calls.append(n)
             return public(n, p)
 
-        monkeypatch.setattr(classify, "triples_for", counted)
-        assert classify.triples_for(1729, 3) == scalar_triples_for(1729, 3)
+        monkeypatch.setattr(counting, "triples_for", counted)
+        assert counting.triples_for(1729, 3) == scalar_triples_for(1729, 3)
         assert calls == [1729]
 
     def test_mutating_an_answer_leaves_the_memo_intact(self):
@@ -464,6 +531,38 @@ class TestCountingFormula:
         roots = pow_roots(q, e, p)
         assert bool(roots) == (p == 3)
         assert crt_lift_solutions(q**e, p) == roots
+
+    def test_factorize_matches_trial_division_by_every_integer(self):
+        for m in range(1, 3000):
+            assert counting._factorize(m) == reference_factorize(m), m
+
+    def test_factorize_resumes_at_the_last_prime_found(self, monkeypatch):
+        starts = []
+        smallest = counting._smallest_prime_factor
+
+        def recorded(n, start=2):
+            starts.append(start)
+            return smallest(n, start)
+
+        monkeypatch.setattr(counting, "_smallest_prime_factor", recorded)
+        m = 2**3 * 3 * 7**2 * 10007
+        assert counting._factorize(m) == [(2, 3), (3, 1), (7, 2), (10007, 1)]
+        assert starts == [2, 2, 3, 7]
+
+    def test_classify_and_maps_reexport_the_counting_names(self):
+        moved = [
+            "CLAIM_IDS", "COUNT_BLOCK", "COUNT_MEMO_SIZE", "MAX_COUNT_N",
+            "SizeGuardError", "UsageError", "_crt", "_factorize", "_lift_blocks",
+            "_pow_mod", "_prime_power_roots", "_require_odd_prime",
+            "_residue_blocks", "_smallest_prime_factor", "_triples",
+            "count_agreement", "count_regular_dihedral_maps",
+            "crt_lift_solutions", "geosum_order", "guard_count_n", "triples_for",
+        ]
+        for name in moved:
+            assert getattr(classify, name) is getattr(counting, name), name
+        assert maps.SizeGuardError is counting.SizeGuardError
+        assert SizeGuardError is counting.SizeGuardError
+        assert UsageError is counting.UsageError
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -929,7 +1028,7 @@ class TestVerifyClaims:
         assert count_agreement(9, 3) == (0, [], [], True)
 
     def test_count_agreement_reports_a_disagreement(self, monkeypatch):
-        monkeypatch.setattr(classify, "crt_lift_solutions", lambda n, p: [])
+        monkeypatch.setattr(counting, "crt_lift_solutions", lambda n, p: [])
         assert count_agreement(7, 3) == (2, [2, 4], [], False)
         report = verify_claim("3.4", p=3, n_max=7)
         assert not report.passed and report.checked == 7

@@ -3,13 +3,17 @@ determinism, and the documented example invocations."""
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cayleymaps import classify, cli
+import cayleymaps
+from cayleymaps import classify, cli, counting, groups, maps
 from cayleymaps.cli import main, parse_generator_list, parse_group_spec
 from cayleymaps.groups import (
     CyclicGroup,
@@ -18,7 +22,7 @@ from cayleymaps.groups import (
     ElemAbelian2Group,
 )
 from cayleymaps.groups import AbelianProductGroup
-from test_classify import pow_roots, scalar_triples_for
+from test_classify import pow_roots, reference_factorize, scalar_triples_for
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -113,7 +117,7 @@ class TestExitCodes:
         def crash(*args, **kwargs):
             raise RuntimeError("census crashed")
 
-        monkeypatch.setattr(cli, "census_entries", crash)
+        monkeypatch.setattr(classify, "census_entries", crash)
         code, out, err = run_cli(
             capsys, "census", "--group", "dihedral", "--p", "3", "--n-max", "5"
         )
@@ -127,7 +131,7 @@ class TestExitCodes:
         def slip(*args, **kwargs):
             raise ValueError("internal slip")
 
-        monkeypatch.setattr(cli, "census_entries", slip)
+        monkeypatch.setattr(classify, "census_entries", slip)
         code, out, err = run_cli(
             capsys, "census", "--group", "dihedral", "--p", "3", "--n-max", "5"
         )
@@ -173,7 +177,7 @@ class TestExitCodes:
 
     def test_checkmap_guard_refuses_before_building_the_map(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(cli, "build_map", lambda *args: built.append(args))
+        monkeypatch.setattr(maps, "build_map", lambda *args: built.append(args))
         code, out, err = run_cli(
             capsys, "checkmap", "--group", "Z1200", "--xs", "1,600,1199"
         )
@@ -198,7 +202,7 @@ class TestExitCodes:
     def test_count_guard_refuses_before_any_scan(self, capsys, monkeypatch):
         scanned = []
         monkeypatch.setattr(
-            classify, "triples_for", lambda n, p: scanned.append(n) or []
+            counting, "triples_for", lambda n, p: scanned.append(n) or []
         )
         beyond = str(classify.MAX_COUNT_N + 1)
         for case in (
@@ -212,6 +216,9 @@ class TestExitCodes:
             assert (code, out) == (3, ""), case
             assert err.startswith("size guard: count guard: "), case
         assert scanned == []
+        # the stand-in is the scan the commands run
+        assert run_cli(capsys, "count", "--p", "3", "--n", "7")[0] == 1
+        assert scanned == [7]
 
 
 # -- census reports ---------------------------------------------------------------
@@ -374,19 +381,6 @@ class TestVerifyCommand:
             assert "covered" not in err, case
 
 
-def reference_factorize(n: int) -> list[tuple[int, int]]:
-    out, q = [], 2
-    while n > 1:
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        if e:
-            out.append((q, e))
-        q += 1
-    return out
-
-
 def reference_lift(n: int, p: int) -> list[int]:
     """The x in [1, n) that crt_lift_solutions lifts, by their definition:
     1 mod p when p divides n once, and a root from pow_roots modulo every
@@ -536,3 +530,125 @@ class TestConsoleScript:
         done = subprocess.run(cmd, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+# -- what each command loads at start-up ---------------------------------------------
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+SEARCH_MODULES = {
+    "cayleymaps.maps",
+    "cayleymaps.groups",
+    "cayleymaps.perms",
+    "cayleymaps._kernels",
+}
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+class TestStartup:
+    def test_importing_the_package_loads_no_numpy(self):
+        code = "import sys, cayleymaps, cayleymaps.cli; print('numpy' in sys.modules)"
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_the_package_still_exports_the_group_classes(self):
+        for name in ("CyclicGroup", "DicyclicGroup", "DihedralGroup"):
+            assert getattr(cayleymaps, name) is getattr(groups, name)
+        assert cayleymaps.ElemAbelian2Group is groups.ElemAbelian2Group
+        assert cayleymaps.FiniteGroup is groups.FiniteGroup
+        with pytest.raises(AttributeError):
+            cayleymaps.AbelianProductGroup  # not exported at the top level
+
+    @pytest.mark.parametrize(
+        "args, searches",
+        [
+            (["count", "--p", "3", "--n", "91"], False),
+            (["triples", "--p", "3", "--n-max", "30"], False),
+            (["census", "--group", "dihedral", "--p", "3", "--n-max", "5"], True),
+        ],
+    )
+    def test_counting_commands_load_no_search_module(self, args, searches):
+        code = (
+            "import json, sys\n"
+            "from cayleymaps.cli import main\n"
+            f"code = main({args!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stderr.splitlines()[-1])
+        assert code == 0
+        assert "cayleymaps.counting" in loaded
+        assert bool(SEARCH_MODULES & set(loaded)) == searches, loaded
+
+    def test_counting_imports_only_the_standard_library_and_numpy(self):
+        tree = ast.parse(Path(counting.__file__).read_text())
+        roots = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"relative import from {node.module!r}"
+                roots.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+        assert "numpy" in roots
+        assert roots - {"numpy"} <= set(sys.stdlib_module_names), roots
+
+    def test_openblas_defaults_to_one_thread(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run_cli(capsys, "count", "--p", "3", "--n", "7")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_openblas_keeps_the_callers_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run_cli(capsys, "count", "--p", "3", "--n", "7")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="counts threads in /proc"
+    )
+    def test_a_command_runs_on_one_thread(self):
+        # the default is set before numpy's first import, so OpenBLAS starts
+        # no thread pool
+        code = (
+            "import os, sys\n"
+            "from cayleymaps.cli import main\n"
+            "main(['census', '--group', 'dihedral', '--p', '3', '--n-max', '5'])\n"
+            "print(len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "1\n"
+
+    @pytest.mark.parametrize(
+        "blocked, args",
+        [
+            ("numpy", ["count", "--p", "3", "--n", "7"]),
+            ("numpy", ["census", "--group", "dihedral", "--p", "3", "--n-max", "5"]),
+            # count never imports the groups, census fails inside its body
+            (
+                "cayleymaps.groups",
+                ["census", "--group", "dihedral", "--p", "3", "--n-max", "5"],
+            ),
+        ],
+    )
+    def test_a_failed_import_exits_four(self, blocked, args):
+        # exit 1 means a claim failed; a missing module must not read as one
+        code = (
+            "import sys\n"
+            f"sys.modules[{blocked!r}] = None\n"
+            "from cayleymaps.cli import main\n"
+            f"sys.exit(main({args!r}))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 4, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("internal error:\nTraceback")
+        assert f"import of {blocked} halted" in done.stderr
