@@ -91,7 +91,7 @@ def full_generating_sets(group, valence) -> list[tuple[int, ...]]:
 def orbits_partition(group, reps, full_sets) -> bool:
     """Do the automorphism orbits of the representatives partition full_sets,
     each representative the least member of its orbit?"""
-    auts = group.automorphism_ranks()
+    auts = np.asarray(group.automorphism_ranks())
     covered: set[tuple[int, ...]] = set()
     for rep in reps:
         orbit = set(map(tuple, np.sort(auts[:, list(rep)], axis=1).tolist()))
@@ -107,7 +107,7 @@ def kappa0_of(group, xs) -> list[int]:
     return [xs.index(inv[r]) for r in xs]
 
 
-def ordering_rows(group, valence, orderings) -> list[tuple[np.ndarray, np.ndarray]]:
+def ordering_rows(group, valence, orderings) -> list[tuple[list[int], list[int]]]:
     """(R, L) rows of each rank ordering."""
     table = group.rank_table()[0]
     row_R = rotation_row(group.order * valence, valence)
@@ -142,9 +142,9 @@ def partition(classes) -> set[frozenset[int]]:
     return {frozenset(cls) for cls in classes}
 
 
-def closure_route(rot: np.ndarray, rev: np.ndarray) -> bool:
-    n_arcs = rot.shape[0]
-    size, exceeded, _ = _kernels.closure_table(np.stack([rot, rev]), cutoff=n_arcs)
+def closure_route(rot: list[int], rev: list[int]) -> bool:
+    n_arcs = len(rot)
+    size, exceeded, _ = _kernels.closure_table([rot, rev], cutoff=n_arcs)
     return not exceeded and size == n_arcs
 
 

@@ -1,13 +1,16 @@
-"""Hot numeric kernels: permutation-closure BFS and arc-bijection search.
+"""Reference kernels: permutation-closure BFS and arc-bijection search.
 
-Both kernels are plain numpy/Python. Rows are permutations stored 0-based as
-int64 arrays; composing row t with generator g yields t[g], i.e.
-(t o g)(x) = t[g[x]].
+Both are plain numpy/Python, and neither runs in the census search: the
+closure gives `perms.PermGroup` its order, and the bijection search decides
+isomorphism out of an irregular map. Each imports numpy when it is called,
+so loading this module loads no numpy. Rows are permutations stored 0-based
+(as int64 arrays inside the kernels); composing row t with generator g
+yields t[g], i.e. (t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 
 def default_backend() -> str:
@@ -18,7 +21,19 @@ def default_backend() -> str:
 # -- closure ------------------------------------------------------------------
 
 
-def _closure_numpy(gens: np.ndarray, cutoff: int):
+def closure_table(gens, cutoff: int):
+    """BFS closure of the permutation rows under composition.
+
+    Returns (size, exceeded, rows).  size is exact when exceeded is False;
+    otherwise size = cutoff + 1 and rows is empty.
+    """
+    import numpy as np
+
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    if gens.ndim != 2 or gens.shape[0] == 0:
+        raise ValueError("gens must be a non-empty 2-d array of permutation rows")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     m = gens.shape[1]
     ident = np.arange(m, dtype=np.int64)
     seen = {ident.tobytes(): None}
@@ -41,28 +56,14 @@ def _closure_numpy(gens: np.ndarray, cutoff: int):
     return len(rows), False, np.stack(rows)
 
 
-def closure_table(gens: np.ndarray, cutoff: int):
-    """BFS closure of the permutation rows under composition.
-
-    Returns (size, exceeded, rows).  size is exact when exceeded is False;
-    otherwise size = cutoff + 1 and rows is empty.
-    """
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    if gens.ndim != 2 or gens.shape[0] == 0:
-        raise ValueError("gens must be a non-empty 2-d array of permutation rows")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    return _closure_numpy(gens, cutoff)
-
-
 # -- arc-bijection propagation --------------------------------------------------
 
 
 def arc_bijection_exists(
-    r1: np.ndarray,
-    l1: np.ndarray,
-    r2: np.ndarray,
-    l2: np.ndarray,
+    r1: Sequence[int],
+    l1: Sequence[int],
+    r2: Sequence[int],
+    l2: Sequence[int],
 ) -> bool:
     """True when some bijection phi of arcs maps (R1, L1) onto (R2, L2).
 
@@ -70,6 +71,8 @@ def arc_bijection_exists(
     permutations and rejecting on any clash; connectivity of the arc action
     makes a full propagation a complete proof.
     """
+    import numpy as np
+
     rows = [np.asarray(row, dtype=np.int64) for row in (r1, l1, r2, l2)]
     if len({row.shape for row in rows}) != 1 or rows[0].ndim != 1:
         raise ValueError("all four permutation rows must share one 1-d shape")

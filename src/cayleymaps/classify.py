@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 # re-exported: the counting layer's names keep working from classify
 from .counting import (
@@ -253,21 +250,20 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     (the pool of m), and every one of them is listed. Generation is tested
     first, set by set: a set that fails it closes up in a small subgroup at
     once, and almost no set of a large elementary abelian pool generates.
-    The pool's generating sets are then tested together for being least in
-    their orbits (`_least_in_orbits`), in numpy passes over bounded blocks."""
+    Each generating set is then tested for being least in its orbit
+    (`_least_in_orbit`) as soon as it is found."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
     auts = group.automorphism_ranks()
-    orbit_min = auts.min(axis=0)  # the least rank in each orbit
-    orbit_min_list = orbit_min.tolist()
+    orbit_min = _orbit_minima(auts)
     elems = group.elements()
     inv = [group.rank(group.inv(g)) for g in elems]
     identity = group.identity_rank
-    out: list[tuple[int, ...]] = []
+    out: list[list[int]] = []
     for m in range(group.order):
-        if m == identity or orbit_min_list[m] != m:
+        if m == identity or orbit_min[m] != m:
             continue
-        allowed = {r for r in range(m, group.order) if orbit_min_list[r] >= m}
+        allowed = {r for r in range(m, group.order) if orbit_min[r] >= m}
         allowed.discard(identity)
         if inv[m] not in allowed:
             continue
@@ -276,7 +272,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
         involutions = [r for r in rest if inv[r] == r]
         pairs = [(r, inv[r]) for r in rest if r < inv[r] and inv[r] in allowed]
         free = valence - len(base)
-        pool = array("q")  # the generating sets, row after row
+        to_m = None  # built at the pool's first generating set
         for n_inv in range(free % 2, min(free, len(involutions)) + 1, 2):
             n_pair = (free - n_inv) // 2
             if n_pair > len(pairs):
@@ -284,50 +280,40 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
             for invs in combinations(involutions, n_inv):
                 for prs in combinations(pairs, n_pair):
                     xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
-                    if group.generates_ranks(xset):
-                        pool.extend(xset)
-        if pool:
-            sets = np.frombuffer(pool, dtype=np.int64).reshape(-1, valence)
-            least = _least_in_orbits(auts, orbit_min, sets)
-            out.extend(map(tuple, sets[least].tolist()))
+                    if not group.generates_ranks(xset):
+                        continue
+                    if to_m is None:
+                        to_m = _rows_sending_to(auts, m)
+                    if _least_in_orbit(to_m, xset):
+                        out.append(xset)
     out.sort()
     return [tuple(elems[r] for r in xset) for xset in out]
 
 
-# The orbit test images a block of sets at a time, each set under the
-# stabilizer of m composed with one psi per element in the orbit of m: at
-# most ORBIT_BLOCK image entries per block (one set's when that is more), so
-# its memory stays flat in the size of a pool.
-ORBIT_BLOCK = 1 << 16
+def _orbit_minima(auts: list[list[int]]) -> list[int]:
+    """The least rank in each rank's orbit under the rows of auts."""
+    return list(map(min, zip(*auts)))
 
 
-def _least_in_orbits(
-    auts: np.ndarray, orbit_min: np.ndarray, sets: np.ndarray
-) -> np.ndarray:
-    """Which rows of sets, sorted rank rows that all start with the same
-    orbit minimum m, are least among their sorted images under auts? Only a
-    psi sending some x of a row to m can give a smaller image, and those are
-    tau * sigma_x: one sigma_x with sigma_x(x) = m per x in the orbit of m,
-    and tau in the stabilizer of m. Both are looked up once for all rows."""
-    m = int(sets[0, 0])
-    k = sets.shape[1]
-    stabilizer = np.flatnonzero(auts[:, m] == m)
-    orbit = np.flatnonzero(orbit_min == m)
-    sigma = np.zeros(auts.shape[1], dtype=np.int64)
-    sigma[orbit] = np.argmax(auts[:, orbit] == m, axis=0)
-    # the first nonzero sign of image - row outweighs all later ones
-    weights = 1 << np.arange(k - 1, -1, -1)
-    step = max(1, ORBIT_BLOCK // (len(stabilizer) * k * k))
-    least = np.ones(len(sets), dtype=bool)
-    for start in range(0, len(sets), step):
-        block = sets[start : start + step]
-        rows, cols = np.nonzero(orbit_min[block] == m)  # the (row, x) pairs
-        target = block[rows]
-        moved = auts[sigma[block[rows, cols]][:, None], target]
-        images = np.sort(auts[stabilizer[:, None], moved[:, None, :]], axis=2)
-        below = (np.sign(images - target[:, None, :]) @ weights < 0).any(axis=1)
-        least[start + rows[below]] = False
-    return least
+def _rows_sending_to(auts: list[list[int]], m: int) -> dict[int, list[list[int]]]:
+    """The rows of auts keyed by the rank each one sends to m: the keys are
+    the orbit of m, and each key holds one coset of the stabilizer of m."""
+    to_m: dict[int, list[list[int]]] = {}
+    for row in auts:
+        to_m.setdefault(row.index(m), []).append(row)
+    return to_m
+
+
+def _least_in_orbit(to_m: dict[int, list[list[int]]], xset: list[int]) -> bool:
+    """Is the sorted rank list xset, whose least rank m is an orbit minimum,
+    the least of its sorted images? An image below xset must start with m,
+    so it comes from a row sending some x of xset to m, and those rows are
+    to_m[x] (`_rows_sending_to`). Stops at the first smaller image."""
+    for x in xset:
+        for row in to_m.get(x, ()):
+            if sorted(map(row.__getitem__, xset)) < xset:
+                return False
+    return True
 
 
 def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
@@ -383,7 +369,7 @@ def exhaustive_regular_maps(
         # run, and every CLI start) skips loading multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, len(sets), workers + 1).astype(int)
+        bounds = [i * len(sets) // workers for i in range(workers + 1)]
         chunks = [
             (group, valence, sets[bounds[i] : bounds[i + 1]]) for i in range(workers)
         ]
@@ -407,23 +393,29 @@ def exhaustive_regular_maps(
 
 
 def _least_image(
-    auts: np.ndarray, orderings: list[tuple[int, ...]]
+    auts: list[list[int]], orderings: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The rank-lexicographic least psi(s), rotated to start at its least
     rank, over psi in auts and the orderings s of one class. Regularity and
     the isomorphism class are invariant under automorphisms, so these are
-    exactly the class's regular orderings over every generating set. Only
-    the images of s holding its least image rank can win, and one s is
-    imaged at a time, so memory stays at |H| rows."""
+    exactly the class's regular orderings over every generating set. The
+    least rank of any image of s is m, the least orbit minimum among its
+    ranks, and only an image holding m can win: one under a row sending
+    some s_i to m, which the image is then rotated to start at."""
+    orbit_min = _orbit_minima(auts)
+    rows_to: dict[int, dict[int, list[list[int]]]] = {}
     best = None
     for s in orderings:
-        images = auts[:, s]
-        lows = images.min(axis=1)
-        for ranks in images[lows == lows.min()].tolist():
-            i = ranks.index(min(ranks))
-            rotated = tuple(ranks[i:] + ranks[:i])
-            if best is None or rotated < best:
-                best = rotated
+        m = min(orbit_min[x] for x in s)
+        if m not in rows_to:
+            rows_to[m] = _rows_sending_to(auts, m)
+        to_m = rows_to[m]
+        for i, x in enumerate(s):
+            for row in to_m.get(x, ()):
+                image = [row[y] for y in s]
+                rotated = tuple(image[i:] + image[:i])
+                if best is None or rotated < best:
+                    best = rotated
     return best
 
 

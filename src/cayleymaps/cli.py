@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 # checkmap builds its group's N x N product table, the one part of a map that
-# grows as N^2; at 1800 arcs (Z600, valence 3) it peaks near 34 MB
+# grows as N^2; at 1800 arcs (Z600, valence 3) it peaks near 19 MB
 MAX_CHECKMAP_ARCS = 1800
 
 
@@ -261,6 +261,10 @@ def _run_count(args: argparse.Namespace) -> int:
 
 
 def _run_triples(args: argparse.Namespace) -> int:
+    # the scans import numpy; importing it before the first line is printed
+    # keeps a missing numpy from leaving part of a table on stdout
+    import numpy  # noqa: F401
+
     from .counting import UsageError, guard_count_n
 
     if args.n_max < 1:
@@ -296,12 +300,13 @@ def _run_checkmap(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # before numpy's first import, which would start an OpenBLAS thread per
-    # CPU: nothing here calls BLAS (the few matrix products are int64)
+    # before numpy's first import (count, triples and claim 3.4 scan numpy
+    # blocks), which would start an OpenBLAS thread per CPU: nothing here
+    # calls BLAS
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        # importing counting loads numpy, so a missing dependency lands in
-        # the internal-error branch below
+        # a failed import, here or in a command, lands in the
+        # internal-error branch below
         from .counting import SizeGuardError, UsageError
 
         try:

@@ -4,17 +4,21 @@ cross-checks, the triples scan and the CRT lift.
 
 This module imports only the standard library and numpy, so the `count`
 and `triples` commands, which run nothing else, start without the search
-stack. It also holds what every command shares: the error types that the
-command line maps to its exit codes, and the claim ids.
+stack. numpy is imported only by the three helpers that build int64 blocks
+(`_residue_blocks`, `_lift_blocks` and `_pow_mod`), so loading the module,
+as every command does, loads no numpy. It also holds what every command
+shares: the error types that the command line maps to its exit codes, and
+the claim ids.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
 # of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
@@ -114,6 +118,8 @@ def guard_count_n(n: int) -> None:
 
 def _residue_blocks(m: int, block: int) -> Iterator[np.ndarray]:
     """The residues 1..m-1 in ascending int64 blocks of at most block."""
+    import numpy as np
+
     for start in range(1, m, block):
         yield np.arange(start, min(start + block, m), dtype=np.int64)
 
@@ -186,6 +192,8 @@ def _lift_blocks(
 ) -> Iterator[np.ndarray]:
     """The residues r + j * d for r in base and 0 <= j < count, ascending
     when base is ascending below d, in int64 blocks of at most block."""
+    import numpy as np
+
     rs = np.array(base, dtype=np.int64)
     total = len(rs) * count
     for start in range(0, total, block):
@@ -272,6 +280,8 @@ def _prime_power_roots(q: int, e: int, p: int, block: int) -> tuple[int, ...]:
 def _pow_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
     """x^e mod m elementwise by square-and-multiply (e >= 1), exact in int64
     while m^2 < 2^63."""
+    import numpy as np
+
     result = np.ones_like(x)
     base = x % m
     while True:

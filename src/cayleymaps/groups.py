@@ -8,7 +8,8 @@ exponents: `FiniteGroup.mul` checks both factors once and calls the family's
 unchecked `_mul`; `FiniteGroup.rank_table` tabulates `_mul` over element ranks
 for the hot loops, and only the most recent group's table is kept.
 `FiniteGroup.automorphism_ranks` lists a subgroup of Aut(G), chosen per family
-to be cheap to list, as permutations of element ranks for the census search.
+to be cheap to list, as permutations of element ranks (lists of ints) for the
+census search.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import re
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 GroupElement = Union[int, tuple]
 
@@ -70,10 +69,10 @@ class FiniteGroup:
     def parse_element(self, text: str) -> GroupElement:
         raise NotImplementedError
 
-    def automorphism_ranks(self) -> np.ndarray:
-        """A subgroup H of Aut(G) as an int64 array of shape (|H|, order):
-        row h maps each element rank to the rank of its image under psi_h.
-        Its size is bounded by the family, never by a search."""
+    def automorphism_ranks(self) -> list[list[int]]:
+        """A subgroup H of Aut(G) as |H| rows of length order: row h maps
+        each element rank to the rank of its image under psi_h. Its size is
+        bounded by the family, never by a search."""
         raise NotImplementedError
 
     # -- shared derived operations ----------------------------------------
@@ -203,11 +202,10 @@ class CyclicGroup(FiniteGroup):
             raise ValueError(f"cannot parse {text!r} as a residue mod {self.n}") from None
         return value % self.n
 
-    def automorphism_ranks(self) -> np.ndarray:
+    def automorphism_ranks(self) -> list[list[int]]:
         """All of Aut(Z_n): g -> u * g for every unit u."""
-        g = np.arange(self.n, dtype=np.int64)
-        units = g[np.gcd(g, self.n) == 1]
-        return units[:, None] * g % self.n
+        n = self.n
+        return [[u * g % n for g in range(n)] for u in _units(n)]
 
 
 class ElemAbelian2Group(FiniteGroup):
@@ -246,12 +244,19 @@ class ElemAbelian2Group(FiniteGroup):
             raise ValueError(f"cannot parse {text!r} as a length-{self.r} bit string")
         return sum(1 << j for j, c in enumerate(s) if c == "1")
 
-    def automorphism_ranks(self) -> np.ndarray:
+    def automorphism_ranks(self) -> list[list[int]]:
         """The r! coordinate permutations, a subgroup of GL(r, 2); bit j of
-        g moves to bit sigma(j). GL(r, 2) itself is far too large to list."""
-        sigmas = np.array(list(permutations(range(self.r))), dtype=np.int64)
-        bits = np.arange(self.order, dtype=np.int64)[:, None] >> np.arange(self.r) & 1
-        return (bits @ (1 << sigmas).T).T
+        g moves to bit sigma(j). GL(r, 2) itself is far too large to list.
+        A row doubles once per bit j: the masks with bit j set follow those
+        below 2^j, and their images add 2^sigma(j)."""
+        out = []
+        for sigma in permutations(range(self.r)):
+            row = [0]
+            for target in sigma:
+                bit = 1 << target
+                row += [image | bit for image in row]
+            out.append(row)
+        return out
 
 
 class _ExponentPairGroup(FiniteGroup):
@@ -303,20 +308,20 @@ class _ExponentPairGroup(FiniteGroup):
         i = int(match.group(1)) if match.group(1) else 1
         return (i % self.m, 1 if match.group(2) else 0)
 
-    def automorphism_ranks(self) -> np.ndarray:
+    def automorphism_ranks(self) -> list[list[int]]:
         """Every automorphism a -> a^u, b -> a^v * b (u a unit mod m), that
         is (i, e) -> (u * i + v * e, e), rows ordered by (v, u). For the
         dihedral groups with n >= 3 this is all of Aut(D_n)."""
         m = self.m
-        i = np.arange(m, dtype=np.int64)
-        units = i[np.gcd(i, m) == 1]
-        rotations = units[:, None] * i % m
-        # element (i, e) has rank e * m + i, so a^(j + v) * b has rank shift[v, j]
-        shift = (i[:, None] + i) % m + m
-        out = np.empty((m, len(units), 2 * m), dtype=np.int64)
-        out[:, :, :m] = rotations
-        out[:, :, m:] = shift[:, rotations]
-        return out.reshape(m * len(units), 2 * m)
+        rotations = [[u * i % m for i in range(m)] for u in _units(m)]
+        # element (i, e) has rank e * m + i, so a^(j + v) * b has rank
+        # reflections[j + v] for 0 <= j, v < m
+        reflections = list(range(m, 2 * m)) * 2
+        return [
+            rotation + [reflections[j + v] for j in rotation]
+            for v in range(m)
+            for rotation in rotations
+        ]
 
 
 class DihedralGroup(_ExponentPairGroup):
@@ -409,13 +414,23 @@ class AbelianProductGroup(FiniteGroup):
             raise ValueError(f"{text!r} is not a residue tuple") from None
         return tuple(c % d for c, d in zip(coords, self.mods))
 
-    def automorphism_ranks(self) -> np.ndarray:
-        """g -> u * g for every unit u modulo the exponent."""
-        exponent = math.lcm(*self.mods)
-        u = np.arange(exponent, dtype=np.int64)
-        units = u[np.gcd(u, exponent) == 1]
-        mods = np.array(self.mods, dtype=np.int64)
-        # elements are listed in product order, the last coordinate fastest
-        coords = np.indices(self.mods, dtype=np.int64).reshape(len(mods), -1).T
-        strides = np.append(np.cumprod(mods[:0:-1])[::-1], 1)
-        return units[:, None, None] * coords % mods @ strides
+    def automorphism_ranks(self) -> list[list[int]]:
+        """g -> u * g for every unit u modulo the exponent. Elements are
+        listed in product order, the last coordinate fastest, so a row is
+        grown one coordinate at a time, from the first: each partial image
+        is replaced by its sums with (u * c mod d) * stride, c = 0..d-1, for
+        that coordinate's modulus d and mixed-radix stride."""
+        strides = [math.prod(self.mods[i + 1 :]) for i in range(len(self.mods))]
+        out = []
+        for u in _units(math.lcm(*self.mods)):
+            row = [0]
+            for d, stride in zip(self.mods, strides):
+                images = [u * c % d * stride for c in range(d)]
+                row = [base + image for base in row for image in images]
+            out.append(row)
+        return out
+
+
+def _units(m: int) -> list[int]:
+    """The units modulo m, ascending."""
+    return [u for u in range(m) if math.gcd(u, m) == 1]

@@ -3,7 +3,7 @@
 A map is a group together with an ordered generating list (x_1, ..., x_k);
 the rotation R advances the generator slot at a vertex, and the reversal L
 crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
-(slot - 1), so every permutation here is an int64 row over that numbering.
+(slot - 1), so every permutation here is a list of ints over that numbering.
 `skew_morphism` decides regularity by one walk over the group's rank table,
 `rotation_row` and `reversal_row` build R and L, and `arc_code` names a
 regular map's isomorphism class, for maps and for the census alike.
@@ -11,10 +11,9 @@ regular map's isomorphism class, for maps and for the census alike.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from ._kernels import arc_bijection_exists
 from .counting import SizeGuardError
@@ -178,8 +177,9 @@ class CayleyMap:
 
     def face_sizes(self) -> list[int]:
         """Orbit lengths of rotation-after-reversal, one per face."""
-        walk = self._rotation_row[self._reversal_row]
-        seen = np.zeros(self.n_arcs, dtype=bool)
+        rotation = self._rotation_row
+        walk = [rotation[b] for b in self._reversal_row]
+        seen = [False] * self.n_arcs
         sizes = []
         for start in range(self.n_arcs):
             if seen[start]:
@@ -189,7 +189,7 @@ class CayleyMap:
             while not seen[a]:
                 seen[a] = True
                 length += 1
-                a = int(walk[a])
+                a = walk[a]
             sizes.append(length)
         return sizes
 
@@ -210,9 +210,10 @@ class CayleyMap:
     def underlying_adjacency(self) -> list[int]:
         """Neighbor bitsets by vertex rank (vertex u is adjacent to v iff
         bit v of entry u is set)."""
+        k = self.k
         adj = [0] * self.group.order
-        for arc, head in enumerate((self._reversal_row // self.k).tolist()):
-            adj[arc // self.k] |= 1 << head
+        for arc, b in enumerate(self._reversal_row):
+            adj[arc // k] |= 1 << (b // k)
         return adj
 
     def graph_automorphisms(self) -> list[tuple[int, ...]]:
@@ -273,17 +274,18 @@ def build_map(group: FiniteGroup, xs: Sequence[GroupElement]) -> CayleyMap:
     return CayleyMap(group, xs)
 
 
-def rotation_row(n_arcs: int, k: int) -> np.ndarray:
+def rotation_row(n_arcs: int, k: int) -> list[int]:
     """R: arc (v, i) -> (v, i + 1), the slot advancing mod k at each vertex."""
-    ids = np.arange(n_arcs, dtype=np.int64)
-    return (ids // k) * k + ((ids % k) + 1) % k
+    star = list(range(1, k)) + [0]
+    return [v + i for v in range(0, n_arcs, k) for i in star]
 
 
-def reversal_row(mul, xs: Sequence[int], kappa0: Sequence[int]) -> np.ndarray:
+def reversal_row(mul, xs: Sequence[int], kappa0: Sequence[int]) -> list[int]:
     """L: arc (v, i) -> (v * x_i, kappa(i)), where mul is the group's rank
     table, xs the slot ranks and kappa0[i] the 0-based slot of x_i^-1."""
-    cols = np.array([[row[x] for x in xs] for row in mul], dtype=np.int64)
-    return (cols * len(xs) + np.asarray(kappa0, dtype=np.int64)).reshape(-1)
+    k = len(xs)
+    slots = list(zip(xs, kappa0))
+    return [row[x] * k + j for row in mul for x, j in slots]
 
 
 def skew_morphism(
@@ -327,23 +329,25 @@ def skew_morphism(
     return phi, delta
 
 
-def arc_code(R: np.ndarray, L: np.ndarray) -> bytes:
+def arc_code(R: Sequence[int], L: Sequence[int]) -> bytes:
     """R and L relabelled in the order a breadth-first walk from arc 0,
     trying R before L at each arc, first reaches the arcs. Equal codes mean
     isomorphic maps; the automorphisms of a regular map are transitive on
     its arcs, so an isomorphism out of one can be made to fix arc 0, and the
-    codes are equal too: the code names a regular map's isomorphism class."""
-    r, l = R.tolist(), L.tolist()
-    label = [-1] * len(r)
+    codes are equal too: the code names a regular map's isomorphism class.
+    It holds the label of R(a) for each arc a in walk order, then that of
+    L(a), as native int64 bytes."""
+    label = [-1] * len(R)
     label[0] = 0
     order = [0]
     for a in order:  # order grows as the walk reaches new arcs
-        for b in (r[a], l[a]):
+        for b in (R[a], L[a]):
             if label[b] < 0:
                 label[b] = len(order)
                 order.append(b)
-    relabel = np.array(label, dtype=np.int64)
-    return relabel[np.stack([R[order], L[order]])].tobytes()
+    code = array("q", [label[R[a]] for a in order])
+    code.extend([label[L[a]] for a in order])
+    return code.tobytes()
 
 
 def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:

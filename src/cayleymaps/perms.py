@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ._kernels import closure_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Permutation",
@@ -97,6 +98,8 @@ class Permutation:
 
     def as_row(self) -> np.ndarray:
         """0-based image array for the numeric kernels."""
+        import numpy as np
+
         return np.array(self.images, dtype=np.int64) - 1
 
     def __repr__(self) -> str:
@@ -138,7 +141,7 @@ class PermGroup:
                     f"got {self.degree}, pass an explicit cutoff"
                 )
             cutoff = math.factorial(self.degree)
-        rows = np.stack([g.as_row() for g in gens])
+        rows = [g.as_row() for g in gens]
         self.order, self.exceeded, _ = closure_table(rows, cutoff)
 
     def __repr__(self) -> str:

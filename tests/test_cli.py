@@ -543,6 +543,31 @@ SEARCH_MODULES = {
 }
 
 
+def load_time_imports(body: list[ast.stmt]):
+    """The import statements that run when a module with this body loads:
+    every one outside a function body and an `if TYPE_CHECKING:` block."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from load_time_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from load_time_imports(getattr(node, field, []))
+
+
+def imported_roots(nodes) -> set[str]:
+    """The top-level package names that the absolute imports among nodes
+    name."""
+    roots = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+    return roots
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -588,18 +613,51 @@ class TestStartup:
         assert code == 0
         assert "cayleymaps.counting" in loaded
         assert bool(SEARCH_MODULES & set(loaded)) == searches, loaded
+        # the counting scans build numpy blocks; the search builds none
+        assert ("numpy" in loaded) != searches, loaded
 
     def test_counting_imports_only_the_standard_library_and_numpy(self):
         tree = ast.parse(Path(counting.__file__).read_text())
-        roots = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 assert node.level == 0, f"relative import from {node.module!r}"
-                roots.add(node.module.split(".")[0])
-            elif isinstance(node, ast.Import):
-                roots.update(alias.name.split(".")[0] for alias in node.names)
+        roots = imported_roots(ast.walk(tree))
         assert "numpy" in roots
         assert roots - {"numpy"} <= set(sys.stdlib_module_names), roots
+
+    def test_no_module_imports_numpy_at_load_time(self):
+        # numpy is imported inside the functions that build arrays (the
+        # counting scans' block helpers, the reference kernels and
+        # Permutation.as_row) and by `triples` before it prints a line
+        anywhere = set()
+        for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert "numpy" not in imported_roots(load_time_imports(tree.body)), path
+            if "numpy" in imported_roots(ast.walk(tree)):
+                anywhere.add(path.stem)
+        assert anywhere == {"cli", "counting", "_kernels", "perms"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["census", "--group", "dihedral", "--p", "3", "--n-max", "20"]
+            + ["--format", "csv"],
+            ["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"],
+        ],
+    )
+    def test_the_search_runs_without_numpy(self, args):
+        runs = []
+        for block in ("", "sys.modules['numpy'] = None\n"):
+            code = (
+                f"import sys\n{block}"
+                "from cayleymaps.cli import main\n"
+                f"sys.exit(main({args!r}))\n"
+            )
+            runs.append(run_python(code))
+        free, blocked = runs
+        assert blocked.returncode == free.returncode == 0, blocked.stderr
+        assert free.stdout.count("\n") > 1
+        assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
 
     def test_openblas_defaults_to_one_thread(self, capsys, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -631,7 +689,7 @@ class TestStartup:
         "blocked, args",
         [
             ("numpy", ["count", "--p", "3", "--n", "7"]),
-            ("numpy", ["census", "--group", "dihedral", "--p", "3", "--n-max", "5"]),
+            ("numpy", ["triples", "--p", "3", "--n-max", "7"]),
             # count never imports the groups, census fails inside its body
             (
                 "cayleymaps.groups",

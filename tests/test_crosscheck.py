@@ -12,9 +12,12 @@ arc permutation the walk's skew-morphism and power function define, which
 must commute with R and L; the sweep over every image of arc 0; the
 element-level breadth-first closure in the group (FiniteGroup.closure); and
 the full search over every generating set (`reference_regular_maps`, which
-lives only here). Claim 1.1's seed maps, built from the divisors of t^p - 1
-over GF(2), are compared with the sweep over GL(r, 2) that they replace
-(`gl_seed_codes`, which lives only here). A map's rotation automorphism
+lives only here). Each class's printed representative, the least image
+under the rows for its least orbit minimum (`classify._least_image`), is
+compared with the least image over every row of group.automorphism_ranks()
+(`reference_least_image`, which lives only here). Claim 1.1's seed maps,
+built from the divisors of t^p - 1 over GF(2), are compared with the sweep
+over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A map's rotation automorphism
 (CayleyMap.rotation_automorphism, the walk with power function 1) is
 compared with a propagation of phi(g * x_i) = phi(g) * x_(i+1) alone
 (`reference_rotation_automorphism`, which lives only here) in every family,
@@ -34,9 +37,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cayleymaps import classify
 from cayleymaps._kernels import arc_bijection_exists, closure_table
 from cayleymaps.classify import (
+    _least_image,
     _survivors_for_sets,
     elem_abelian_map,
     elem_abelian_seeds,
@@ -159,7 +162,7 @@ def gl_rows(r):
 def full_automorphism_rows(group):
     """All of Aut(G) as rank rows, or None for a group no reference lists."""
     if isinstance(group, CyclicGroup) or isinstance(group, DihedralGroup) and group.n >= 3:
-        return group.automorphism_ranks()
+        return np.asarray(group.automorphism_ranks())
     if isinstance(group, ElemAbelian2Group) and group.r <= 4:
         return gl_rows(group.r)
     return None
@@ -299,7 +302,7 @@ def generating_ranks(group):
 
 @pytest.mark.parametrize("group", AUT_GROUPS, ids=lambda g: g.name)
 def test_automorphism_ranks_form_a_group_of_automorphisms(group):
-    auts = group.automorphism_ranks()
+    auts = np.asarray(group.automorphism_ranks())
     mul = np.array(group.rank_table()[0])
     n = group.order
     e = group.rank(group.identity)
@@ -357,7 +360,7 @@ def test_automorphism_ranks_form_a_group_of_automorphisms(group):
 def test_automorphism_ranks_sizes(group, size):
     # D_n: n * phi(n); Dic_n: 2n * phi(2n); Z_n and products: phi(exponent);
     # E_r: r! coordinate permutations
-    auts = group.automorphism_ranks()
+    auts = np.asarray(group.automorphism_ranks())
     assert auts.shape == (size, group.order)
     assert len(set(map(tuple, auts.tolist()))) == size
 
@@ -368,7 +371,7 @@ def test_generation_check_matches_group_closure(case):
     # rank-lexicographic least member of its orbit
     group, valence, candidates = case
     expected = {tuple(sorted(m.xs_ranks())) for m in candidates}
-    auts = group.automorphism_ranks()
+    auts = np.asarray(group.automorphism_ranks())
     reps = [
         tuple(group.rank(x) for x in xset)
         for xset in inverse_closed_sets(group, valence)
@@ -383,7 +386,7 @@ def test_generation_check_matches_group_closure(case):
     assert covered == expected
 
 
-BLOCK_CASES = [
+ORBIT_CASES = [
     (DihedralGroup(10), 3),
     (DihedralGroup(6), 5),
     (DicyclicGroup(4), 5),
@@ -396,7 +399,7 @@ BLOCK_CASES = [
 def full_orbit_representatives(group, valence):
     """The least member of each automorphism orbit among every generating
     set, by imaging each set under all of group.automorphism_ranks()."""
-    auts = group.automorphism_ranks()
+    auts = np.asarray(group.automorphism_ranks())
     return sorted(
         {
             min(map(tuple, np.sort(auts[:, list(xset)], axis=1).tolist()))
@@ -405,12 +408,10 @@ def full_orbit_representatives(group, valence):
     )
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 1000])
-def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch):
-    # 1, 2 and 7 are below one set's image entries, so each block holds one
-    # set; 1000 gives blocks of several sets, the last one short
-    monkeypatch.setattr(classify, "ORBIT_BLOCK", block)
-    for group, valence in BLOCK_CASES:
+def test_orbit_representatives_match_full_orbit_images():
+    # the census tests each set only under the rows sending one of its ranks
+    # to its least rank, and stops at the first smaller image
+    for group, valence in ORBIT_CASES:
         reps = [
             tuple(group.rank(x) for x in xset)
             for xset in inverse_closed_sets(group, valence)
@@ -447,7 +448,7 @@ def test_skew_morphism_defines_a_map_automorphism(case):
         arcs = np.arange(m.n_arcs)
         g, i = arcs // m.k, arcs % m.k
         Phi = phi[g] * m.k + (i + delta[g]) % m.k
-        R, L = m._rotation_row, m._reversal_row
+        R, L = np.asarray(m._rotation_row), np.asarray(m._reversal_row)
         assert (np.sort(Phi) == arcs).all(), m
         assert (Phi[R] == R[Phi]).all() and (Phi[L] == L[Phi]).all(), m
         assert Phi[e * m.k] == e * m.k + 1, m
@@ -552,6 +553,43 @@ def test_census_matches_slow_reference(case):
     )
     found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
     assert found == expected
+
+
+def reference_least_image(auts, orderings):
+    """The least image of the orderings over every row of auts, each image
+    rotated to start at its least rank."""
+    images = []
+    for s in orderings:
+        for row in auts:
+            image = [row[x] for x in s]
+            i = image.index(min(image))
+            images.append(tuple(image[i:] + image[:i]))
+    return min(images)
+
+
+def test_least_image_matches_every_row(case):
+    # each class's representative, without the least-image shortcut
+    group, valence, _ = case
+    auts = group.automorphism_ranks()
+    sets = inverse_closed_sets(group, valence)
+    classes = _survivors_for_sets(group, valence, sets).values()
+    expected = sorted(reference_least_image(auts, cls) for cls in classes)
+    found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+    assert found == expected
+
+
+def test_least_image_of_any_rotation_matches_every_row(case):
+    # the census's orderings start at their set's least rank, and on CASES
+    # their least images all come from rows fixing it; a rotated ordering,
+    # regular or not, needs the rows sending a later slot to that rank
+    group, valence, candidates = case
+    auts = group.automorphism_ranks()
+    for m in candidates[:: max(1, len(candidates) // 40)]:
+        s = m.xs_ranks()
+        for i in range(valence):
+            rotated = s[i:] + s[:i]
+            expected = reference_least_image(auts, [rotated])
+            assert _least_image(auts, [rotated]) == expected, (m, i)
 
 
 def test_orbit_search_matches_full_search(case):

@@ -95,7 +95,7 @@ def test_step_l_example():
 
 def test_reversal_is_fixed_point_free_involution():
     for m in (k33_map(), heawood_map(), k4_map()):
-        rev = m._reversal_row
+        rev = np.asarray(m._reversal_row)
         assert np.array_equal(rev[rev], np.arange(m.n_arcs))
         assert (rev != np.arange(m.n_arcs)).all()
 
@@ -283,7 +283,7 @@ def test_left_translations_commute_with_rotation_and_reversal(factory):
     if m.n_arcs > 200:
         pytest.skip("translation sweep capped at 200 arcs")
     group = m.group
-    rot, rev = m._rotation_row, m._reversal_row
+    rot, rev = np.asarray(m._rotation_row), np.asarray(m._reversal_row)
     for g in group.elements():
         images = np.empty(m.n_arcs, dtype=np.int64)
         for v_rank, v in enumerate(group.elements()):
