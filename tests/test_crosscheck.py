@@ -408,10 +408,17 @@ def full_orbit_representatives(group, valence):
     )
 
 
-def test_orbit_representatives_match_full_orbit_images():
+@pytest.mark.parametrize("block", [1, 2, 7, 1000])
+def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch):
     # the census tests each set only under the rows sending one of its ranks
-    # to its least rank, and stops at the first smaller image
+    # to its least rank, and stops at the first smaller image; so the rows of
+    # group.automorphism_ranks() are reversed in blocks of this size, which
+    # changes the row that stops each test but not the representatives.
+    # Block 1 keeps the order, 1000 reverses every group's rows whole
     for group, valence in ORBIT_CASES:
+        rows = group.automorphism_ranks()
+        reordered = [row for i in range(0, len(rows), block) for row in rows[i : i + block][::-1]]
+        monkeypatch.setattr(group, "automorphism_ranks", lambda reordered=reordered: reordered)
         reps = [
             tuple(group.rank(x) for x in xset)
             for xset in inverse_closed_sets(group, valence)
