@@ -5,7 +5,7 @@ This module has two independent halves that check each other:
 * closed-form machinery — the dihedral construction from a triple
   (n, l, k), the anti-balanced cyclic construction, and seed maps from the
   divisors of t^p - 1 over GF(2), next to the counting formula and its CRT
-  enumeration in `counting` (re-exported here);
+  enumeration in `counting`;
 * an exhaustive search (`exhaustive_regular_maps`) that enumerates one
   inverse-closed generating subset per orbit of a group of automorphisms,
   in every cyclic ordering, at desk scale, keeps the regular maps, and
@@ -24,24 +24,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-# re-exported: the counting layer's names keep working from classify
 from .counting import (
     CLAIM_IDS,
-    COUNT_BLOCK,
-    COUNT_MEMO_SIZE,
-    MAX_COUNT_N,
     SizeGuardError,
     UsageError,
-    _crt,
-    _factorize,
-    _lift_blocks,
-    _pow_mod,
-    _prime_power_roots,
     _require_odd_prime,
-    _residue_blocks,
-    _smallest_prime_factor,
-    _triples,
     count_agreement,
+    # not called here: the benchmark's tracer wraps these two, and
+    # triples_for, by their names on classify
     count_regular_dihedral_maps,
     crt_lift_solutions,
     geosum_order,
@@ -82,27 +72,6 @@ MAX_CENSUS_ARCS = 400
 MAX_ABELIAN_VERIFY_ORDER = 16
 
 
-@dataclass(frozen=True)
-class Triple:
-    """A pair (n, l) together with its geometric-sum order k, validated."""
-
-    n: int
-    l: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.l < self.n:
-            raise ValueError(f"need 0 < l < n, got l={self.l}, n={self.n}")
-        if math.gcd(self.l, self.n) != 1:
-            raise ValueError(f"l={self.l} and n={self.n} are not coprime")
-        actual = geosum_order(self.n, self.l)
-        if actual != self.k:
-            raise ValueError(
-                f"geometric-sum order of l={self.l} mod n={self.n} is "
-                f"{actual}, not {self.k}"
-            )
-
-
 # -- closed-form constructions --------------------------------------------------
 
 
@@ -110,7 +79,17 @@ def balanced_dihedral_map(n: int, l: int, p: int) -> CayleyMap:
     """The balanced p-valent map on the dihedral group of order 2n whose
     reflection exponents are the partial geometric sums of l."""
     _require_odd_prime(p)
-    Triple(n, l, p)
+    if not 0 < l < n:
+        raise ValueError(f"need 0 < l < n, got l={l}, n={n}")
+    # a common factor d keeps every partial sum at 1 mod d, so the
+    # geometric-sum scan below would run n^2 steps to find no order
+    if math.gcd(l, n) != 1:
+        raise ValueError(f"l={l} and n={n} are not coprime")
+    actual = geosum_order(n, l)
+    if actual != p:
+        raise ValueError(
+            f"geometric-sum order of l={l} mod n={n} is {actual}, not {p}"
+        )
     exps = []
     s = 0
     power = 1
@@ -182,13 +161,6 @@ def elem_abelian_map(f: int, p: int) -> CayleyMap:
 # -- the abelian catalogue ------------------------------------------------------------
 
 
-def abelian_group_catalogue(max_order: int) -> list[FiniteGroup]:
-    """One group per isomorphism class of abelian groups of order 2..max_order,
-    as invariant-factor chains d1 | d2 | ... | dm; single factors come back as
-    CyclicGroup and all-2 chains as ElemAbelian2Group."""
-    return [group for group, _ in family_groups("abelian", max_order)]
-
-
 def family_groups(kind: str, n_max: int) -> Iterator[tuple[FiniteGroup, int]]:
     """(group, n) over one family up to its bound, lazily and in report order:
     dihedral and dicyclic n from 3 and 2, abelian n = order (the catalogue,
@@ -254,8 +226,8 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     (`_least_in_orbit`) as soon as it is found."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
-    auts = group.automorphism_ranks()
-    orbit_min = _orbit_minima(auts)
+    auts = _automorphisms(group)
+    orbit_min = auts.orbit_min
     elems = group.elements()
     inv = [group.rank(group.inv(g)) for g in elems]
     identity = group.identity_rank
@@ -272,7 +244,6 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
         involutions = [r for r in rest if inv[r] == r]
         pairs = [(r, inv[r]) for r in rest if r < inv[r] and inv[r] in allowed]
         free = valence - len(base)
-        to_m = None  # built at the pool's first generating set
         for n_inv in range(free % 2, min(free, len(involutions)) + 1, 2):
             n_pair = (free - n_inv) // 2
             if n_pair > len(pairs):
@@ -282,33 +253,55 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
                     xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
                     if not group.generates_ranks(xset):
                         continue
-                    if to_m is None:
-                        to_m = _rows_sending_to(auts, m)
-                    if _least_in_orbit(to_m, xset):
+                    # the rows are grouped at the pool's first generating set
+                    if _least_in_orbit(auts.sending_to(m), xset):
                         out.append(xset)
     out.sort()
     return [tuple(elems[r] for r in xset) for xset in out]
 
 
-def _orbit_minima(auts: list[list[int]]) -> list[int]:
-    """The least rank in each rank's orbit under the rows of auts."""
-    return list(map(min, zip(*auts)))
+class _Automorphisms:
+    """The rows of one group's automorphism_ranks(), their orbit minima, and
+    the rows sending ranks to each orbit minimum asked for."""
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        self.rows = rows
+        # the least rank in each rank's orbit
+        self.orbit_min = list(map(min, zip(*rows)))
+        self._sending_to: dict[int, dict[int, list[list[int]]]] = {}
+
+    def sending_to(self, m: int) -> dict[int, list[list[int]]]:
+        """The rows keyed by the rank each one sends to m: the keys are the
+        orbit of m, and each key holds one coset of the stabilizer of m."""
+        if m not in self._sending_to:
+            to_m: dict[int, list[list[int]]] = {}
+            for row in self.rows:
+                to_m.setdefault(row.index(m), []).append(row)
+            self._sending_to[m] = to_m
+        return self._sending_to[m]
 
 
-def _rows_sending_to(auts: list[list[int]], m: int) -> dict[int, list[list[int]]]:
-    """The rows of auts keyed by the rank each one sends to m: the keys are
-    the orbit of m, and each key holds one coset of the stabilizer of m."""
-    to_m: dict[int, list[list[int]]] = {}
-    for row in auts:
-        to_m.setdefault(row.index(m), []).append(row)
-    return to_m
+# The last group's automorphisms, so a census builds them once per group and
+# holds one group's rows at a time, like the product table's one-slot cache.
+# The key is the group's bound automorphism_ranks, so a group whose method is
+# replaced gets its new rows.
+_last_automorphisms: list[tuple[Callable[[], list[list[int]]], _Automorphisms]] = []
+
+
+def _automorphisms(group: FiniteGroup) -> _Automorphisms:
+    rows_of = group.automorphism_ranks
+    if not _last_automorphisms or _last_automorphisms[0][0] != rows_of:
+        _last_automorphisms.clear()  # before the new rows are built
+        _last_automorphisms.append((rows_of, _Automorphisms(rows_of())))
+    return _last_automorphisms[0][1]
 
 
 def _least_in_orbit(to_m: dict[int, list[list[int]]], xset: list[int]) -> bool:
     """Is the sorted rank list xset, whose least rank m is an orbit minimum,
     the least of its sorted images? An image below xset must start with m,
     so it comes from a row sending some x of xset to m, and those rows are
-    to_m[x] (`_rows_sending_to`). Stops at the first smaller image."""
+    to_m[x] (`_Automorphisms.sending_to`). Stops at the first smaller
+    image."""
     for x in xset:
         for row in to_m.get(x, ()):
             if sorted(map(row.__getitem__, xset)) < xset:
@@ -382,10 +375,9 @@ def exhaustive_regular_maps(
         classes = _survivors_for_sets(group, valence, sets)
     if not classes:
         return []
-    auts = group.automorphism_ranks()
     elems = group.elements()
     reps = [
-        build_map(group, [elems[r] for r in _least_image(auts, cls)])
+        build_map(group, [elems[r] for r in _least_image(group, cls)])
         for cls in classes.values()
     ]
     reps.sort(key=CayleyMap.xs_ranks)
@@ -393,23 +385,20 @@ def exhaustive_regular_maps(
 
 
 def _least_image(
-    auts: list[list[int]], orderings: list[tuple[int, ...]]
+    group: FiniteGroup, orderings: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The rank-lexicographic least psi(s), rotated to start at its least
-    rank, over psi in auts and the orderings s of one class. Regularity and
-    the isomorphism class are invariant under automorphisms, so these are
-    exactly the class's regular orderings over every generating set. The
-    least rank of any image of s is m, the least orbit minimum among its
-    ranks, and only an image holding m can win: one under a row sending
-    some s_i to m, which the image is then rotated to start at."""
-    orbit_min = _orbit_minima(auts)
-    rows_to: dict[int, dict[int, list[list[int]]]] = {}
+    rank, over the rows psi of group.automorphism_ranks() and the orderings
+    s of one class. Regularity and the isomorphism class are invariant under
+    automorphisms, so these are exactly the class's regular orderings over
+    every generating set. The least rank of any image of s is m, the least
+    orbit minimum among its ranks, and only an image holding m can win: one
+    under a row sending some s_i to m, which the image is then rotated to
+    start at."""
+    auts = _automorphisms(group)
     best = None
     for s in orderings:
-        m = min(orbit_min[x] for x in s)
-        if m not in rows_to:
-            rows_to[m] = _rows_sending_to(auts, m)
-        to_m = rows_to[m]
+        to_m = auts.sending_to(min(auts.orbit_min[x] for x in s))
         for i, x in enumerate(s):
             for row in to_m.get(x, ()):
                 image = [row[y] for y in s]
@@ -582,8 +571,8 @@ def affine_compatible_involutions(k: int) -> list[Permutation]:
     for kappa in all_involutions(k):
         if kappa(k) != k:
             continue
-        grp = cycle_and_involution_group(k, kappa, cutoff=bound + 1)
-        if not grp.exceeded and bound % grp.order == 0:
+        order, exceeded = cycle_and_involution_group(k, kappa, bound + 1)
+        if not exceeded and bound % order == 0:
             out.append(kappa)
     return out
 
@@ -734,7 +723,7 @@ def _claim_check(
         return len(maps), [
             _entry_str(m, n)
             for m in maps
-            if m.canonical_base_rotation().kappa.perm not in allowed
+            if m.canonical_base_rotation().kappa not in allowed
         ]
 
     return check, list

@@ -21,7 +21,6 @@ from .groups import FiniteGroup, GroupElement
 from .perms import Permutation
 
 __all__ = [
-    "Kappa",
     "BalanceType",
     "CayleyMap",
     "SizeGuardError",
@@ -36,23 +35,6 @@ __all__ = [
 GRAPH_AUT_MAX_VERTICES = 64
 # K9 has 9! automorphisms and takes seconds to list; K12 has 12!
 GRAPH_AUT_MAX_COUNT = 20_000
-
-
-@dataclass(frozen=True)
-class Kappa:
-    """Distribution of inverses: the involution with x_i^{-1} = x_{kappa(i)}."""
-
-    perm: Permutation
-
-    @property
-    def has_fixed_point(self) -> bool:
-        return any(self.perm(i) == i for i in range(1, self.perm.degree + 1))
-
-    def cycle_string(self) -> str:
-        cycles = self.perm.to_cycles()
-        if not cycles:
-            return "id"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,8 @@ class CayleyMap:
         self.xs = xs
         self.k = k
         self.n_arcs = group.order * k
-        self.kappa = Kappa(Permutation(tuple(kappa_images)))
+        # distribution of inverses: the involution with x_i^-1 = x_kappa(i)
+        self.kappa = Permutation(tuple(kappa_images))
         self._kappa0 = [s - 1 for s in kappa_images]
         mul = group.rank_table()[0]
         self._rotation_row = rotation_row(self.n_arcs, k)
@@ -132,7 +115,7 @@ class CayleyMap:
         return CayleyMap(self.group, best)
 
     def balance_type(self) -> BalanceType:
-        kp = self.kappa.perm.images
+        kp = self.kappa.images
         k = self.k
         for t in range(1, k):
             if all(kp[i % k] == (kp[i - 1] - 1 + t) % k + 1 for i in range(1, k + 1)):

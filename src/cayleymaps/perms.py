@@ -1,29 +1,21 @@
-"""Permutations on {1..m} and the order of the group they generate."""
+"""Permutations on {1..m}, and the order of the group a k-cycle and an
+involution generate."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._kernels import closure_table
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "Permutation",
-    "PermGroup",
     "compose",
     "cycle_and_involution_group",
     "full_cycle",
     "reflection_fixing_last",
     "all_involutions",
 ]
-
-# Full closure is refused above this degree: the closure would hold up to m!
-# permutation rows.
-FULL_CLOSURE_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -96,18 +88,15 @@ class Permutation:
             cycles.append(tuple(cycle))
         return cycles
 
-    def as_row(self) -> np.ndarray:
-        """0-based image array for the numeric kernels."""
-        import numpy as np
-
-        return np.array(self.images, dtype=np.int64) - 1
-
-    def __repr__(self) -> str:
+    def cycle_string(self) -> str:
+        """The cycles as "(1 3)(2 4)", or "id" for the identity."""
         cycles = self.to_cycles()
         if not cycles:
-            return f"Permutation(id, degree={self.degree})"
-        text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-        return f"Permutation({text}, degree={self.degree})"
+            return "id"
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+    def __repr__(self) -> str:
+        return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -115,38 +104,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
     return Permutation(tuple(p.images[q.images[i] - 1] for i in range(p.degree)))
-
-
-def _common_degree(gens: Sequence[Permutation]) -> int:
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise ValueError("generators must share one degree")
-    return degree
-
-
-class PermGroup:
-    """The order of a permutation group, computed once at construction up to
-    a cutoff; exceeded is True once the closure passes it."""
-
-    def __init__(
-        self, gens: Sequence[Permutation], cutoff: Optional[int] = None
-    ) -> None:
-        self.degree = _common_degree(gens)
-        if cutoff is None:
-            if self.degree > FULL_CLOSURE_MAX_DEGREE:
-                raise ValueError(
-                    f"full closure needs degree <= {FULL_CLOSURE_MAX_DEGREE}; "
-                    f"got {self.degree}, pass an explicit cutoff"
-                )
-            cutoff = math.factorial(self.degree)
-        rows = [g.as_row() for g in gens]
-        self.order, self.exceeded, _ = closure_table(rows, cutoff)
-
-    def __repr__(self) -> str:
-        tag = ">" if self.exceeded else ""
-        return f"PermGroup(degree={self.degree}, order{tag}={self.order})"
 
 
 def full_cycle(k: int) -> Permutation:
@@ -164,14 +121,18 @@ def reflection_fixing_last(k: int) -> Permutation:
 
 
 def cycle_and_involution_group(
-    k: int, kappa: Permutation, cutoff: Optional[int] = None
-) -> PermGroup:
-    """The group generated by the rotation (1 2 ... k) and the involution kappa."""
+    k: int, kappa: Permutation, cutoff: int
+) -> tuple[int, bool]:
+    """(order, exceeded) for the group generated by the rotation (1 2 ... k)
+    and the involution kappa, closed up to cutoff elements: the order is
+    exact when exceeded is False, and cutoff + 1 otherwise."""
     if kappa.degree != k:
         raise ValueError(f"involution degree {kappa.degree} does not match k={k}")
     if not compose(kappa, kappa).is_identity():
         raise ValueError(f"{kappa!r} is not an involution")
-    return PermGroup([full_cycle(k), kappa], cutoff=cutoff)
+    rows = [[i - 1 for i in g.images] for g in (full_cycle(k), kappa)]
+    order, exceeded, _ = closure_table(rows, cutoff)
+    return order, exceeded
 
 
 def all_involutions(m: int) -> Iterator[Permutation]:

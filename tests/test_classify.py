@@ -4,10 +4,12 @@ reimplementations wherever a value is derived rather than hand-checkable."""
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import math
 import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,6 @@ from cayleymaps.classify import (
     CSV_COLUMNS,
     AbelianProductGroup,
     CensusEntry,
-    Triple,
-    abelian_group_catalogue,
     affine_compatible_involutions,
     antibalanced_cyclic_map,
     balanced_dihedral_map,
@@ -373,13 +373,13 @@ class TestTriples:
                 crt_lift_solutions(7, bad)
 
     def test_triple_validation(self):
-        Triple(7, 2, 3)  # fine
+        balanced_dihedral_map(7, 2, 3)  # fine
         with pytest.raises(ValueError):
-            Triple(7, 3, 3)  # order is 6, not 3
+            balanced_dihedral_map(7, 3, 3)  # order is 6, not 3
         with pytest.raises(ValueError):
-            Triple(4, 2, 3)  # not coprime
+            balanced_dihedral_map(4, 2, 3)  # not coprime
         with pytest.raises(ValueError):
-            Triple(7, 9, 3)  # out of range
+            balanced_dihedral_map(7, 9, 3)  # out of range
 
 
 # -- closed-form constructions -------------------------------------------------
@@ -527,7 +527,7 @@ class TestCountingFormula:
     def test_root_scan_matches_pow_above_one_block(self, p):
         # 7^6 = 117649 spans two blocks, and 7 = 1 mod 3 gives it roots at p=3
         q, e = 7, 6
-        assert q**e > classify.COUNT_BLOCK
+        assert q**e > counting.COUNT_BLOCK
         roots = pow_roots(q, e, p)
         assert bool(roots) == (p == 3)
         assert crt_lift_solutions(q**e, p) == roots
@@ -550,11 +550,10 @@ class TestCountingFormula:
         assert starts == [2, 2, 3, 7]
 
     def test_classify_and_maps_reexport_the_counting_names(self):
+        # the names classify calls, and the three the benchmark's tracer
+        # wraps on classify
         moved = [
-            "CLAIM_IDS", "COUNT_BLOCK", "COUNT_MEMO_SIZE", "MAX_COUNT_N",
-            "SizeGuardError", "UsageError", "_crt", "_factorize", "_lift_blocks",
-            "_pow_mod", "_prime_power_roots", "_require_odd_prime",
-            "_residue_blocks", "_smallest_prime_factor", "_triples",
+            "CLAIM_IDS", "SizeGuardError", "UsageError", "_require_odd_prime",
             "count_agreement", "count_regular_dihedral_maps",
             "crt_lift_solutions", "geosum_order", "guard_count_n", "triples_for",
         ]
@@ -574,8 +573,8 @@ class TestCountingFormula:
 
     def test_scans_refuse_n_beyond_int64_exactness(self):
         # the guard raises before any block is allocated
-        n = classify.MAX_COUNT_N + 1
-        assert classify.MAX_COUNT_N**2 < 2**63
+        n = counting.MAX_COUNT_N + 1
+        assert counting.MAX_COUNT_N**2 < 2**63
         with pytest.raises(SizeGuardError):
             triples_for(n, 3)
         with pytest.raises(SizeGuardError):
@@ -587,7 +586,7 @@ class TestCountingFormula:
 
 class TestAbelianCatalogue:
     def test_one_group_per_class_up_to_16(self):
-        groups = abelian_group_catalogue(16)
+        groups = [g for g, _ in family_groups("abelian", 16)]
         assert len(groups) == 24
         per_order = {}
         for g in groups:
@@ -598,7 +597,7 @@ class TestAbelianCatalogue:
         }
 
     def test_order_16_shapes(self):
-        names = {g.name for g in abelian_group_catalogue(16) if g.order == 16}
+        names = {g.name for g, n in family_groups("abelian", 16) if n == 16}
         assert names == {"Z16", "Z2xZ8", "Z4xZ4", "Z2xZ2xZ4", "E4"}
 
     def test_product_group_axioms(self):
@@ -639,9 +638,9 @@ class TestFamilyGroups:
         assert names("dihedral", 5) == [("D3", 3), ("D4", 4), ("D5", 5)]
         assert names("dicyclic", 4) == [("Dic2", 2), ("Dic3", 3), ("Dic4", 4)]
         assert names("elem2", 3) == [("E1", 1), ("E2", 2), ("E3", 3)]
-        assert names("abelian", 16) == [
-            (g.name, g.order) for g in abelian_group_catalogue(16)
-        ]
+        abelian = names("abelian", 16)
+        assert len(abelian) == 24 and abelian[:3] == [("Z2", 2), ("Z3", 3), ("Z4", 4)]
+        assert all(g.order == n for g, n in family_groups("abelian", 16))
         assert names("dihedral", 2) == names("dicyclic", 1) == names("elem2", 0) == []
 
     def test_unknown_family(self):
@@ -658,6 +657,74 @@ class TestFamilyGroups:
 
 
 # -- exhaustive search -----------------------------------------------------------
+
+
+SEARCH_HALF = (
+    "family_groups",
+    "inverse_closed_sets",
+    "_least_in_orbit",
+    "_survivors_for_sets",
+    "exhaustive_regular_maps",
+    "_least_image",
+    "census_entries",
+    "entry_for_map",
+    "guarded_targets",
+)
+CLAIM_SIDE = {
+    "balanced_dihedral_map",
+    "antibalanced_cyclic_map",
+    "elem_abelian_seeds",
+    "elem_abelian_map",
+    "_seed_orbit",
+    "_gf2_mod",
+    "triples_for",
+    "crt_lift_solutions",
+    "count_regular_dihedral_maps",
+    "count_agreement",
+    "geosum_order",
+    "verify_claim",
+    "_claim_check",
+}
+
+
+def top_level_reads(tree: ast.Module) -> dict[str, set[str]]:
+    """Each name a module's top-level def, class or assignment binds, with
+    the names its definition reads."""
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for name in bound:
+            reads[name] = names
+    return reads
+
+
+class TestOracleIndependence:
+    def test_the_search_half_reads_no_claim_side_name(self):
+        # the oracle may use only standard facts about Cayley maps, never the
+        # claims it checks: no search function may read a claim-side name,
+        # directly or through another function of classify
+        reads = top_level_reads(ast.parse(Path(classify.__file__).read_text()))
+        assert set(SEARCH_HALF) <= reads.keys()
+        assert all(hasattr(classify, name) for name in CLAIM_SIDE)
+        for root in SEARCH_HALF:
+            via = {root: [root]}  # each name reached, with a path to it
+            stack = [root]
+            while stack:
+                name = stack.pop()
+                for read in reads.get(name, ()):
+                    if read not in via:
+                        via[read] = via[name] + [read]
+                        stack.append(read)
+            reached = sorted(via.keys() & CLAIM_SIDE)
+            assert not reached, " -> ".join(via[reached[0]])
 
 
 class TestExhaustiveSearch:

@@ -204,7 +204,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             counting, "triples_for", lambda n, p: scanned.append(n) or []
         )
-        beyond = str(classify.MAX_COUNT_N + 1)
+        beyond = str(counting.MAX_COUNT_N + 1)
         for case in (
             ("count", "--p", "3", "--n", beyond),
             ("triples", "--p", "3", "--n-max", beyond),
@@ -372,7 +372,7 @@ class TestVerifyCommand:
     def test_refusals_report_no_coverage(self, capsys):
         for case in (
             ("1.2", "--p", "3", "--n-max", "67"),
-            ("3.4", "--p", "3", "--n-max", str(classify.MAX_COUNT_N + 1)),
+            ("3.4", "--p", "3", "--n-max", str(counting.MAX_COUNT_N + 1)),
             ("1.1", "--p", "3", "--n-max", "17"),
             ("9.9", "--p", "3", "--n-max", "5"),
         ):
@@ -431,7 +431,7 @@ class TestCountAndTriples:
 
     def test_count_above_one_block_matches_the_reference_routes(self, capsys):
         n, p = 7**6, 7  # 117649 residues: two blocks of the scan
-        assert n > classify.COUNT_BLOCK
+        assert n > counting.COUNT_BLOCK
         line, agree, _ = reference_count_line(n, p)
         assert (line, agree) == (f"n={n} p={p} count=0 l=[] AGREE\n", True)
         assert run_cli(capsys, "count", "--p", "7", "--n", str(n))[:2] == (0, line)
@@ -627,15 +627,15 @@ class TestStartup:
 
     def test_no_module_imports_numpy_at_load_time(self):
         # numpy is imported inside the functions that build arrays (the
-        # counting scans' block helpers, the reference kernels and
-        # Permutation.as_row) and by `triples` before it prints a line
+        # counting scans' block helpers and the reference kernels) and by
+        # `triples` before it prints a line
         anywhere = set()
         for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
             tree = ast.parse(path.read_text())
             assert "numpy" not in imported_roots(load_time_imports(tree.body)), path
             if "numpy" in imported_roots(ast.walk(tree)):
                 anywhere.add(path.stem)
-        assert anywhere == {"cli", "counting", "_kernels", "perms"}
+        assert anywhere == {"cli", "counting", "_kernels"}
 
     @pytest.mark.parametrize(
         "args",

@@ -444,7 +444,7 @@ def test_skew_morphism_defines_a_map_automorphism(case):
     group, _, candidates = case
     e = group.identity_rank
     for m in candidates:
-        kappa0 = [m.kappa.perm(i) - 1 for i in range(1, m.k + 1)]
+        kappa0 = [m.kappa(i) - 1 for i in range(1, m.k + 1)]
         walk = skew_morphism(group, m.xs_ranks(), kappa0)
         size, exceeded = monodromy_closure(m)
         if walk is None:
@@ -596,7 +596,7 @@ def test_least_image_of_any_rotation_matches_every_row(case):
         for i in range(valence):
             rotated = s[i:] + s[:i]
             expected = reference_least_image(auts, [rotated])
-            assert _least_image(auts, [rotated]) == expected, (m, i)
+            assert _least_image(group, [rotated]) == expected, (m, i)
 
 
 def test_orbit_search_matches_full_search(case):

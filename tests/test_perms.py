@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleymaps._kernels import closure_table
 from cayleymaps.perms import (
-    PermGroup,
     Permutation,
     all_involutions,
     compose,
@@ -88,8 +88,8 @@ def test_compose_associative_and_apply(m, rng):
 
 
 def order_with_cutoff(gens, cutoff):
-    group = PermGroup(gens, cutoff=cutoff)
-    return group.order, group.exceeded
+    order, exceeded, _ = closure_table([[i - 1 for i in g.images] for g in gens], cutoff)
+    return order, exceeded
 
 
 def test_closure_examples():
@@ -112,32 +112,26 @@ def test_closure_exactness_against_hand_counts():
         assert order_with_cutoff(gens, expected + 10) == (expected, False)
 
 
-def test_perm_group_caches_elements():
-    group = PermGroup([full_cycle(4)])
-    assert group.order == 4
-    assert not group.exceeded
-
-
 def test_perm_group_exceeded_flag():
-    group = PermGroup([perm_of(5, (1, 2)), full_cycle(5)], cutoff=10)
-    assert group.exceeded
-    assert group.order == 11
-
-
-def test_perm_group_degree_guard_for_full_closure():
-    with pytest.raises(ValueError):
-        PermGroup([Permutation.identity(9)])
-    assert PermGroup([Permutation.identity(9)], cutoff=5).order == 1
+    # (1 2) and the 5-cycle generate all 120 permutations
+    assert cycle_and_involution_group(5, perm_of(5, (1, 2)), 10) == (11, True)
+    assert cycle_and_involution_group(5, perm_of(5, (1, 2)), 120) == (120, False)
 
 
 def test_cycle_and_involution_group_examples():
-    assert cycle_and_involution_group(3, Permutation.identity(3)).order == 3
-    assert cycle_and_involution_group(3, perm_of(3, (1, 2))).order == 6
-    assert cycle_and_involution_group(5, perm_of(5, (1, 4), (2, 3))).order == 10
+    assert cycle_and_involution_group(3, Permutation.identity(3), 6) == (3, False)
+    assert cycle_and_involution_group(3, perm_of(3, (1, 2)), 6) == (6, False)
+    assert cycle_and_involution_group(5, perm_of(5, (1, 4), (2, 3)), 20) == (10, False)
     with pytest.raises(ValueError):
-        cycle_and_involution_group(3, perm_of(3, (1, 2, 3)))
+        cycle_and_involution_group(3, perm_of(3, (1, 2, 3)), 6)
     with pytest.raises(ValueError):
-        cycle_and_involution_group(4, perm_of(3, (1, 2)))
+        cycle_and_involution_group(4, perm_of(3, (1, 2)), 24)
+
+
+def test_repr_shows_cycles():
+    assert repr(perm_of(5, (1, 4), (2, 3))) == "Permutation((1 4)(2 3), degree=5)"
+    assert perm_of(5, (1, 4), (2, 3)).cycle_string() == "(1 4)(2 3)"
+    assert repr(Permutation.identity(3)) == "Permutation(id, degree=3)"
 
 
 def test_reflection_fixing_last():
