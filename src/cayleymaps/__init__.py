@@ -5,7 +5,8 @@ regularity and balance, trace faces, and run exhaustive desk-scale censuses
 with independent cross-checks of the counting formula.
 
 The group classes are loaded on first use, so importing the package (and
-with it `cayleymaps.cli`) loads no numpy.
+with it `cayleymaps.cli`) loads no module of it: the `count` and `triples`
+commands run without ever loading `groups`.
 """
 
 __version__ = "0.1.0"

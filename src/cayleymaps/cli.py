@@ -10,7 +10,8 @@ standard error).
 
 This module imports no other module of the package at load time. Each
 command imports what it runs when `main` runs it: `count` and `triples`
-load `counting` alone, and `census`, `verify` and `checkmap` the search.
+load `counting` alone, `census` and `checkmap` the search, and `verify` the
+search and the claims.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def _run_census(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from .classify import verify_claim
+    from .claims import verify_claim
 
     report = verify_claim(args.theorem, p=args.p, n_max=args.n_max, jobs=args.jobs)
     sys.stdout.write(report.as_text())

@@ -22,23 +22,28 @@ import numpy as np
 import pytest
 
 from cayleymaps._kernels import closure_table
-from cayleymaps.classify import (
+from cayleymaps.claims import (
     affine_compatible_involutions,
     antibalanced_cyclic_map,
     balanced_dihedral_map,
-    count_regular_dihedral_maps,
-    crt_lift_solutions,
     elem_abelian_map,
     elem_abelian_seeds,
+    verify_claim,
+)
+from cayleymaps.classify import (
     entry_for_map,
     exhaustive_regular_maps,
     family_groups,
+)
+from cayleymaps.counting import (
+    count_regular_dihedral_maps,
+    crt_lift_solutions,
     triples_for,
-    verify_claim,
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import CayleyMap, build_map, maps_isomorphic
 from cayleymaps.perms import Permutation, reflection_fixing_last
+from test_cli import checkout_env
 
 
 def run_criterion(
@@ -376,6 +381,7 @@ def test_criterion_10_byte_determinism(capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "cayleymaps.cli", *args],
             capture_output=True,
+            env=checkout_env(),
         )
         return proc.returncode, proc.stdout
 

@@ -13,33 +13,37 @@ from pathlib import Path
 
 import pytest
 
-from cayleymaps import classify, counting, maps
-from cayleymaps.classify import (
-    CLAIM_IDS,
-    CSV_COLUMNS,
-    AbelianProductGroup,
-    CensusEntry,
+from cayleymaps import claims, classify, counting, maps
+from cayleymaps.claims import (
     affine_compatible_involutions,
     antibalanced_cyclic_map,
     balanced_dihedral_map,
-    UsageError,
-    census_entries,
-    count_agreement,
-    count_regular_dihedral_maps,
-    crt_lift_solutions,
-    cyclic_orderings,
     elem_abelian_map,
     elem_abelian_seeds,
+    verify_claim,
+)
+from cayleymaps.classify import (
+    CSV_COLUMNS,
+    CensusEntry,
+    census_entries,
+    cyclic_orderings,
     entry_for_map,
     exhaustive_regular_maps,
     family_groups,
-    geosum_order,
     guarded_targets,
     inverse_closed_sets,
+)
+from cayleymaps.counting import (
+    CLAIM_IDS,
+    UsageError,
+    count_agreement,
+    count_regular_dihedral_maps,
+    crt_lift_solutions,
+    geosum_order,
     triples_for,
-    verify_claim,
 )
 from cayleymaps.groups import (
+    AbelianProductGroup,
     CyclicGroup,
     DicyclicGroup,
     DihedralGroup,
@@ -550,18 +554,17 @@ class TestCountingFormula:
         assert starts == [2, 2, 3, 7]
 
     def test_classify_and_maps_reexport_the_counting_names(self):
-        # the names classify calls, and the three the benchmark's tracer
-        # wraps on classify
-        moved = [
-            "CLAIM_IDS", "SizeGuardError", "UsageError", "_require_odd_prime",
-            "count_agreement", "count_regular_dihedral_maps",
-            "crt_lift_solutions", "geosum_order", "guard_count_n", "triples_for",
+        # the size-guard error classify raises, and the three names the
+        # benchmark's tracer wraps on classify
+        kept = [
+            "SizeGuardError", "count_regular_dihedral_maps",
+            "crt_lift_solutions", "triples_for",
         ]
-        for name in moved:
+        for name in kept:
             assert getattr(classify, name) is getattr(counting, name), name
         assert maps.SizeGuardError is counting.SizeGuardError
         assert SizeGuardError is counting.SizeGuardError
-        assert UsageError is counting.UsageError
+        assert UsageError is claims.UsageError is counting.UsageError
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -659,72 +662,35 @@ class TestFamilyGroups:
 # -- exhaustive search -----------------------------------------------------------
 
 
-SEARCH_HALF = (
-    "family_groups",
-    "inverse_closed_sets",
-    "_least_in_orbit",
-    "_survivors_for_sets",
-    "exhaustive_regular_maps",
-    "_least_image",
-    "census_entries",
-    "entry_for_map",
-    "guarded_targets",
-)
-CLAIM_SIDE = {
-    "balanced_dihedral_map",
-    "antibalanced_cyclic_map",
-    "elem_abelian_seeds",
-    "elem_abelian_map",
-    "_seed_orbit",
-    "_gf2_mod",
-    "triples_for",
-    "crt_lift_solutions",
-    "count_regular_dihedral_maps",
-    "count_agreement",
-    "geosum_order",
-    "verify_claim",
-    "_claim_check",
-}
-
-
-def top_level_reads(tree: ast.Module) -> dict[str, set[str]]:
-    """Each name a module's top-level def, class or assignment binds, with
-    the names its definition reads."""
-    reads = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound = [node.name]
-        elif isinstance(node, ast.Assign):
-            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            bound = [node.target.id]
-        else:
-            continue
-        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        for name in bound:
-            reads[name] = names
-    return reads
-
-
 class TestOracleIndependence:
     def test_the_search_half_reads_no_claim_side_name(self):
         # the oracle may use only standard facts about Cayley maps, never the
-        # claims it checks: no search function may read a claim-side name,
-        # directly or through another function of classify
-        reads = top_level_reads(ast.parse(Path(classify.__file__).read_text()))
-        assert set(SEARCH_HALF) <= reads.keys()
-        assert all(hasattr(classify, name) for name in CLAIM_SIDE)
-        for root in SEARCH_HALF:
-            via = {root: [root]}  # each name reached, with a path to it
-            stack = [root]
-            while stack:
-                name = stack.pop()
-                for read in reads.get(name, ()):
-                    if read not in via:
-                        via[read] = via[name] + [read]
-                        stack.append(read)
-            reached = sorted(via.keys() & CLAIM_SIDE)
-            assert not reached, " -> ".join(via[reached[0]])
+        # claims it checks: classify imports nothing from claims, and none of
+        # its functions or classes reads a name imported from counting but
+        # the size-guard error (the others are there for the benchmark's
+        # tracer alone)
+        tree = ast.parse(Path(classify.__file__).read_text())
+        from_counting = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                from_counting |= {
+                    alias.asname or alias.name
+                    for alias, module in zip(node.names, modules)
+                    if "counting" in module.split(".")
+                }
+            else:
+                continue
+            shown = ast.unparse(node)
+            assert all("claims" not in m.split(".") for m in modules), shown
+        assert "SizeGuardError" in from_counting
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                used = sorted(reads & from_counting - {"SizeGuardError"})
+                assert not used, f"{node.name} reads {used} from counting"
 
 
 class TestExhaustiveSearch:
@@ -963,7 +929,8 @@ class TestVerifyClaims:
             verify_claim("1.2", n_max=5)
         with pytest.raises(UsageError):
             verify_claim("1.2", p=4, n_max=5)
-        with pytest.raises(UsageError):
+        # the order bound of claim 1.1 is a size refusal
+        with pytest.raises(SizeGuardError, match="bounded at order 16"):
             verify_claim("1.1", p=3, n_max=32)
 
     @pytest.mark.parametrize(
@@ -1004,9 +971,9 @@ class TestVerifyClaims:
 
     def test_dihedral_classification_fails_on_a_class_listed_twice(self, monkeypatch):
         # every map has an isomorphic partner, but the counts differ
-        real = classify.triples_for
+        real = claims.triples_for
         monkeypatch.setattr(
-            classify, "triples_for", lambda n, p: [l for l in real(n, p) for _ in "ab"]
+            claims, "triples_for", lambda n, p: [l for l in real(n, p) for _ in "ab"]
         )
         report = verify_claim("1.2", p=3, n_max=3)
         assert not report.passed
@@ -1017,8 +984,8 @@ class TestVerifyClaims:
         # 1.1: with no seed maps and a reference of another size, neither
         # census map has a partner
         k4 = elem_abelian_map(elem_abelian_seeds(2, 3)[0], 3)
-        monkeypatch.setattr(classify, "antibalanced_cyclic_map", lambda p: k4)
-        monkeypatch.setattr(classify, "elem_abelian_seeds", lambda r, p: [])
+        monkeypatch.setattr(claims, "antibalanced_cyclic_map", lambda p: k4)
+        monkeypatch.setattr(claims, "elem_abelian_seeds", lambda r, p: [])
         assert verify_claim("1.1", p=3, n_max=6).counterexamples == [
             "E2,4,3,10 01 11,true,balanced,id,12,0,counterexample",
             "Z6,6,3,1 3 5,true,anti-balanced,(1 3),18,1,counterexample",

@@ -31,6 +31,26 @@ def run_cli(capsys, *args: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH, so
+    a fresh interpreter imports it even when it is not installed."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+
+
 # -- group-spec and generator-list parsing ----------------------------------------
 
 
@@ -167,6 +187,20 @@ class TestExitCodes:
             assert (code, out) == (3, ""), case
             assert err.startswith("size guard: census guard: "), case
         assert searched == []
+
+    def test_three_on_the_abelian_order_bound(self, capsys, monkeypatch):
+        def no_search(group, valence, jobs=1):
+            raise AssertionError("searched a group of a refused request")
+
+        monkeypatch.setattr(classify, "exhaustive_regular_maps", no_search)
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", "1.1", "--p", "3", "--n-max", "17"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "size guard: abelian verification is bounded at order 16, "
+            "got n_max=17\n"
+        )
 
     def test_size_guard_refuses_before_any_output(self, capsys):
         code, out, _ = run_cli(
@@ -397,7 +431,7 @@ def reference_lift(n: int, p: int) -> list[int]:
 def reference_count_line(n: int, p: int) -> tuple[str, bool, str]:
     """The count and triples line, whether the routes agree, and the verify
     3.4 counterexample row, from the scalar and pow reference routes."""
-    formula = classify.count_regular_dihedral_maps(n, p)
+    formula = counting.count_regular_dihedral_maps(n, p)
     enumerated = scalar_triples_for(n, p)
     lifted = reference_lift(n, p)
     agree = formula == len(enumerated) == len(lifted) and enumerated == lifted
@@ -516,8 +550,9 @@ class TestConsoleScript:
             sys.executable, "-m", "cayleymaps.cli",
             "census", "--group", "dihedral", "--p", "3", "--n-max", "7",
         ]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        env = checkout_env()
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["schema_version"] == 1
@@ -526,15 +561,13 @@ class TestConsoleScript:
         # only a run that forks a pool imports one, so starting the command
         # line does not pay for loading multiprocessing
         code = "import sys, cayleymaps.cli; print('multiprocessing' in sys.modules)"
-        cmd = [sys.executable, "-c", code]
-        done = subprocess.run(cmd, capture_output=True, text=True)
+        done = run_python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
 
 # -- what each command loads at start-up ---------------------------------------------
 
-SRC = str(Path(cli.__file__).resolve().parents[1])
 SEARCH_MODULES = {
     "cayleymaps.maps",
     "cayleymaps.groups",
@@ -568,15 +601,6 @@ def imported_roots(nodes) -> set[str]:
     return roots
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this checkout's package."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
 class TestStartup:
     def test_importing_the_package_loads_no_numpy(self):
         code = "import sys, cayleymaps, cayleymaps.cli; print('numpy' in sys.modules)"
@@ -598,6 +622,8 @@ class TestStartup:
             (["count", "--p", "3", "--n", "91"], False),
             (["triples", "--p", "3", "--n-max", "30"], False),
             (["census", "--group", "dihedral", "--p", "3", "--n-max", "5"], True),
+            (["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"], True),
+            (["verify", "--theorem", "1.3", "--p", "3", "--n-max", "4"], True),
         ],
     )
     def test_counting_commands_load_no_search_module(self, args, searches):
@@ -613,6 +639,9 @@ class TestStartup:
         assert code == 0
         assert "cayleymaps.counting" in loaded
         assert bool(SEARCH_MODULES & set(loaded)) == searches, loaded
+        assert ("cayleymaps.classify" in loaded) == searches, loaded
+        # the oracle runs without the claims it checks
+        assert ("cayleymaps.claims" in loaded) == (args[0] == "verify"), loaded
         # the counting scans build numpy blocks; the search builds none
         assert ("numpy" in loaded) != searches, loaded
 

@@ -38,11 +38,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
     _least_image,
     _survivors_for_sets,
-    elem_abelian_map,
-    elem_abelian_seeds,
     exhaustive_regular_maps,
     inverse_closed_sets,
 )
