@@ -23,8 +23,7 @@ fails:
   its orbit's least member;
 - every candidate of the full search (each set in every ordering) gets the
   same regularity verdict from the monodromy closure (regular when the group
-  has exactly |D| elements), which only the tests use, and from the
-  skew-morphism walk the census uses.
+  has exactly |D| elements) and from the skew-morphism walk the census uses.
 
 A counting case then times the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
@@ -36,7 +35,8 @@ and root memos emptied before each timed sweep. For n <= 500 it checks
 against its roots found by Python's `pow`, and exits non-zero on any
 mismatch.
 
-Run from the checkout, which imports the package from its `src`:
+Run from the checkout, which imports the package from its `src` and these
+slow routes from `tests/reference.py`, where the tests keep them:
 
     python3 benchmarks/closure_benchmark.py [--repeat N]
 """
@@ -47,23 +47,30 @@ import argparse
 import math
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-# the checkout's own package, ahead of any installed copy
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# the checkout's own package, ahead of any installed copy, and its tests
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("src", "tests")]
 
-from cayleymaps import _kernels, counting
+from cayleymaps import counting
 from cayleymaps.classify import (
     _survivors_for_sets,
     cyclic_orderings,
     inverse_closed_sets,
 )
-from cayleymaps.counting import _factorize, crt_lift_solutions, triples_for
+from cayleymaps.counting import crt_lift_solutions, triples_for
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import arc_code, reversal_row, rotation_row, skew_morphism
+from reference import (
+    classes_by_sweep,
+    closure_regular,
+    full_inverse_closed_sets,
+    least_orbit_members,
+    reference_lift,
+    scalar_triples_for,
+)
 
 CASES = [
     ("D12 valence 3", DihedralGroup(12), 3),
@@ -72,33 +79,6 @@ CASES = [
     ("Dic6 valence 5", DicyclicGroup(6), 5),
     ("E4 valence 5", ElemAbelian2Group(4), 5),
 ]
-
-
-def full_generating_sets(group, valence) -> list[tuple[int, ...]]:
-    """Every unit-free, inverse-closed, generating subset as a sorted rank
-    tuple, rank-lexicographic."""
-    _, inv = group.rank_table()
-    identity = group.identity_rank
-    out = []
-    for xset in combinations([r for r in range(group.order) if r != identity], valence):
-        if {inv[r] for r in xset} != set(xset):
-            continue
-        if group.generates_ranks(xset):
-            out.append(xset)
-    return out
-
-
-def orbits_partition(group, reps, full_sets) -> bool:
-    """Do the automorphism orbits of the representatives partition full_sets,
-    each representative the least member of its orbit?"""
-    auts = np.asarray(group.automorphism_ranks())
-    covered: set[tuple[int, ...]] = set()
-    for rep in reps:
-        orbit = set(map(tuple, np.sort(auts[:, list(rep)], axis=1).tolist()))
-        if min(orbit) != rep or orbit & covered:
-            return False
-        covered |= orbit
-    return covered == set(full_sets)
 
 
 def kappa0_of(group, xs) -> list[int]:
@@ -124,66 +104,13 @@ def classes_by_code(rows) -> list[list[int]]:
     return list(classes.values())
 
 
-def classes_by_sweep(rows) -> list[list[int]]:
-    """Indices of the rows grouped pairwise, each against the first row of
-    each class, by a bijection search over every image of arc 0."""
-    classes: list[list[int]] = []
-    for i, (rot, rev) in enumerate(rows):
-        for cls in classes:
-            if _kernels.arc_bijection_exists(*rows[cls[0]], rot, rev):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    return classes
-
-
 def partition(classes) -> set[frozenset[int]]:
     return {frozenset(cls) for cls in classes}
-
-
-def closure_route(rot: list[int], rev: list[int]) -> bool:
-    n_arcs = len(rot)
-    size, exceeded, _ = _kernels.closure_table([rot, rev], cutoff=n_arcs)
-    return not exceeded and size == n_arcs
 
 
 COUNT_P = 3
 COUNT_N_MAX = 3000
 COUNT_CHECK_N_MAX = 500
-
-
-def scalar_triples(n: int, p: int) -> list[int]:
-    """The l in [1, n) whose first vanishing partial sum 1 + l + ... mod n
-    is the p-th, by a per-l loop in Python integers."""
-    out = []
-    for l in range(1, n):
-        s, power = 0, 1
-        for k in range(1, p + 1):
-            s = (s + power) % n
-            if s == 0:
-                break
-            power = power * l % n
-        if s == 0 and k == p:
-            out.append(l)
-    return out
-
-
-def pow_lift(n: int, p: int) -> list[int]:
-    """The x in [1, n) that the CRT lift builds, by their definition: 1 mod
-    p when p divides n once, and x^p = 1, x != 1 mod q modulo every other
-    prime power q^e of n; none when n is 1 or even or p^2 divides n."""
-    if n == 1 or n % 2 == 0 or n % (p * p) == 0:
-        return []
-    powers = [(q, q**e) for q, e in _factorize(n)]
-    return [
-        x
-        for x in range(1, n)
-        if all(
-            x % q == 1 if q == p else pow(x, p, qe) == 1 and x % q != 1
-            for q, qe in powers
-        )
-    ]
 
 
 def count_sweep(scan) -> list[list[int]]:
@@ -202,6 +129,63 @@ def best_of(repeat: int, fn):
     return best, result
 
 
+def check_case(label: str, group, valence: int, repeat: int) -> str:
+    """Time one case's stages and the two regularity routes over the full
+    search, check each against its slow route, and return the table row;
+    SystemExit names the first check that fails."""
+    t_gen, sets = best_of(repeat, lambda: inverse_closed_sets(group, valence))
+    t_reg, by_census = best_of(repeat, lambda: _survivors_for_sets(group, valence, sets))
+    survivors = [xs for cls in by_census.values() for xs in cls]
+    survivor_rows = ordering_rows(group, valence, survivors)
+    t_dedup, classes = best_of(repeat, lambda: classes_by_code(survivor_rows))
+    starts = np.cumsum([0] + [len(cls) for cls in by_census.values()])
+    census_classes = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    by_sweep = partition(classes_by_sweep(survivor_rows))
+    if partition(classes) != by_sweep or partition(census_classes) != by_sweep:
+        raise SystemExit(f"{label}: the arc codes disagree with the sweep")
+    orderings = len(sets) * math.factorial(valence - 1)
+
+    full_sets = full_inverse_closed_sets(group, valence)
+    reps = [tuple(group.rank(x) for x in xset) for xset in sets]
+    if reps != least_orbit_members(group, full_sets):
+        raise SystemExit(f"{label}: the representatives miss or repeat an orbit")
+    candidates = [xs for xset in full_sets for xs in cyclic_orderings(xset)]
+    rows = ordering_rows(group, valence, candidates)
+    t_closure, by_closure = best_of(
+        repeat, lambda: [closure_regular(rot, rev) for rot, rev in rows]
+    )
+    walks = [(xs, kappa0_of(group, xs)) for xs in candidates]
+    t_walk, by_walk = best_of(
+        repeat,
+        lambda: [skew_morphism(group, xs, k0) is not None for xs, k0 in walks],
+    )
+    if by_closure != by_walk:
+        raise SystemExit(f"{label}: the two regularity routes disagree")
+    return (
+        f"{label:<16} {len(sets):>5} {orderings:>7} {t_gen:>10.4f}s "
+        f"{t_reg:>10.4f}s {t_dedup:>7.4f}s {len(classes):>8}   "
+        f"{len(rows):>6} maps {t_closure:>8.3f}s {t_walk:>11.3f}s"
+    )
+
+
+def check_counting(repeat: int) -> str:
+    """Time the two counting sweeps, check them for n <= COUNT_CHECK_N_MAX
+    against their slow routes, and return the summary line; SystemExit
+    names the first n that disagrees."""
+    t_triples, by_horner = best_of(repeat, lambda: count_sweep(triples_for))
+    t_lift, by_crt = best_of(repeat, lambda: count_sweep(crt_lift_solutions))
+    for n in range(1, COUNT_CHECK_N_MAX + 1):
+        if by_horner[n - 1] != scalar_triples_for(n, COUNT_P):
+            raise SystemExit(f"n={n}: triples_for disagrees with the scalar loop")
+        if by_crt[n - 1] != reference_lift(n, COUNT_P):
+            raise SystemExit(f"n={n}: crt_lift_solutions disagrees with pow")
+    return (
+        f"\ncounting n=1..{COUNT_N_MAX} at p={COUNT_P}: triples_for "
+        f"{t_triples:.4f}s, crt_lift_solutions {t_lift:.4f}s "
+        f"(both checked for n <= {COUNT_CHECK_N_MAX})"
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="timing repeats")
@@ -213,56 +197,8 @@ def main() -> None:
         f"{'full search':>12} {'closure':>9} {'skew walk':>12}"
     )
     for label, group, valence in CASES:
-        t_gen, sets = best_of(args.repeat, lambda: inverse_closed_sets(group, valence))
-        t_reg, by_census = best_of(
-            args.repeat, lambda: _survivors_for_sets(group, valence, sets)
-        )
-        survivors = [xs for cls in by_census.values() for xs in cls]
-        survivor_rows = ordering_rows(group, valence, survivors)
-        t_dedup, classes = best_of(
-            args.repeat, lambda: classes_by_code(survivor_rows)
-        )
-        starts = np.cumsum([0] + [len(cls) for cls in by_census.values()])
-        census_classes = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
-        by_sweep = partition(classes_by_sweep(survivor_rows))
-        if partition(classes) != by_sweep or partition(census_classes) != by_sweep:
-            raise SystemExit(f"{label}: the arc codes disagree with the sweep")
-        orderings = len(sets) * math.factorial(valence - 1)
-
-        full_sets = full_generating_sets(group, valence)
-        reps = [tuple(group.rank(x) for x in xset) for xset in sets]
-        if not orbits_partition(group, reps, full_sets):
-            raise SystemExit(f"{label}: the representatives miss or repeat an orbit")
-        candidates = [xs for xset in full_sets for xs in cyclic_orderings(xset)]
-        rows = ordering_rows(group, valence, candidates)
-        t_closure, by_closure = best_of(
-            args.repeat, lambda: [closure_route(rot, rev) for rot, rev in rows]
-        )
-        walks = [(xs, kappa0_of(group, xs)) for xs in candidates]
-        t_walk, by_walk = best_of(
-            args.repeat,
-            lambda: [skew_morphism(group, xs, k0) is not None for xs, k0 in walks],
-        )
-        if by_closure != by_walk:
-            raise SystemExit(f"{label}: the two regularity routes disagree")
-        print(
-            f"{label:<16} {len(sets):>5} {orderings:>7} {t_gen:>10.4f}s "
-            f"{t_reg:>10.4f}s {t_dedup:>7.4f}s {len(classes):>8}   "
-            f"{len(rows):>6} maps {t_closure:>8.3f}s {t_walk:>11.3f}s"
-        )
-
-    t_triples, by_horner = best_of(args.repeat, lambda: count_sweep(triples_for))
-    t_lift, by_crt = best_of(args.repeat, lambda: count_sweep(crt_lift_solutions))
-    for n in range(1, COUNT_CHECK_N_MAX + 1):
-        if by_horner[n - 1] != scalar_triples(n, COUNT_P):
-            raise SystemExit(f"n={n}: triples_for disagrees with the scalar loop")
-        if by_crt[n - 1] != pow_lift(n, COUNT_P):
-            raise SystemExit(f"n={n}: crt_lift_solutions disagrees with pow")
-    print(
-        f"\ncounting n=1..{COUNT_N_MAX} at p={COUNT_P}: triples_for "
-        f"{t_triples:.4f}s, crt_lift_solutions {t_lift:.4f}s "
-        f"(both checked for n <= {COUNT_CHECK_N_MAX})"
-    )
+        print(check_case(label, group, valence, args.repeat))
+    print(check_counting(args.repeat))
 
 
 if __name__ == "__main__":

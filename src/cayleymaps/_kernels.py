@@ -3,9 +3,9 @@
 Both are plain numpy/Python, and neither runs in the census search: the
 closure gives `perms.cycle_and_involution_group` its order, and the
 bijection search decides isomorphism out of an irregular map. Each imports
-numpy when it is called, so loading this module loads no numpy. Rows are permutations stored 0-based
-(as int64 arrays inside the kernels); composing row t with generator g
-yields t[g], i.e. (t o g)(x) = t[g[x]].
+numpy when it is called, so loading this module loads no numpy. Rows are
+permutations stored 0-based (as int64 arrays inside the kernels); composing
+row t with generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations

@@ -184,12 +184,19 @@ def verify_claim(
             f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
         )
     if claim_id == "2.7-consequence":
+        if p is not None:
+            raise UsageError(
+                f"claim 2.7-consequence sweeps valences 3, 4 and 5 and takes "
+                f"no p, got p={p}"
+            )
         n_max = 6 if n_max is None else n_max
     elif p is None or n_max is None:
         raise UsageError(f"claim {claim_id} needs both p and n_max")
     else:
         _require_odd_prime(p)
     if claim_id == "3.4":
+        if n_max < 1:
+            raise UsageError(f"n_max must be positive, got {n_max}")
         guard_count_n(n_max)
         rows = []
         for n in range(1, n_max + 1):
@@ -199,7 +206,7 @@ def verify_claim(
                     f"n={n} p={p}: formula={formula} "
                     f"enumerated={enumerated} crt={lifted}"
                 )
-        covered = f"counting n=1..{n_max} at p={p} ({max(n_max, 0)} values)"
+        covered = f"counting n=1..{n_max} at p={p} ({n_max} values)"
         return VerifyReport("3.4", not rows, n_max, rows, [], covered)
     if claim_id == "1.1" and n_max > MAX_ABELIAN_VERIFY_ORDER:
         raise SizeGuardError(

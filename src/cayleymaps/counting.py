@@ -28,10 +28,6 @@ if TYPE_CHECKING:
 # primes up to N (a composite n scans only the lifts of a divisor's answers).
 COUNT_BLOCK = 1 << 16
 MAX_COUNT_N = 2**31
-# A counting sweep meets the same primes and prime powers again and again;
-# the validated primes and each prime power's root scan are memoised, the
-# most recent COUNT_MEMO_SIZE of each (a prime power's roots number < p).
-COUNT_MEMO_SIZE = 1 << 12
 
 # fixed by the command-line contract; `verify --theorem` takes one of these
 CLAIM_IDS = ("1.1", "1.2", "1.3", "2.6", "2.7-consequence", "3.4", "L3.2")
@@ -46,7 +42,8 @@ class SizeGuardError(Exception):
     """A computation was refused because its input exceeds a desk-scale bound."""
 
 
-@lru_cache(maxsize=COUNT_MEMO_SIZE)
+# unbounded like the scans' memos: a process meets few distinct p
+@lru_cache(maxsize=None)
 def _require_odd_prime(p: int) -> int:
     if p < 3 or p % 2 == 0:
         raise UsageError(f"expected an odd prime, got {p}")
@@ -263,7 +260,8 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
     return sorted(out)
 
 
-@lru_cache(maxsize=COUNT_MEMO_SIZE)
+# Unbounded for the reason given at _triples; an entry holds fewer than p roots.
+@lru_cache(maxsize=None)
 def _prime_power_roots(q: int, e: int, p: int, block: int) -> tuple[int, ...]:
     """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, ascending,
     by an exhaustive scan in int64 blocks of at most block residues. The

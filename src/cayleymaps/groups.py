@@ -109,23 +109,6 @@ class FiniteGroup:
         mul = [[rank(self._mul(g, h)) for h in elems] for g in elems]
         return mul, [rank(self.inv(g)) for g in elems]
 
-    def closure(self, seed: Iterable[GroupElement]) -> set:
-        """Subgroup generated by seed, grown by breadth-first multiplication
-        on elements; the reference route for generates."""
-        gens = [self.check(g) for g in seed]
-        found = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for s in gens:
-                    h = self.mul(g, s)
-                    if h not in found:
-                        found.add(h)
-                        fresh.append(h)
-            frontier = fresh
-        return found
-
     @cached_property
     def identity_rank(self) -> int:
         return self.rank(self.identity)

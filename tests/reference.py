@@ -1,0 +1,218 @@
+"""The slow routes that the fast paths are checked against, each written
+once: every route more than one test module uses, or a test module and
+`benchmarks/closure_benchmark.py`. Each docstring names the fast path it
+checks.
+
+It imports neither pytest nor hypothesis, since the stage benchmark imports
+it too, and pytest does not collect it: its name does not start with
+`test_`.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from itertools import combinations, permutations
+from pathlib import Path
+
+import numpy as np
+
+import cayleymaps
+from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps.maps import build_map
+
+SRC = str(Path(cayleymaps.__file__).resolve().parents[1])
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH, so
+    a fresh interpreter imports it even when it is not installed."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# -- groups and permutations ---------------------------------------------------
+
+
+def closure(group, seed) -> set:
+    """The subgroup seed generates, grown by breadth-first multiplication on
+    elements; checks `FiniteGroup.generates` and `generates_ranks`, the
+    search on the rank table."""
+    gens = [group.check(g) for g in seed]
+    found = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in gens:
+                h = group.mul(g, s)
+                if h not in found:
+                    found.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return found
+
+
+def naive_closure(rows, bound: float = math.inf):
+    """Every product of the 0-based permutation rows, composing t with g as
+    t[g[x]], grown breadth-first from the identity over image tuples; None
+    once more than bound are found. Checks `_kernels.closure_table` and
+    `perms.cycle_and_involution_group`, with which it shares no code."""
+    m = len(rows[0])
+    ident = tuple(range(m))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for t in frontier:
+            for g in rows:
+                u = tuple(t[g[x]] for x in range(m))
+                if u not in seen:
+                    seen.add(u)
+                    fresh.append(u)
+                    if len(seen) > bound:
+                        return None
+        frontier = fresh
+    return seen
+
+
+# -- the census search -----------------------------------------------------------
+
+
+def slow_candidates(group, valence) -> list:
+    """Every candidate map, enumerated without the census's helpers: each
+    unit-free inverse-closed subset whose element-level closure is the whole
+    group, in every ordering with its minimal-rank element first. The census
+    (`classify.exhaustive_regular_maps`) tries one subset per automorphism
+    orbit, tested by `generates_ranks`."""
+    elems = [g for g in group.elements() if g != group.identity]
+    out = []
+    for xset in combinations(elems, valence):
+        if {group.inv(x) for x in xset} != set(xset):
+            continue
+        if len(closure(group, xset)) != group.order:
+            continue
+        first, *rest = xset
+        out.extend(build_map(group, (first,) + tail) for tail in permutations(rest))
+    return out
+
+
+def full_inverse_closed_sets(group, valence) -> list[tuple[int, ...]]:
+    """Every unit-free, inverse-closed, generating subset of the given size
+    as a sorted rank tuple, rank-lexicographic: the census's enumeration
+    (`classify.inverse_closed_sets`) before it kept one set per automorphism
+    orbit."""
+    _, inv = group.rank_table()
+    identity = group.identity_rank
+    involutions = [r for r in range(group.order) if r != identity and inv[r] == r]
+    pairs = [(r, inv[r]) for r in range(group.order) if r < inv[r]]
+    out = []
+    for n_inv in range(valence % 2, min(valence, len(involutions)) + 1, 2):
+        n_pair = (valence - n_inv) // 2
+        for invs in combinations(involutions, n_inv):
+            for prs in combinations(pairs, n_pair):
+                xset = tuple(sorted(invs + tuple(x for pr in prs for x in pr)))
+                if group.generates_ranks(xset):
+                    out.append(xset)
+    return sorted(out)
+
+
+def least_orbit_members(group, sets) -> list[tuple[int, ...]]:
+    """The least member of each automorphism orbit among the sorted rank
+    tuples, by imaging each under every row of group.automorphism_ranks();
+    ascending. Checks the per-set early-exit orbit test that
+    `classify.inverse_closed_sets` keeps its representatives by."""
+    auts = np.asarray(group.automorphism_ranks())
+    return sorted(
+        {min(map(tuple, np.sort(auts[:, list(xset)], axis=1).tolist())) for xset in sets}
+    )
+
+
+# -- regularity and isomorphism ------------------------------------------------------
+
+
+def monodromy_closure(rot, rev) -> tuple[int, bool]:
+    """(order, exceeded) of the monodromy group <R, L> on the arcs, by the
+    breadth-first closure `_kernels.closure_table` with cutoff |D| + 1."""
+    size, exceeded, _ = closure_table([rot, rev], len(rot) + 1)
+    return size, exceeded
+
+
+def closure_regular(rot, rev) -> bool:
+    """Regularity by the monodromy closure: <R, L> has exactly |D|
+    elements. Checks the skew-morphism walk (`maps.skew_morphism`) that
+    `CayleyMap.is_regular` and the census decide regularity by."""
+    size, exceeded = monodromy_closure(rot, rev)
+    return size == len(rot) and not exceeded
+
+
+def classes_by_sweep(rows) -> list[list[int]]:
+    """Indices of the (R, L) row pairs grouped pairwise, each against the
+    first member of each class, by `arc_bijection_exists` over every image
+    of arc 0. Checks the grouping by `maps.arc_code` that the census
+    deduplicates by."""
+    classes: list[list[int]] = []
+    for i, (rot, rev) in enumerate(rows):
+        for cls in classes:
+            if arc_bijection_exists(*rows[cls[0]], rot, rev):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+# -- counting ---------------------------------------------------------------------
+
+
+def scalar_triples_for(n: int, p: int) -> list[int]:
+    """The l in [1, n) whose first vanishing partial sum 1 + l + ... mod n
+    is the p-th, by a per-l loop over the first p partial sums in Python
+    integers. Checks the blocked Horner scan `counting.triples_for`."""
+    out = []
+    for l in range(1, n):
+        s, power = 0, 1
+        for k in range(1, p + 1):
+            s = (s + power) % n
+            if s == 0:
+                break
+            power = power * l % n
+        if s == 0 and k == p:
+            out.append(l)
+    return out
+
+
+def pow_roots(q: int, e: int, p: int) -> list[int]:
+    """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, by Python's
+    pow. Checks the blocked root scan behind `counting.crt_lift_solutions`."""
+    qe = q**e
+    return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
+
+
+def reference_factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs by trial division by every integer from 2.
+    Checks `counting._factorize`."""
+    out, q = [], 2
+    while n > 1:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out.append((q, e))
+        q += 1
+    return out
+
+
+def reference_lift(n: int, p: int) -> list[int]:
+    """The x in [1, n) that `counting.crt_lift_solutions` lifts, by their
+    definition: 1 mod p when p divides n once, and a root from pow_roots
+    modulo every other prime power of n; none when n is 1 or even or p^2
+    divides n."""
+    if n == 1 or n % 2 == 0 or n % (p * p) == 0:
+        return []
+    allowed = {
+        q**e: {1} if q == p else set(pow_roots(q, e, p))
+        for q, e in reference_factorize(n)
+    }
+    return [x for x in range(1, n) if all(x % m in r for m, r in allowed.items())]

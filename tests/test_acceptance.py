@@ -15,13 +15,10 @@ import subprocess
 import sys
 import time
 from collections import deque
-from itertools import combinations, permutations
 from typing import Callable, Optional
 
-import numpy as np
 import pytest
 
-from cayleymaps._kernels import closure_table
 from cayleymaps.claims import (
     affine_compatible_involutions,
     antibalanced_cyclic_map,
@@ -41,9 +38,9 @@ from cayleymaps.counting import (
     triples_for,
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
-from cayleymaps.maps import CayleyMap, build_map, maps_isomorphic
+from cayleymaps.maps import CayleyMap, maps_isomorphic
 from cayleymaps.perms import Permutation, reflection_fixing_last
-from test_cli import checkout_env
+from reference import checkout_env, closure_regular, slow_candidates
 
 
 def run_criterion(
@@ -81,18 +78,6 @@ def matched_one_to_one(found, expected) -> bool:
         else:
             return False
     return not remaining
-
-
-def all_candidate_maps(group, valence):
-    """Every candidate of the full search, built on the test side: each
-    unit-free inverse-closed generating subset, in every ordering with its
-    minimal-rank element first. The census itself tries one subset per
-    automorphism orbit."""
-    elems = [g for g in group.elements() if g != group.identity]
-    for xset in combinations(elems, valence):
-        if {group.inv(x) for x in xset} == set(xset) and group.generates(xset):
-            for rest in permutations(xset[1:]):
-                yield build_map(group, (xset[0],) + rest)
 
 
 def search_spaces():
@@ -278,12 +263,10 @@ def test_criterion_6_balanced_regularity_equivalence(capsys):
     def body():
         positives = negatives = 0
         for group, valence in search_spaces():
-            for m in all_candidate_maps(group, valence):
+            for m in slow_candidates(group, valence):
                 if not m.balance_type().is_balanced:
                     continue
-                rows = np.stack([m._rotation_row, m._reversal_row])
-                size, exceeded, _ = closure_table(rows, m.n_arcs + 1)
-                via_closure = size == m.n_arcs and not exceeded
+                via_closure = closure_regular(m._rotation_row, m._reversal_row)
                 via_aut = m.balanced_regular_via_aut()
                 assert via_closure == via_aut, (group.name, m.xs_ranks())
                 if via_closure:

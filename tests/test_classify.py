@@ -51,6 +51,7 @@ from cayleymaps.groups import (
 )
 from cayleymaps.maps import SizeGuardError, build_map, maps_isomorphic
 from cayleymaps.perms import Permutation, all_involutions, reflection_fixing_last
+from reference import naive_closure, pow_roots, reference_factorize, scalar_triples_for
 
 
 # -- geometric-sum orders and admissible parameters ----------------------------
@@ -67,46 +68,6 @@ def naive_geosum_order(n: int, l: int, k_max: int):
             return k
         term *= l
     return None
-
-
-def scalar_triples_for(n: int, p: int) -> list[int]:
-    """Reference route for triples_for: the per-l scalar loop over the first
-    p partial sums mod n, in Python integers."""
-    out = []
-    for l in range(1, n):
-        s = 0
-        power = 1
-        hit = None
-        for k in range(1, p + 1):
-            s = (s + power) % n
-            if s == 0:
-                hit = k
-                break
-            power = (power * l) % n
-        if hit == p:
-            out.append(l)
-    return out
-
-
-def pow_roots(q: int, e: int, p: int) -> list[int]:
-    """Reference route for the roots crt_lift_solutions scans for: the x in
-    [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, by Python's pow."""
-    qe = q**e
-    return [x for x in range(1, qe) if pow(x, p, qe) == 1 and x % q != 1]
-
-
-def reference_factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs by trial division by every integer from 2."""
-    out, q = [], 2
-    while n > 1:
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        if e:
-            out.append((q, e))
-        q += 1
-    return out
 
 
 def empty_count_memos() -> None:
@@ -258,7 +219,7 @@ class TestTriples:
             (7, (1247,)),
             # 33 = 3 * 11: the factor 3 is below p, so 33 lifts from 11
             (5, (33,)),
-            # n above COUNT_MEMO_SIZE; 8197 = 7 * 1171 lifts a prime base
+            # 8197 = 7 * 1171 lifts a prime base
             (3, (*range(4097, 4121), 8197)),
         ],
     )
@@ -832,25 +793,6 @@ class TestSphereMapException:
 # -- rotation-power involutions ----------------------------------------------------
 
 
-def naive_closure_order(perms, bound):
-    """Breadth-first closure over permutation tuples, independent of the
-    packed-table kernels."""
-    frontier = list(perms)
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in perms:
-                h = tuple(f[g[i] - 1] for i in range(len(g)))
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > bound:
-                        return None
-        frontier = nxt
-    return len(seen)
-
-
 class TestAffineCompatibleInvolutions:
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_exactly_identity_and_reflection(self, k):
@@ -859,14 +801,14 @@ class TestAffineCompatibleInvolutions:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_matches_naive_closure(self, k):
-        cycle = tuple(list(range(2, k + 1)) + [1])
+        cycle = [*range(1, k), 0]
         bound = k * (k - 1)
         qualifying = []
         for kappa in all_involutions(k):
             if kappa(k) != k:
                 continue
-            order = naive_closure_order([cycle, kappa.images], bound)
-            if order is not None and bound % order == 0:
+            group = naive_closure([cycle, [i - 1 for i in kappa.images]], bound)
+            if group is not None and bound % len(group) == 0:
                 qualifying.append(kappa)
         assert set(qualifying) == set(affine_compatible_involutions(k))
 
@@ -929,6 +871,10 @@ class TestVerifyClaims:
             verify_claim("1.2", n_max=5)
         with pytest.raises(UsageError):
             verify_claim("1.2", p=4, n_max=5)
+        with pytest.raises(UsageError, match="must be positive"):
+            verify_claim("3.4", p=3, n_max=0)
+        with pytest.raises(UsageError, match="sweeps valences 3, 4 and 5"):
+            verify_claim("2.7-consequence", p=3, n_max=6)
         # the order bound of claim 1.1 is a size refusal
         with pytest.raises(SizeGuardError, match="bounded at order 16"):
             verify_claim("1.1", p=3, n_max=32)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cayleymaps
-from cayleymaps import classify, cli, counting, groups, maps
+from cayleymaps import classify, counting, groups, maps
 from cayleymaps.cli import main, parse_generator_list, parse_group_spec
 from cayleymaps.groups import (
     CyclicGroup,
@@ -22,23 +22,13 @@ from cayleymaps.groups import (
     ElemAbelian2Group,
 )
 from cayleymaps.groups import AbelianProductGroup
-from test_classify import pow_roots, reference_factorize, scalar_triples_for
+from reference import SRC, checkout_env, reference_lift, scalar_triples_for
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-SRC = str(Path(cli.__file__).resolve().parents[1])
-
-
-def checkout_env() -> dict[str, str]:
-    """The environment with this checkout's package first on PYTHONPATH, so
-    a fresh interpreter imports it even when it is not installed."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -113,6 +103,12 @@ class TestExitCodes:
             ("count", "--p", "9", "--n", "5"),
             # after a valid prime was validated (and memoised) above
             ("triples", "--p", "9", "--n-max", "5"),
+            # claim 3.4 counts n = 1..n_max; 2.7-consequence sweeps its own
+            # valences, so it takes no p, not even an odd prime
+            ("verify", "--theorem", "3.4", "--p", "3", "--n-max", "0"),
+            ("verify", "--theorem", "3.4", "--p", "3", "--n-max", "-5"),
+            ("verify", "--theorem", "2.7-consequence", "--p", "4"),
+            ("verify", "--theorem", "2.7-consequence", "--p", "3", "--n-max", "6"),
         ]
         for case in cases:
             code, out, err = run_cli(capsys, *case)
@@ -413,19 +409,6 @@ class TestVerifyCommand:
             code, out, err = run_cli(capsys, "verify", "--theorem", *case)
             assert code in (2, 3) and out == "", case
             assert "covered" not in err, case
-
-
-def reference_lift(n: int, p: int) -> list[int]:
-    """The x in [1, n) that crt_lift_solutions lifts, by their definition:
-    1 mod p when p divides n once, and a root from pow_roots modulo every
-    other prime power of n; none when n is 1 or even or p^2 divides n."""
-    if n == 1 or n % 2 == 0 or n % (p * p) == 0:
-        return []
-    allowed = {
-        q**e: {1} if q == p else set(pow_roots(q, e, p))
-        for q, e in reference_factorize(n)
-    }
-    return [x for x in range(1, n) if all(x % m in r for m, r in allowed.items())]
 
 
 def reference_count_line(n: int, p: int) -> tuple[str, bool, str]:

@@ -7,20 +7,22 @@ breadth-first relabelling of R and L from arc 0, `maps.arc_code`), check
 generation (FiniteGroup.generates) on the rank multiplication table, and
 search one generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
-the monodromy closure (`monodromy_closure`, which lives only here) and the
-arc permutation the walk's skew-morphism and power function define, which
-must commute with R and L; the sweep over every image of arc 0; the
-element-level breadth-first closure in the group (FiniteGroup.closure); and
-the full search over every generating set (`reference_regular_maps`, which
-lives only here). Each class's printed representative, the least image
+the monodromy closure (`reference.monodromy_closure`, which the stage
+benchmark runs too) and the arc permutation the walk's skew-morphism and
+power function define, which must commute with R and L; the sweep over every
+image of arc 0 (`reference.classes_by_sweep`); the element-level
+breadth-first closure in the group (`reference.closure`); and the full
+search over every generating set (`reference_regular_maps`, which lives only
+here). Each class's printed representative, the least image
 under the rows for its least orbit minimum (`classify._least_image`), is
 compared with the least image over every row of group.automorphism_ranks()
 (`reference_least_image`, which lives only here). Claim 1.1's seed maps,
 built from the divisors of t^p - 1 over GF(2), are compared with the sweep
-over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A map's rotation automorphism
-(CayleyMap.rotation_automorphism, the walk with power function 1) is
-compared with a propagation of phi(g * x_i) = phi(g) * x_(i+1) alone
-(`reference_rotation_automorphism`, which lives only here) in every family,
+over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A
+map's rotation automorphism (CayleyMap.rotation_automorphism, the walk with
+power function 1) is compared with a propagation of
+phi(g * x_i) = phi(g) * x_(i+1) alone (`reference_rotation_automorphism`,
+which lives only here) in every family,
 and with the rows of Aut(G) that send each x_i to x_(i+1) where a reference
 lists all of Aut(G): the automorphism_ranks() of Z_n and of D_n with n >= 3,
 and GL(r, 2) for E_r (`Gf2Matrix`, which lives only here).
@@ -30,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps._kernels import arc_bijection_exists
 from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
     _least_image,
@@ -52,12 +54,15 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
 )
-from cayleymaps.maps import (
-    CayleyMap,
-    arc_code,
-    build_map,
-    maps_isomorphic,
-    skew_morphism,
+from cayleymaps.maps import arc_code, build_map, maps_isomorphic, skew_morphism
+from reference import (
+    classes_by_sweep,
+    closure,
+    closure_regular,
+    full_inverse_closed_sets,
+    least_orbit_members,
+    monodromy_closure,
+    slow_candidates,
 )
 
 CASES = (
@@ -74,40 +79,9 @@ CASES = (
 )
 
 
-def slow_candidates(group, valence):
-    """Every candidate map, enumerated without the census's helpers: each
-    unit-free inverse-closed subset whose element-level closure is the whole
-    group, in every ordering with its minimal-rank element first."""
-    elems = [g for g in group.elements() if g != group.identity]
-    out = []
-    for xset in combinations(elems, valence):
-        if {group.inv(x) for x in xset} != set(xset):
-            continue
-        if len(group.closure(xset)) != group.order:
-            continue
-        first, *rest = xset
-        out.extend(build_map(group, (first,) + tail) for tail in permutations(rest))
-    return out
-
-
-def monodromy_closure(m):
-    """(order, exceeded) of the monodromy group <R, L> on the map's arcs,
-    by breadth-first closure with cutoff |D| + 1."""
-    rows = np.stack([m._rotation_row, m._reversal_row])
-    size, exceeded, _ = closure_table(rows, m.n_arcs + 1)
-    return size, exceeded
-
-
-def closure_regular(m):
-    """Regularity by the monodromy closure: <R, L> has exactly |D| elements."""
-    size, exceeded = monodromy_closure(m)
-    return size == m.n_arcs and not exceeded
-
-
-def full_sweep_isomorphic(m1, m2):
-    return m1.n_arcs == m2.n_arcs and arc_bijection_exists(
-        m1._rotation_row, m1._reversal_row, m2._rotation_row, m2._reversal_row
-    )
+def map_rows(m):
+    """The map's R and L rows, as the reference routes take them."""
+    return m._rotation_row, m._reversal_row
 
 
 @dataclass(frozen=True)
@@ -216,26 +190,6 @@ def check_rotation_automorphism(m):
     return phi
 
 
-def full_inverse_closed_sets(group, valence):
-    """Every unit-free, inverse-closed, generating subset of the given size
-    as a sorted rank tuple, rank-lexicographic: the census's enumeration
-    before it kept one set per automorphism orbit."""
-    _, inv = group.rank_table()
-    identity = group.rank(group.identity)
-    involutions = [r for r in range(group.order) if r != identity and inv[r] == r]
-    pairs = [(r, inv[r]) for r in range(group.order) if r < inv[r]]
-    elems = group.elements()
-    out = []
-    for n_inv in range(valence % 2, min(valence, len(involutions)) + 1, 2):
-        n_pair = (valence - n_inv) // 2
-        for invs in combinations(involutions, n_inv):
-            for prs in combinations(pairs, n_pair):
-                xset = tuple(sorted(invs + tuple(x for pr in prs for x in pr)))
-                if group.generates([elems[r] for r in xset]):
-                    out.append(xset)
-    return sorted(out)
-
-
 def reference_regular_maps(group, valence):
     """The census without orbit pruning: every generating set in every
     ordering through the census's regularity filter, the regular maps
@@ -248,16 +202,13 @@ def reference_regular_maps(group, valence):
         for xset in full_inverse_closed_sets(group, valence)
     ]
     survivors = _survivors_for_sets(group, valence, sets).values()
-    classes: list[list[CayleyMap]] = []
-    for ranks in (ranks for orderings in survivors for ranks in orderings):
-        m = build_map(group, [elems[r] for r in ranks])
-        for cls in classes:
-            if full_sweep_isomorphic(cls[0], m):
-                cls.append(m)
-                break
-        else:
-            classes.append([m])
-    return sorted(min(m.xs_ranks() for m in cls) for cls in classes)
+    found = [
+        build_map(group, [elems[r] for r in ranks])
+        for orderings in survivors
+        for ranks in orderings
+    ]
+    classes = classes_by_sweep([map_rows(m) for m in found])
+    return sorted(min(found[i].xs_ranks() for i in cls) for cls in classes)
 
 
 @pytest.fixture(
@@ -292,10 +243,10 @@ def generating_ranks(group):
     """Ranks of a generating set, grown greedily by element-level closure."""
     elems = group.elements()
     gens: list[int] = []
-    span = group.closure([])
+    span = closure(group, [])
     while len(span) < group.order:
         gens.append(next(r for r, g in enumerate(elems) if g not in span))
-        span = group.closure([elems[r] for r in gens])
+        span = closure(group, [elems[r] for r in gens])
     return gens
 
 
@@ -395,18 +346,6 @@ ORBIT_CASES = [
 ]
 
 
-def full_orbit_representatives(group, valence):
-    """The least member of each automorphism orbit among every generating
-    set, by imaging each set under all of group.automorphism_ranks()."""
-    auts = np.asarray(group.automorphism_ranks())
-    return sorted(
-        {
-            min(map(tuple, np.sort(auts[:, list(xset)], axis=1).tolist()))
-            for xset in full_inverse_closed_sets(group, valence)
-        }
-    )
-
-
 @pytest.mark.parametrize("block", [1, 2, 7, 1000])
 def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch):
     # the census tests each set only under the rows sending one of its ranks
@@ -422,7 +361,8 @@ def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch
             tuple(group.rank(x) for x in xset)
             for xset in inverse_closed_sets(group, valence)
         ]
-        assert reps == full_orbit_representatives(group, valence), group
+        full_sets = full_inverse_closed_sets(group, valence)
+        assert reps == least_orbit_members(group, full_sets), group
 
 
 def test_propagation_regularity_matches_closure(case):
@@ -430,7 +370,7 @@ def test_propagation_regularity_matches_closure(case):
     # relies on: order |D| for a regular map, past the cutoff otherwise
     _, _, candidates = case
     for m in candidates:
-        size, exceeded = monodromy_closure(m)
+        size, exceeded = monodromy_closure(*map_rows(m))
         assert m.is_regular() == (size == m.n_arcs and not exceeded), m
         assert m.is_regular() or exceeded, m
 
@@ -445,7 +385,7 @@ def test_skew_morphism_defines_a_map_automorphism(case):
     for m in candidates:
         kappa0 = [m.kappa(i) - 1 for i in range(1, m.k + 1)]
         walk = skew_morphism(group, m.xs_ranks(), kappa0)
-        size, exceeded = monodromy_closure(m)
+        size, exceeded = monodromy_closure(*map_rows(m))
         if walk is None:
             assert exceeded, m
             continue
@@ -483,9 +423,9 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
         if len(xset) + len(block) <= valence:
             xset.extend(block)
     assume(len(xset) == valence)
-    assume(len(group.closure(xset)) == group.order)
+    assume(len(closure(group, xset)) == group.order)
     m = build_map(group, data.draw(st.permutations(xset)))
-    regular = closure_regular(m)
+    regular = closure_regular(*map_rows(m))
     assert m.is_regular() == regular, m
     if m.balance_type().is_balanced:
         assert m.balanced_regular_via_aut() == regular, m
@@ -495,10 +435,10 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     pairs = [sorted(b, key=group.rank) for b in sorted(blocks, key=sorted) if len(b) == 2]
     ys = [b[0] for b in data.draw(st.permutations(pairs))[: (valence + 1) // 2]]
     balanced = ys + [group.inv(y) for y in ys]
-    if len(balanced) >= 4 and len(group.closure(balanced)) == group.order:
+    if len(balanced) >= 4 and len(closure(group, balanced)) == group.order:
         m = build_map(group, balanced)
         assert m.balance_type().is_balanced
-        assert m.balanced_regular_via_aut() == closure_regular(m), m
+        assert m.balanced_regular_via_aut() == closure_regular(*map_rows(m)), m
 
 
 def test_rotation_automorphism_matches_references(case):
@@ -532,7 +472,7 @@ def test_candidate_zero_isomorphism_matches_full_sweep(case):
         code = arc_code(m1._rotation_row, m1._reversal_row)
         for m2 in regular:
             isomorphic = maps_isomorphic(m1, m2)
-            assert isomorphic == full_sweep_isomorphic(m1, m2), (m1, m2)
+            assert isomorphic == arc_bijection_exists(*map_rows(m1), *map_rows(m2)), (m1, m2)
             same_code = code == arc_code(m2._rotation_row, m2._reversal_row)
             assert same_code == isomorphic, (m1, m2)
             if isomorphic:
@@ -543,16 +483,9 @@ def test_candidate_zero_isomorphism_matches_full_sweep(case):
 
 def test_census_matches_slow_reference(case):
     group, valence, candidates = case
-    classes: list[list] = []
-    for m in candidates:
-        if not closure_regular(m):
-            continue
-        for cls in classes:
-            if full_sweep_isomorphic(cls[0], m):
-                cls.append(m)
-                break
-        else:
-            classes.append([m])
+    regular = [m for m in candidates if closure_regular(*map_rows(m))]
+    by_sweep = classes_by_sweep([map_rows(m) for m in regular])
+    classes = [[regular[i] for i in cls] for cls in by_sweep]
     expected = sorted(
         min(cls, key=lambda mm: (mm.faces_and_genus()[1], mm.xs_ranks())).xs_ranks()
         for cls in classes

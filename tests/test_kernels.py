@@ -1,7 +1,8 @@
 """Correctness of the numeric kernels.
 
-The oracle is a from-scratch breadth-first closure over 1-based image tuples;
-it shares no code with the kernel implementations.
+The oracle is `reference.naive_closure`, a from-scratch breadth-first
+closure over image tuples; it shares no code with the kernel
+implementations.
 """
 
 from __future__ import annotations
@@ -10,22 +11,7 @@ import numpy as np
 import pytest
 
 from cayleymaps._kernels import arc_bijection_exists, closure_table
-
-def naive_closure(rows: list[list[int]]) -> set[tuple[int, ...]]:
-    m = len(rows[0])
-    ident = tuple(range(m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for g in rows:
-                u = tuple(t[g[x]] for x in range(m))
-                if u not in seen:
-                    seen.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    return seen
+from reference import naive_closure
 
 
 GEN_SETS = {

@@ -1,0 +1,25 @@
+"""The stage benchmark's checks on its two smallest cases and its counting
+sweep, with one timing repeat, so that a change to what the script calls
+fails here rather than in its next full run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "closure_benchmark.py"
+
+
+def test_stage_benchmark_checks_pass(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    spec = importlib.util.spec_from_file_location("closure_benchmark", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cases = {label: (group, valence) for label, group, valence in bench.CASES}
+    # (sets, orders, classes, full-search maps) of each row
+    expected = {"D12 valence 3": (7, 14, 0, 432), "Dic6 valence 5": (2, 48, 0, 432)}
+    for label, counts in expected.items():
+        fields = bench.check_case(label, *cases[label], repeat=1)[len(label) :].split()
+        assert tuple(int(fields[i]) for i in (0, 1, 5, 6)) == counts, label
+    line = bench.check_counting(repeat=1)
+    assert line.startswith("\ncounting n=1..3000 at p=3: triples_for ")
+    assert line.endswith("(both checked for n <= 500)")
