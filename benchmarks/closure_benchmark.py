@@ -4,7 +4,8 @@ For each (group, valence) case the script times the three stages that
 `exhaustive_regular_maps` runs:
 
 - generation: `inverse_closed_sets`, one generating set per orbit of the
-  group's listed automorphisms (`automorphism_ranks`);
+  automorphisms that `automorphism_ranks` lists, by arithmetic and no rows
+  in D_n and Dic_n, and by the rows in E_r;
 - regularity: `_survivors_for_sets`, the skew-morphism walk
   (`maps.skew_morphism`) over every ordering of those sets, first element
   pinned, with each survivor's rows built and keyed by its arc code;

@@ -176,7 +176,8 @@ def verify_claim(
     """Run one named cross-check between the closed-form constructions and
     the exhaustive search oracle; ids are fixed by the CLI contract. The
     search-backed claims sweep a group family, refused as a whole up front
-    by the census guard, and test the maps found on each group: 1.2 against
+    by the census guard, or as a usage error when n_max covers no group of
+    it, and test the maps found on each group: 1.2 against
     the closed form, the others map by map. Claim 1.3 counts groups, the
     others count maps."""
     if claim_id not in CLAIM_IDS:
@@ -227,6 +228,9 @@ def verify_claim(
         targets = classify.guarded_targets(
             (g, n, p) for g, n in classify.family_groups(family, n_max)
         )
+    if not targets:
+        # a claim checked on no group would PASS with nothing behind it
+        raise UsageError(f"n_max={n_max} covers no {family} group")
     covered = _coverage(family, targets)
     checked, rows = 0, []
     if claim_id == "L3.2":
@@ -261,7 +265,7 @@ def _coverage(family: str, targets: list[classify.Target]) -> str:
         span = names[0] if len(names) == 1 else f"{names[0]}..{names[-1]}"
         groups = f"{len(names)} group" + ("s" if len(names) != 1 else "")
         parts.append(f"{family} {span} valence {valence} ({groups})")
-    return "; ".join(parts) or f"{family} none (0 groups)"
+    return "; ".join(parts)
 
 
 def _entry_str(m: CayleyMap, n_param: int) -> str:

@@ -14,10 +14,10 @@ size-guard error.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, fields
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .counting import (
     SizeGuardError,
@@ -34,6 +34,7 @@ from .groups import (
     DihedralGroup,
     ElemAbelian2Group,
     FiniteGroup,
+    units,
 )
 from .maps import (
     GRAPH_AUT_MAX_VERTICES,
@@ -106,7 +107,131 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     rank-lexicographic least member, sorted by element rank; the list itself
     is rank-lexicographic. An automorphism carries CM(G, X, rho) to the
     isomorphic map CM(G, psi X, psi rho psi^-1), so the search needs no more.
+    Z_n, D_n and Dic_n list them by arithmetic (`_affine_sets`), every other
+    family by testing candidates against H's rows (`_row_sets`)."""
+    if valence < 3:
+        raise ValueError(f"valence must be >= 3, got {valence}")
+    if _is_affine(group):
+        ranked = _affine_sets(group, valence)
+    else:
+        ranked = _row_sets(group, valence)
+    elems = group.elements()
+    return [tuple(elems[r] for r in xset) for xset in sorted(ranked)]
 
+
+def _is_affine(group: FiniteGroup) -> bool:
+    """Is H affine on exponents: (i, e) -> (u * i + v * e, e) over the units
+    u and all v mod m in D_n and Dic_n, i -> u * i in Z_n?"""
+    return isinstance(group, (CyclicGroup, DihedralGroup, DicyclicGroup))
+
+
+def _affine_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
+    """The least members of `inverse_closed_sets`, built by orderly
+    generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978)
+    with no other set listed. A set X is its powers a^r, exponents R, and
+    its elements a^f * b, exponents F (none in Z_n). H keeps the two parts
+    apart, and X's sorted ranks are R's (below m) and then F's (m + f), so
+    X is least exactly when R is least under the units (`_least_rotations`)
+    and F is least under f -> u * f + v, for any v and the units u with
+    u * R = R (`_least_shifted_sets`). In Dic_n the inverse of a^f * b is
+    a^(f + n) * b, so F is its residues mod n twice over, and orders and
+    moves as they do mod n. Both parts grow in ascending order, and each
+    prefix that is not least is pruned: a prefix P of a least sorted set is
+    least, since under any map the |P| least images of the whole set lie at
+    or below the sorted images of P, one by one. Generation is the gcd test
+    of `generates_ranks`, in place: F holds 0, so its differences from 0
+    are its members."""
+    if isinstance(group, CyclicGroup):
+        n = group.n
+        return [
+            _rotation_ranks(half, n)
+            for half, _ in _least_rotations(n, valence)
+            if math.gcd(n, *half) == 1
+        ]
+    m, n = group.m, group.n
+    width = m // n  # elements a^f * b per residue f mod n: 1 in D_n, 2 in Dic_n
+    # rotation parts with one stabilizer mod n share their least F
+    least_shifted: dict[tuple, list[list[int]]] = {}
+    out = []
+    # no a^f * b: X lies in <a>, which is not all of G
+    for n_flips in range(1, valence // width + 1):
+        for half, stabilizer in _least_rotations(m, valence - width * n_flips):
+            rotations = _rotation_ranks(half, m)
+            g = math.gcd(n, *half)
+            key = (n_flips, tuple(sorted({u % n for u in stabilizer})))
+            if key not in least_shifted:
+                least_shifted[key] = _least_shifted_sets(n, *key)
+            for flips in least_shifted[key]:
+                if math.gcd(g, *flips) == 1:
+                    ranks = [m + j * n + f for j in range(width) for f in flips]
+                    out.append(rotations + ranks)
+    return out
+
+
+def _least_rotations(m: int, size: int) -> list[tuple[list[int], list[int]]]:
+    """(half, S) for every inverse-closed R of the given size in Z_m minus
+    0 that is least under the units mod m: its half, the r <= m/2 of R
+    ascending, and S, the units u with u * R = R. Sorted R is its half
+    below m/2, then m/2 if R holds it (every unit fixes it), then the rest,
+    so R compares as its half does, and a unit maps halves by
+    h -> min(u * h, -u * h)."""
+    us = units(m)
+
+    def image(u: int, half: list[int]) -> list[int]:
+        return sorted([min(u * h % m, -u * h % m) for h in half])
+
+    found = []
+
+    def grow(half: list[int], left: int) -> None:
+        if not left:
+            found.append(half)
+            return
+        for h in range(half[-1] + 1 if half else 1, m // 2 + 1):
+            width = 1 if 2 * h == m else 2  # a^(m/2) is its own inverse
+            longer = half + [h]
+            if width <= left and all(image(u, longer) >= longer for u in us):
+                grow(longer, left - width)
+
+    grow([], size)
+    return [(half, [u for u in us if image(u, half) == half]) for half in found]
+
+
+def _least_shifted_sets(n: int, size: int, stabilizer: tuple[int, ...]) -> list[list[int]]:
+    """The sorted F of the given size in Z_n that are least under
+    f -> u * f + v mod n, for u in stabilizer and any v. Some v sends a
+    member of F to 0, so F starts at 0, and only such a v can give a
+    smaller image."""
+
+    def least(flips: list[int]) -> bool:
+        for u in stabilizer:
+            for x in flips:
+                if sorted([u * (f - x) % n for f in flips]) < flips:
+                    return False
+        return True
+
+    found = []
+
+    def grow(flips: list[int], left: int) -> None:
+        if not left:
+            found.append(flips)
+            return
+        for f in range(flips[-1] + 1, n - left + 1):
+            longer = flips + [f]
+            if least(longer):
+                grow(longer, left - 1)
+
+    grow([0], size - 1)
+    return found
+
+
+def _rotation_ranks(half: list[int], m: int) -> list[int]:
+    """The sorted exponents of the inverse-closed set with this half: the
+    rank of a^r is r."""
+    return sorted({r for h in half for r in (h, m - h)})
+
+
+def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
+    """The least members of `inverse_closed_sets` by testing candidates.
     The least member X of an orbit starts with an orbit minimum m (the least
     rank of its H-orbit), and every x in X has an orbit minimum >= m. So for
     each m, ascending, the sets holding m are drawn from those ranks only
@@ -115,12 +240,9 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
     once, and almost no set of a large elementary abelian pool generates.
     Each generating set is then tested for being least in its orbit
     (`_least_in_orbit`) as soon as it is found."""
-    if valence < 3:
-        raise ValueError(f"valence must be >= 3, got {valence}")
     auts = _automorphisms(group)
     orbit_min = auts.orbit_min
-    elems = group.elements()
-    inv = [group.rank(group.inv(g)) for g in elems]
+    inv = [group.rank(group.inv(g)) for g in group.elements()]
     identity = group.identity_rank
     out: list[list[int]] = []
     for m in range(group.order):
@@ -147,8 +269,7 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
                     # the rows are grouped at the pool's first generating set
                     if _least_in_orbit(auts.sending_to(m), xset):
                         out.append(xset)
-    out.sort()
-    return [tuple(elems[r] for r in xset) for xset in out]
+    return out
 
 
 class _Automorphisms:
@@ -279,13 +400,16 @@ def _least_image(
     group: FiniteGroup, orderings: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The rank-lexicographic least psi(s), rotated to start at its least
-    rank, over the rows psi of group.automorphism_ranks() and the orderings
-    s of one class. Regularity and the isomorphism class are invariant under
-    automorphisms, so these are exactly the class's regular orderings over
-    every generating set. The least rank of any image of s is m, the least
-    orbit minimum among its ranks, and only an image holding m can win: one
-    under a row sending some s_i to m, which the image is then rotated to
-    start at."""
+    rank, over the automorphisms psi in H = group.automorphism_ranks() and
+    the orderings s of one class. Regularity and the isomorphism class are
+    invariant under automorphisms, so these are exactly the class's regular
+    orderings over every generating set. The least rank of any image of s
+    is the least orbit minimum among its ranks, and only an image holding it
+    can win, rotated to start there: by arithmetic in Z_n, D_n and Dic_n
+    (`_least_affine_image`), and under the rows sending a rank of s to it
+    otherwise."""
+    if _is_affine(group):
+        return min(_least_affine_image(group, s) for s in orderings)
     auts = _automorphisms(group)
     best = None
     for s in orderings:
@@ -299,11 +423,38 @@ def _least_image(
     return best
 
 
+def _least_affine_image(group: FiniteGroup, s: tuple[int, ...]) -> tuple[int, ...]:
+    """`_least_image` of one ordering s under (i, e) -> (u * i + v * e, e),
+    over the units u and all v mod m (Z_n: m = n, and no element has
+    e = 1). The orbit minimum of a^r is gcd(r, m), and that of every
+    a^f * b is m, reached by v = -u * f. So the least image starts at the
+    least gcd d over the powers of a in s, at a slot a^r with u * r = d, or,
+    when s holds no power of a, at any slot and under any u. Starting
+    there, the slots before the first a^f * b do not depend on v, and the
+    least value at that slot is m, which fixes v = -u * f."""
+    m = group.n if isinstance(group, CyclicGroup) else group.m
+    us = units(m)
+    gcds = [math.gcd(x, m) for x in s if x < m]
+    if gcds:
+        d = min(gcds)
+        starts = [(i, u) for i, x in enumerate(s) if x < m for u in us if u * x % m == d]
+    else:
+        starts = [(i, u) for i in range(len(s)) for u in us]
+    best = None
+    for i, u in starts:
+        rotated = s[i:] + s[:i]
+        first = next((x - m for x in rotated if x >= m), 0)
+        v = -u * first
+        image = tuple(u * x % m if x < m else m + (u * x + v) % m for x in rotated)
+        if best is None or image < best:
+            best = image
+    return best
+
+
 # -- census entries ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One row of a census or diagnostic report. The fields, in order, are
     its JSON keys and, but for graph_aut_order, its CSV columns."""
 
@@ -320,7 +471,7 @@ class CensusEntry:
     class_id: str
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["xs"] = list(self.xs)
         return doc
 
@@ -329,7 +480,7 @@ class CensusEntry:
 
 
 # every field but graph_aut_order, which only the JSON report carries
-CSV_COLUMNS = tuple(f.name for f in fields(CensusEntry) if f.name != "graph_aut_order")
+CSV_COLUMNS = tuple(name for name in CensusEntry._fields if name != "graph_aut_order")
 
 
 def _csv_cell(value: Union[str, int, bool, tuple[str, ...]]) -> str:

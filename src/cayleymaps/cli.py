@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
-import traceback
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -186,6 +184,8 @@ def parse_generator_list(group: FiniteGroup, text: str) -> list:
 
 
 def _emit_json(params: dict, entries: Sequence[CensusEntry]) -> None:
+    import json  # here, so a CSV census and `triples` never load it
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": params,
@@ -218,12 +218,14 @@ def _count_lines(ns: Iterable[int], p: int) -> Iterator[tuple[str, bool]]:
 
 def _run_census(args: argparse.Namespace) -> int:
     from .classify import census_entries, family_groups, guarded_targets
-    from .counting import _require_odd_prime
+    from .counting import UsageError, _require_odd_prime
 
     _require_odd_prime(args.p)
     targets = guarded_targets(
         (group, n, args.p) for group, n in family_groups(args.group, args.n_max)
     )
+    if not targets:
+        raise UsageError(f"--n-max {args.n_max} covers no {args.group} group")
     entries: list[CensusEntry] = []
     for group, n_param, valence in targets:
         entries.extend(census_entries(group, n_param, valence, args.jobs))
@@ -332,6 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 3
     except Exception:
         # exit 1 means a claim failed; a crash must not be mistaken for one
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -8,8 +8,11 @@ exponents: `FiniteGroup.mul` checks both factors once and calls the family's
 unchecked `_mul`; `FiniteGroup.rank_table` tabulates `_mul` over element ranks
 for the hot loops, and only the most recent group's table is kept.
 `FiniteGroup.automorphism_ranks` lists a subgroup of Aut(G), chosen per family
-to be cheap to list, as permutations of element ranks (lists of ints) for the
-census search.
+to be cheap to list, as permutations of element ranks (lists of ints): the
+census searches E_r and the products by these rows, and Z_n, D_n and Dic_n by
+arithmetic on the same subgroup, whose rows the tests keep as the reference.
+`FiniteGroup.generates_ranks` is a breadth-first search, which those three
+families replace by a gcd.
 """
 
 from __future__ import annotations
@@ -185,10 +188,15 @@ class CyclicGroup(FiniteGroup):
             raise ValueError(f"cannot parse {text!r} as a residue mod {self.n}") from None
         return value % self.n
 
+    def generates_ranks(self, xs: Sequence[int]) -> bool:
+        """gcd(n, X) = 1: the residues of X generate the subgroup of the
+        multiples of their gcd with n. A residue's rank is the residue."""
+        return math.gcd(self.n, *xs) == 1
+
     def automorphism_ranks(self) -> list[list[int]]:
         """All of Aut(Z_n): g -> u * g for every unit u."""
         n = self.n
-        return [[u * g % n for g in range(n)] for u in _units(n)]
+        return [[u * g % n for g in range(n)] for u in units(n)]
 
 
 class ElemAbelian2Group(FiniteGroup):
@@ -243,9 +251,11 @@ class ElemAbelian2Group(FiniteGroup):
 
 
 class _ExponentPairGroup(FiniteGroup):
-    """Shared plumbing for groups with normal form a^i * b^eps, 0 <= i < m."""
+    """Shared plumbing for groups with normal form a^i * b^eps, 0 <= i < m:
+    D_n with m = n and Dic_n with m = 2n."""
 
     m: int
+    n: int
 
     def __init__(self, name: str, order: int, m: int) -> None:
         super().__init__(name, order)
@@ -291,12 +301,29 @@ class _ExponentPairGroup(FiniteGroup):
         i = int(match.group(1)) if match.group(1) else 1
         return (i % self.m, 1 if match.group(2) else 0)
 
+    def generates_ranks(self, xs: Sequence[int]) -> bool:
+        """X generates exactly when it holds some a^f * b and
+        g = gcd(n, R, F - f) is 1, for R the exponents of its powers of a
+        and F those of its elements a^h * b (ranks m + h). Without an
+        a^h * b, X lies in <a>. Otherwise K = <a^g> is normal, like every
+        subgroup of <a>, and lies in <X>, which holds a^r for r in R,
+        a^(h - f) = a^h * b * (a^f * b)^-1 and a^n (e in D_n, (a^f * b)^2 in
+        Dic_n). Every a^r in X lies in K, and every a^h * b in a^f * b * K.
+        So <X> is K + a^f * b * K, a subgroup as (a^f * b)^2 lies in K, of
+        order 2m / g: all of G exactly when g = 1."""
+        m = self.m
+        flips = [x - m for x in xs if x >= m]
+        if not flips:
+            return False
+        f = flips[0]
+        return math.gcd(self.n, *(x for x in xs if x < m), *(h - f for h in flips)) == 1
+
     def automorphism_ranks(self) -> list[list[int]]:
         """Every automorphism a -> a^u, b -> a^v * b (u a unit mod m), that
         is (i, e) -> (u * i + v * e, e), rows ordered by (v, u). For the
         dihedral groups with n >= 3 this is all of Aut(D_n)."""
         m = self.m
-        rotations = [[u * i % m for i in range(m)] for u in _units(m)]
+        rotations = [[u * i % m for i in range(m)] for u in units(m)]
         # element (i, e) has rank e * m + i, so a^(j + v) * b has rank
         # reflections[j + v] for 0 <= j, v < m
         reflections = list(range(m, 2 * m)) * 2
@@ -405,7 +432,7 @@ class AbelianProductGroup(FiniteGroup):
         that coordinate's modulus d and mixed-radix stride."""
         strides = [math.prod(self.mods[i + 1 :]) for i in range(len(self.mods))]
         out = []
-        for u in _units(math.lcm(*self.mods)):
+        for u in units(math.lcm(*self.mods)):
             row = [0]
             for d, stride in zip(self.mods, strides):
                 images = [u * c % d * stride for c in range(d)]
@@ -414,6 +441,6 @@ class AbelianProductGroup(FiniteGroup):
         return out
 
 
-def _units(m: int) -> list[int]:
+def units(m: int) -> list[int]:
     """The units modulo m, ascending."""
     return [u for u in range(m) if math.gcd(u, m) == 1]

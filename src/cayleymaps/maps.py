@@ -12,8 +12,7 @@ regular map's isomorphism class, for maps and for the census alike.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import arc_bijection_exists
 from .counting import SizeGuardError
@@ -37,8 +36,7 @@ GRAPH_AUT_MAX_VERTICES = 64
 GRAPH_AUT_MAX_COUNT = 20_000
 
 
-@dataclass(frozen=True)
-class BalanceType:
+class BalanceType(NamedTuple):
     """Result of the power-of-rotation test q(x)^{-1} = q^t(x^{-1})."""
 
     label: str

@@ -3,7 +3,6 @@ involution generate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import closure_table
@@ -18,18 +17,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1..m}; images[i-1] is the image of point i."""
+    """A bijection of {1..m}; images[i-1] is the image of point i. Equal
+    permutations have equal images, and hash alike."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        m = len(self.images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        m = len(images)
         if m == 0:
             raise ValueError("degree must be at least 1")
-        if sorted(self.images) != list(range(1, m + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{m}")
+        if sorted(images) != list(range(1, m + 1)):
+            raise ValueError(f"images {images} are not a bijection of 1..{m}")
+        self.images = images
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @property
     def degree(self) -> int:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
-import numpy as np
-
 import cayleymaps
 from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps.groups import CyclicGroup, FiniteGroup
 from cayleymaps.maps import build_map
 
 SRC = str(Path(cayleymaps.__file__).resolve().parents[1])
@@ -101,7 +101,8 @@ def full_inverse_closed_sets(group, valence) -> list[tuple[int, ...]]:
     """Every unit-free, inverse-closed, generating subset of the given size
     as a sorted rank tuple, rank-lexicographic: the census's enumeration
     (`classify.inverse_closed_sets`) before it kept one set per automorphism
-    orbit."""
+    orbit. Generation is the breadth-first search of
+    `FiniteGroup.generates_ranks`, never a family's closed form."""
     _, inv = group.rank_table()
     identity = group.identity_rank
     involutions = [r for r in range(group.order) if r != identity and inv[r] == r]
@@ -112,19 +113,86 @@ def full_inverse_closed_sets(group, valence) -> list[tuple[int, ...]]:
         for invs in combinations(involutions, n_inv):
             for prs in combinations(pairs, n_pair):
                 xset = tuple(sorted(invs + tuple(x for pr in prs for x in pr)))
-                if group.generates_ranks(xset):
+                if FiniteGroup.generates_ranks(group, xset):
                     out.append(xset)
     return sorted(out)
 
 
 def least_orbit_members(group, sets) -> list[tuple[int, ...]]:
     """The least member of each automorphism orbit among the sorted rank
-    tuples, by imaging each under every row of group.automorphism_ranks();
-    ascending. Checks the per-set early-exit orbit test that
-    `classify.inverse_closed_sets` keeps its representatives by."""
-    auts = np.asarray(group.automorphism_ranks())
-    return sorted(
-        {min(map(tuple, np.sort(auts[:, list(xset)], axis=1).tolist())) for xset in sets}
+    tuples, by imaging each set not met in an earlier orbit under every row
+    of group.automorphism_ranks(); ascending. Checks the search of
+    `classify.inverse_closed_sets`: the per-set early-exit orbit test of its
+    row route, and the orderly generation of its affine route."""
+    rows = group.automorphism_ranks()
+    seen: set[tuple[int, ...]] = set()
+    least = set()
+    for xset in sets:
+        if xset not in seen:
+            orbit = {tuple(sorted([row[x] for x in xset])) for row in rows}
+            seen |= orbit
+            least.add(min(orbit))
+    return sorted(least)
+
+
+def affine_orbit_size(group, xset) -> int:
+    """|H| / |Stab_H(X)|, the orbit size of the sorted rank tuple X of Z_n,
+    D_n or Dic_n under the maps (i, e) -> (u * i + v * e, e) that
+    group.automorphism_ranks() lists (Z_n: v = 0), by arithmetic and no
+    row: X is fixed by the units u that fix its exponents R of powers of a,
+    each with the v that fix its exponents F of the elements a^f * b. Such
+    a v sends u * F[0] into F."""
+    if isinstance(group, CyclicGroup):
+        m, shifts = group.n, 1
+    else:
+        m, shifts = group.m, group.m
+    rotations = [x for x in xset if x < m]
+    flips = [x - m for x in xset if x >= m]
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    fixing = 0
+    for u in units:
+        if sorted(u * r % m for r in rotations) != rotations:
+            continue
+        if not flips:
+            fixing += shifts
+            continue
+        fixing += sum(
+            sorted((u * (f - flips[0]) + h) % m for f in flips) == flips for h in flips
+        )
+    return len(units) * shifts // fixing
+
+
+def _inverse_closed_count(involutions: int, pairs: int, k: int) -> int:
+    """The unit-free, inverse-closed k-subsets of a group with this many
+    involutions and inverse pairs: j involutions and (k - j) / 2 pairs."""
+    return sum(
+        math.comb(involutions, j) * math.comb(pairs, (k - j) // 2)
+        for j in range(k % 2, k + 1, 2)
+    )
+
+
+@lru_cache(maxsize=None)
+def generating_count(family: str, n: int, k: int) -> int:
+    """N_gen(G, k), the unit-free, inverse-closed, generating k-subsets of
+    G = Z_n ("cyclic") or D_n ("dihedral"), by no search: every
+    inverse-closed set generates exactly one subgroup K, so
+    N_gen(G) = N_ic(G) - sum of N_gen(K) over the proper subgroups K. Those
+    of Z_n are <d> = Z_(n/d) for d | n, d > 1; those of D_n are <a^d> =
+    Z_(n/d) for every d | n, and <a^d, a^i * b> = D_(n/d) for d | n, d > 1
+    and 0 <= i < d (D_1 being {e, b}). Z_n has one involution when n is even,
+    and D_n its n reflections besides. Checks the census's set search by
+    orbit-stabilizer: summing |H| / |Stab_H(X)| over the listed X gives
+    N_gen, and a set missed or listed twice changes the sum."""
+    even = 1 - n % 2
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    if family == "cyclic":
+        total = _inverse_closed_count(even, (n - 1 - even) // 2, k)
+        return total - sum(generating_count("cyclic", n // d, k) for d in divisors[1:])
+    total = _inverse_closed_count(n + even, (n - 1 - even) // 2, k)
+    return (
+        total
+        - sum(generating_count("cyclic", n // d, k) for d in divisors)
+        - sum(d * generating_count("dihedral", n // d, k) for d in divisors[1:])
     )
 
 

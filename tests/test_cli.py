@@ -388,7 +388,6 @@ class TestVerifyCommand:
                 0,
                 "dihedral D3 valence 3 (1 group); affine involutions of degree 3",
             ),
-            (("1.3", "--p", "3", "--n-max", "1"), 0, "dicyclic none (0 groups)"),
             (
                 ("3.4", "--p", "5", "--n-max", "50"),
                 0,
@@ -398,6 +397,35 @@ class TestVerifyCommand:
             got, out, err = run_cli(capsys, "verify", "--theorem", *case)
             assert (got, err) == (code, f"covered: {covered}\n"), case
             assert "covered" not in out, case
+
+    def test_ranges_covering_no_group_are_refused(self, capsys):
+        # a claim checked on no group must not PASS, and a census of none
+        # must not print an empty report
+        for case in (
+            ("verify", "--theorem", "1.2", "--p", "3", "--n-max", "-5"),
+            ("verify", "--theorem", "1.1", "--p", "3", "--n-max", "0"),
+            ("verify", "--theorem", "1.1", "--p", "3", "--n-max", "1"),
+            ("verify", "--theorem", "2.6", "--p", "3", "--n-max", "2"),
+            ("verify", "--theorem", "1.3", "--p", "3", "--n-max", "1"),
+            ("verify", "--theorem", "2.7-consequence", "--n-max", "1"),
+            ("verify", "--theorem", "L3.2", "--p", "3", "--n-max", "2"),
+            ("census", "--group", "dihedral", "--p", "3", "--n-max", "-5"),
+            ("census", "--group", "dihedral", "--p", "3", "--n-max", "2"),
+            ("census", "--group", "dicyclic", "--p", "3", "--n-max", "1"),
+            ("census", "--group", "abelian", "--p", "3", "--n-max", "1"),
+            ("census", "--group", "elem2", "--p", "3", "--n-max", "0", "--format", "csv"),
+        ):
+            code, out, err = run_cli(capsys, *case)
+            assert (code, out) == (2, ""), case
+            assert err.startswith("error: ") and "covers no" in err, case
+        # the least range of each family still runs
+        for case in (
+            ("verify", "--theorem", "2.6", "--p", "3", "--n-max", "3"),
+            ("verify", "--theorem", "1.3", "--p", "3", "--n-max", "2"),
+            ("census", "--group", "abelian", "--p", "3", "--n-max", "2"),
+            ("census", "--group", "elem2", "--p", "3", "--n-max", "1"),
+        ):
+            assert run_cli(capsys, *case)[0] == 0, case
 
     def test_refusals_report_no_coverage(self, capsys):
         for case in (
@@ -627,6 +655,46 @@ class TestStartup:
         assert ("cayleymaps.claims" in loaded) == (args[0] == "verify"), loaded
         # the counting scans build numpy blocks; the search builds none
         assert ("numpy" in loaded) != searches, loaded
+
+    @pytest.mark.parametrize(
+        "args, unused",
+        [
+            (
+                "census --group dihedral --p 3 --n-max 5 --format csv".split(),
+                ("dataclasses", "inspect", "json", "traceback"),
+            ),
+            (["triples", "--p", "3", "--n-max", "30"], ("json", "traceback")),
+        ],
+    )
+    def test_commands_skip_the_modules_they_do_not_use(self, args, unused):
+        # dataclasses pulls in inspect, ast, dis and tokenize; json serves
+        # only JSON reports and traceback only crashes
+        code = (
+            "import sys\n"
+            "from cayleymaps.cli import main\n"
+            f"code = main({args!r})\n"
+            f"print(code, [name for name in {unused!r} if name in sys.modules], "
+            "file=sys.stderr)\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "0 []", done.stderr
+
+    def test_a_crash_in_a_fresh_interpreter_prints_its_traceback(self):
+        code = (
+            "import sys\n"
+            "from cayleymaps import classify\n"
+            "from cayleymaps.cli import main\n"
+            "def crash(*args):\n"
+            "    raise RuntimeError('census crashed')\n"
+            "classify.census_entries = crash\n"
+            "sys.exit(main('census --group dihedral --p 3 --n-max 5'.split()))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr.startswith("internal error:\nTraceback")
+        assert done.stderr.endswith("RuntimeError: census crashed\n")
 
     def test_counting_imports_only_the_standard_library_and_numpy(self):
         tree = ast.parse(Path(counting.__file__).read_text())

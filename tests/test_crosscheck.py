@@ -16,7 +16,14 @@ search over every generating set (`reference_regular_maps`, which lives only
 here). Each class's printed representative, the least image
 under the rows for its least orbit minimum (`classify._least_image`), is
 compared with the least image over every row of group.automorphism_ranks()
-(`reference_least_image`, which lives only here). Claim 1.1's seed maps,
+(`reference_least_image`, which lives only here). In Z_n, D_n and Dic_n the
+census needs no rows: their set representatives, built by orderly
+generation, are compared with the least member of every orbit of the full
+list (`reference.least_orbit_members`); their closed-form generation tests
+with the breadth-first search (`FiniteGroup.generates_ranks`); their least
+images by arithmetic with the rows; and their orbit sizes, summed over the
+representatives, with the number of generating sets that the subgroup
+lattice gives (`reference.generating_count`). Claim 1.1's seed maps,
 built from the divisors of t^p - 1 over GF(2), are compared with the sweep
 over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A
 map's rotation automorphism (CayleyMap.rotation_automorphism, the walk with
@@ -32,13 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cayleymaps import classify
 from cayleymaps._kernels import arc_bijection_exists
 from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
@@ -53,13 +61,17 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
+    FiniteGroup,
 )
+from cayleymaps.cli import main
 from cayleymaps.maps import arc_code, build_map, maps_isomorphic, skew_morphism
 from reference import (
+    affine_orbit_size,
     classes_by_sweep,
     closure,
     closure_regular,
     full_inverse_closed_sets,
+    generating_count,
     least_orbit_members,
     monodromy_closure,
     slow_candidates,
@@ -336,11 +348,33 @@ def test_generation_check_matches_group_closure(case):
     assert covered == expected
 
 
+def set_ranks(group, valence):
+    """The census's set representatives as sorted rank tuples."""
+    sets = inverse_closed_sets(group, valence)
+    return [tuple(group.rank(x) for x in xset) for xset in sets]
+
+
+# groups whose H is affine on exponents; the census lists their sets and
+# images them by arithmetic, with no automorphism rows
+AFFINE = (CyclicGroup, DihedralGroup, DicyclicGroup)
+
+AFFINE_CASES = {
+    f"{g.name}-p{p}": (g, p)
+    for g, p in [case for case in CASES if isinstance(case[0], AFFINE)]
+    + [(DihedralGroup(n), 3) for n in range(3, 41)]
+    + [(DicyclicGroup(n), p) for n in range(2, 13) for p in (3, 5)]
+    + [(CyclicGroup(n), 3) for n in range(2, 41)]
+}
+
+
+@pytest.mark.parametrize("case_id", list(AFFINE_CASES))
+def test_affine_search_lists_the_least_member_of_every_orbit(case_id):
+    group, valence = AFFINE_CASES[case_id]
+    full_sets = full_inverse_closed_sets(group, valence)
+    assert set_ranks(group, valence) == least_orbit_members(group, full_sets)
+
+
 ORBIT_CASES = [
-    (DihedralGroup(10), 3),
-    (DihedralGroup(6), 5),
-    (DicyclicGroup(4), 5),
-    (CyclicGroup(12), 3),
     (ElemAbelian2Group(3), 5),
     (AbelianProductGroup([2, 6]), 5),
 ]
@@ -348,21 +382,124 @@ ORBIT_CASES = [
 
 @pytest.mark.parametrize("block", [1, 2, 7, 1000])
 def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch):
-    # the census tests each set only under the rows sending one of its ranks
-    # to its least rank, and stops at the first smaller image; so the rows of
-    # group.automorphism_ranks() are reversed in blocks of this size, which
-    # changes the row that stops each test but not the representatives.
+    # the row route tests each set only under the rows sending one of its
+    # ranks to its least rank, and stops at the first smaller image; so the
+    # rows of group.automorphism_ranks() are reversed in blocks of this size,
+    # which changes the row that stops each test but not the representatives.
     # Block 1 keeps the order, 1000 reverses every group's rows whole
     for group, valence in ORBIT_CASES:
         rows = group.automorphism_ranks()
-        reordered = [row for i in range(0, len(rows), block) for row in rows[i : i + block][::-1]]
-        monkeypatch.setattr(group, "automorphism_ranks", lambda reordered=reordered: reordered)
-        reps = [
-            tuple(group.rank(x) for x in xset)
-            for xset in inverse_closed_sets(group, valence)
+        reordered = [
+            row for i in range(0, len(rows), block) for row in rows[i : i + block][::-1]
         ]
+        monkeypatch.setattr(
+            group, "automorphism_ranks", lambda reordered=reordered: reordered
+        )
         full_sets = full_inverse_closed_sets(group, valence)
-        assert reps == least_orbit_members(group, full_sets), group
+        assert set_ranks(group, valence) == least_orbit_members(group, full_sets), group
+
+
+@pytest.mark.parametrize(
+    "group",
+    [DihedralGroup(n) for n in range(1, 7)]
+    + [DicyclicGroup(n) for n in (2, 3)]
+    + [CyclicGroup(n) for n in range(1, 13)],
+    ids=lambda g: g.name,
+)
+def test_closed_form_generation_matches_the_search_on_every_subset(group):
+    for size in range(group.order + 1):
+        for xs in combinations(range(group.order), size):
+            assert group.generates_ranks(xs) == FiniteGroup.generates_ranks(group, xs), xs
+
+
+AFFINE_GROUPS = st.one_of(
+    st.integers(1, 60).map(DihedralGroup),
+    st.integers(2, 30).map(DicyclicGroup),
+    st.integers(1, 120).map(CyclicGroup),
+)
+
+
+@given(group=AFFINE_GROUPS, data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_closed_form_generation_matches_the_search_on_random_sets(group, data):
+    # ranks drawn at random, then often pressed into a coset pattern
+    # i -> d * i + c * e mod m, so that many sets miss a generator
+    xs = data.draw(st.lists(st.integers(0, group.order - 1), max_size=6))
+    m = group.n if isinstance(group, CyclicGroup) else group.m
+    d, c = data.draw(st.integers(1, m)), data.draw(st.integers(0, m - 1))
+    if data.draw(st.booleans()):
+        xs = [x // m * m + (d * (x % m) + c * (x // m)) % m for x in xs]
+    assert group.generates_ranks(xs) == FiniteGroup.generates_ranks(group, xs), xs
+
+
+@pytest.mark.parametrize(
+    "family, group, valence",
+    [("dihedral", DihedralGroup(40), 5), ("dihedral", DihedralGroup(105), 3)]
+    + [("cyclic", CyclicGroup(n), p) for n, p in ((48, 5), (60, 7), (126, 3))],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_orbit_sizes_add_up_to_the_generating_sets(family, group, valence):
+    # orbit-stabilizer over the listed sets against the subgroup recursion:
+    # a set missed or listed twice changes the left side (D40 at p = 5 has
+    # 890,800 generating sets in 1,604 orbits)
+    found = sum(affine_orbit_size(group, x) for x in set_ranks(group, valence))
+    assert found == generating_count(family, group.n, valence)
+
+
+@pytest.mark.parametrize(
+    "group, valence",
+    [(DihedralGroup(n), p) for n in (4, 6, 9) for p in (3, 5)]
+    + [(DicyclicGroup(n), p) for n in (2, 3, 6) for p in (3, 5)]
+    + [(CyclicGroup(n), p) for n in (12, 15, 16) for p in (3, 5)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_counts_and_orbit_sizes_match_the_full_search(group, valence):
+    # the two sides of the identity above, each against the full list
+    full_sets = full_inverse_closed_sets(group, valence)
+    assert sum(affine_orbit_size(group, x) for x in set_ranks(group, valence)) == len(
+        full_sets
+    )
+    if not isinstance(group, DicyclicGroup):
+        family = "cyclic" if isinstance(group, CyclicGroup) else "dihedral"
+        assert generating_count(family, group.n, valence) == len(full_sets)
+
+
+def no_rows(*args):
+    raise AssertionError("an affine group's census built automorphism rows or ran the BFS")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("census", "--group", "dihedral", "--p", "3", "--n-max", "16"),
+        ("census", "--group", "dihedral", "--p", "5", "--n-max", "10", "--format", "csv"),
+        ("census", "--group", "dicyclic", "--p", "3", "--n-max", "10"),
+        ("verify", "--theorem", "1.2", "--p", "3", "--n-max", "12"),
+        ("verify", "--theorem", "2.7-consequence", "--n-max", "8"),
+    ],
+    ids=" ".join,
+)
+def test_affine_census_needs_no_rows_and_no_bfs(args, monkeypatch, capsys):
+    # the row route as the reference, then the affine route with the rows
+    # and the breadth-first generation test replaced by stubs that raise
+    monkeypatch.setattr(classify, "_is_affine", lambda group: False)
+    expected = (main(list(args)), capsys.readouterr())
+    monkeypatch.undo()
+    monkeypatch.setattr(FiniteGroup, "generates_ranks", no_rows)
+    for family in AFFINE:
+        monkeypatch.setattr(family, "automorphism_ranks", no_rows)
+    assert (main(list(args)), capsys.readouterr()) == expected
+
+
+def test_cyclic_census_needs_no_rows_and_no_bfs(monkeypatch):
+    groups = [(CyclicGroup(n), p) for n in range(2, 31) for p in (3, 5)]
+    monkeypatch.setattr(classify, "_is_affine", lambda group: False)
+    expected = [[m.xs_ranks() for m in exhaustive_regular_maps(g, p)] for g, p in groups]
+    monkeypatch.undo()
+    monkeypatch.setattr(FiniteGroup, "generates_ranks", no_rows)
+    monkeypatch.setattr(CyclicGroup, "automorphism_ranks", no_rows)
+    found = [[m.xs_ranks() for m in exhaustive_regular_maps(g, p)] for g, p in groups]
+    assert found == expected
 
 
 def test_propagation_regularity_matches_closure(case):
@@ -506,10 +643,19 @@ def reference_least_image(auts, orderings):
     return min(images)
 
 
-def test_least_image_matches_every_row(case):
+def reference_rows(group, monkeypatch):
+    """group.automorphism_ranks(), after which an affine group's rows are
+    replaced by a stub that raises: its census images by arithmetic."""
+    rows = group.automorphism_ranks()
+    if isinstance(group, AFFINE):
+        monkeypatch.setattr(group, "automorphism_ranks", no_rows)
+    return rows
+
+
+def test_least_image_matches_every_row(case, monkeypatch):
     # each class's representative, without the least-image shortcut
     group, valence, _ = case
-    auts = group.automorphism_ranks()
+    auts = reference_rows(group, monkeypatch)
     sets = inverse_closed_sets(group, valence)
     classes = _survivors_for_sets(group, valence, sets).values()
     expected = sorted(reference_least_image(auts, cls) for cls in classes)
@@ -517,18 +663,34 @@ def test_least_image_matches_every_row(case):
     assert found == expected
 
 
-def test_least_image_of_any_rotation_matches_every_row(case):
+def test_least_image_of_any_rotation_matches_every_row(case, monkeypatch):
     # the census's orderings start at their set's least rank, and on CASES
     # their least images all come from rows fixing it; a rotated ordering,
     # regular or not, needs the rows sending a later slot to that rank
     group, valence, candidates = case
-    auts = group.automorphism_ranks()
+    auts = reference_rows(group, monkeypatch)
     for m in candidates[:: max(1, len(candidates) // 40)]:
         s = m.xs_ranks()
         for i in range(valence):
             rotated = s[i:] + s[:i]
             expected = reference_least_image(auts, [rotated])
             assert _least_image(group, [rotated]) == expected, (m, i)
+
+
+@given(group=AFFINE_GROUPS, valence=st.sampled_from([3, 4, 5, 7]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_least_affine_image_of_any_ordering_matches_every_row(group, valence, data):
+    # any ordering of any identity-free set, mostly inverse-closed, on
+    # groups past CASES: powers of a in any slots, and none at all
+    assume(group.order > 3)
+    inv = group.rank_table()[1]
+    drawn = data.draw(
+        st.lists(st.integers(1, group.order - 1), min_size=3, max_size=valence, unique=True)
+    )
+    xs = list(dict.fromkeys(y for x in drawn for y in (x, inv[x])))[:valence]
+    s = tuple(data.draw(st.permutations(xs)))
+    expected = reference_least_image(group.automorphism_ranks(), [s])
+    assert _least_image(group, [s]) == expected, s
 
 
 def test_orbit_search_matches_full_search(case):
