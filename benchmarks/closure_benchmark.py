@@ -84,13 +84,13 @@ CASES = [
 
 def kappa0_of(group, xs) -> list[int]:
     """The 0-based slot of each x_i^-1 in the rank ordering xs."""
-    inv = group.rank_table()[1]
-    return [xs.index(inv[r]) for r in xs]
+    elems = group.elements()
+    return [xs.index(group.rank(group.inv(elems[r]))) for r in xs]
 
 
 def ordering_rows(group, valence, orderings) -> list[tuple[list[int], list[int]]]:
     """(R, L) rows of each rank ordering."""
-    table = group.rank_table()[0]
+    table = group.products(range(group.order))
     row_R = rotation_row(group.order * valence, valence)
     return [
         (row_R, reversal_row(table, xs, kappa0_of(group, xs))) for xs in orderings
@@ -156,9 +156,10 @@ def check_case(label: str, group, valence: int, repeat: int) -> str:
         repeat, lambda: [closure_regular(rot, rev) for rot, rev in rows]
     )
     walks = [(xs, kappa0_of(group, xs)) for xs in candidates]
+    table, e = group.products(range(group.order)), group.identity_rank
     t_walk, by_walk = best_of(
         repeat,
-        lambda: [skew_morphism(group, xs, k0) is not None for xs, k0 in walks],
+        lambda: [skew_morphism(table, xs, k0, e) is not None for xs, k0 in walks],
     )
     if by_closure != by_walk:
         raise SystemExit(f"{label}: the two regularity routes disagree")

@@ -11,8 +11,8 @@ a wrapper installed on `classify` sees every search a verification runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from itertools import takewhile
+from typing import NamedTuple, Optional
 
 from . import classify
 from .counting import (
@@ -40,6 +40,12 @@ from .perms import (
 # 3.9 s of it on E4 and 2.9 s on Z2xZ2xZ4, and p = 13 does not finish in
 # 5 minutes.
 MAX_ABELIAN_VERIFY_ORDER = 16
+
+# Claim L3.2's first part closes <(1 ... p), kappa> for every involution kappa
+# of degree p that fixes p: 140,152 of them at p = 13 take about 48 s on a
+# 2-CPU Xeon, and the 46,206,736 at p = 17 would take hours. The census guard
+# does not see this cost; D3 at valence 17 has only 102 arcs.
+MAX_AFFINE_INVOLUTION_DEGREE = 13
 
 
 # -- closed-form constructions --------------------------------------------------
@@ -146,8 +152,7 @@ def affine_compatible_involutions(k: int) -> list[Permutation]:
 # -- claim verification -----------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one verification run; counterexamples are report rows."""
 
     claim_id: str
@@ -214,11 +219,21 @@ def verify_claim(
             f"abelian verification is bounded at order "
             f"{MAX_ABELIAN_VERIFY_ORDER}, got n_max={n_max}"
         )
+    if claim_id == "L3.2" and p > MAX_AFFINE_INVOLUTION_DEGREE:
+        raise SizeGuardError(
+            f"claim L3.2 closes every involution of degree p fixing p and is "
+            f"bounded at p = {MAX_AFFINE_INVOLUTION_DEGREE}, got p={p}"
+        )
     if claim_id == "2.7-consequence":
-        # valences 3, 4 and 5 each where they fit the guard
+        # valences 3, 4 and 5 each where they fit the guard; the orders grow
+        # with n, so the sweep stops at the first group too large at valence 3
+        fitting = takewhile(
+            lambda group_n: group_n[0].order * 3 <= classify.MAX_CENSUS_ARCS,
+            classify.family_groups("dicyclic", n_max),
+        )
         targets = classify.guarded_targets(
             (group, n, valence)
-            for group, n in classify.family_groups("dicyclic", n_max)
+            for group, n in fitting
             for valence in (3, 4, 5)
             if group.order * valence <= classify.MAX_CENSUS_ARCS
         )

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cached_property
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .counting import (
     SizeGuardError,
@@ -34,6 +35,7 @@ from .groups import (
     DihedralGroup,
     ElemAbelian2Group,
     FiniteGroup,
+    is_generating,
     units,
 )
 from .maps import (
@@ -240,8 +242,8 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     once, and almost no set of a large elementary abelian pool generates.
     Each generating set is then tested for being least in its orbit
     (`_least_in_orbit`) as soon as it is found."""
-    auts = _automorphisms(group)
-    orbit_min = auts.orbit_min
+    tables = _tables_of(group)
+    orbit_min = tables.orbit_min
     inv = [group.rank(group.inv(g)) for g in group.elements()]
     identity = group.identity_rank
     out: list[list[int]] = []
@@ -264,23 +266,32 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
             for invs in combinations(involutions, n_inv):
                 for prs in combinations(pairs, n_pair):
                     xset = sorted(base + invs + tuple(x for pr in prs for x in pr))
-                    if not group.generates_ranks(xset):
+                    if not is_generating(tables.table, xset, identity):
                         continue
                     # the rows are grouped at the pool's first generating set
-                    if _least_in_orbit(auts.sending_to(m), xset):
+                    if _least_in_orbit(tables.sending_to(m), xset):
                         out.append(xset)
     return out
 
 
-class _Automorphisms:
-    """The rows of one group's automorphism_ranks(), their orbit minima, and
-    the rows sending ranks to each orbit minimum asked for."""
+class _Tables:
+    """One group's whole product table and, built on first use, the rows of
+    H = automorphism_ranks(), their orbit minima, and the rows sending
+    ranks to each orbit minimum asked for."""
 
-    def __init__(self, rows: list[list[int]]) -> None:
-        self.rows = rows
-        # the least rank in each rank's orbit
-        self.orbit_min = list(map(min, zip(*rows)))
+    def __init__(self, group: FiniteGroup) -> None:
+        self.table = group.products(range(group.order))
+        self.rows_of = group.automorphism_ranks  # the key of `_tables_of`
         self._sending_to: dict[int, dict[int, list[list[int]]]] = {}
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return self.rows_of()
+
+    @cached_property
+    def orbit_min(self) -> list[int]:
+        """The least rank in each rank's orbit."""
+        return list(map(min, zip(*self.rows)))
 
     def sending_to(self, m: int) -> dict[int, list[list[int]]]:
         """The rows keyed by the rank each one sends to m: the keys are the
@@ -293,26 +304,24 @@ class _Automorphisms:
         return self._sending_to[m]
 
 
-# The last group's automorphisms, so a census builds them once per group and
-# holds one group's rows at a time, like the product table's one-slot cache.
-# The key is the group's bound automorphism_ranks, so a group whose method is
-# replaced gets its new rows.
-_last_automorphisms: list[tuple[Callable[[], list[list[int]]], _Automorphisms]] = []
+# The tables of the group searched last, so a census builds each group's
+# tables once and holds one group's at a time. The key is the group's bound
+# automorphism_ranks, so a group whose method is replaced gets its new rows.
+_last_tables: Optional[_Tables] = None
 
 
-def _automorphisms(group: FiniteGroup) -> _Automorphisms:
-    rows_of = group.automorphism_ranks
-    if not _last_automorphisms or _last_automorphisms[0][0] != rows_of:
-        _last_automorphisms.clear()  # before the new rows are built
-        _last_automorphisms.append((rows_of, _Automorphisms(rows_of())))
-    return _last_automorphisms[0][1]
+def _tables_of(group: FiniteGroup) -> _Tables:
+    global _last_tables
+    if _last_tables is None or _last_tables.rows_of != group.automorphism_ranks:
+        _last_tables = _Tables(group)
+    return _last_tables
 
 
 def _least_in_orbit(to_m: dict[int, list[list[int]]], xset: list[int]) -> bool:
     """Is the sorted rank list xset, whose least rank m is an orbit minimum,
     the least of its sorted images? An image below xset must start with m,
     so it comes from a row sending some x of xset to m, and those rows are
-    to_m[x] (`_Automorphisms.sending_to`). Stops at the first smaller
+    to_m[x] (`_Tables.sending_to`). Stops at the first smaller
     image."""
     for x in xset:
         for row in to_m.get(x, ()):
@@ -338,13 +347,14 @@ def _survivors_for_sets(
     classes: dict[bytes, list[tuple[int, ...]]] = {}
     if not sets:
         return classes  # spares the product table of a group with no sets
-    table, inv = group.rank_table()
+    table = _tables_of(group).table
     row_R = rotation_row(group.order * valence, valence)
     for xset in sets:
         set_ranks = tuple(group.rank(x) for x in xset)
+        inverse = {r: group.rank(group.inv(x)) for r, x in zip(set_ranks, xset)}
         for xs_ranks in cyclic_orderings(set_ranks):
-            kappa0 = [xs_ranks.index(inv[r]) for r in xs_ranks]
-            if skew_morphism(group, xs_ranks, kappa0) is not None:
+            kappa0 = [xs_ranks.index(inverse[r]) for r in xs_ranks]
+            if skew_morphism(table, xs_ranks, kappa0, group.identity_rank) is not None:
                 row_L = reversal_row(table, xs_ranks, kappa0)
                 classes.setdefault(arc_code(row_R, row_L), []).append(xs_ranks)
     return classes
@@ -410,7 +420,7 @@ def _least_image(
     otherwise."""
     if _is_affine(group):
         return min(_least_affine_image(group, s) for s in orderings)
-    auts = _automorphisms(group)
+    auts = _tables_of(group)
     best = None
     for s in orderings:
         to_m = auts.sending_to(min(auts.orbit_min[x] for x in s))

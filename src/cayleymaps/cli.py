@@ -28,8 +28,9 @@ if TYPE_CHECKING:
     from .groups import FiniteGroup
 
 SCHEMA_VERSION = 1
-# checkmap builds its group's N x N product table, the one part of a map that
-# grows as N^2; at 1800 arcs (Z600, valence 3) it peaks near 19 MB
+# a map reads only X's N x k products, so checkmap's rows, walk and faces are
+# linear in the arcs; at 1800 arcs (Z600, valence 3) it takes about 0.1 s and
+# peaks near 16 MB
 MAX_CHECKMAP_ARCS = 1800
 
 

@@ -5,21 +5,21 @@ cyclic groups, bit masks for elementary abelian 2-groups, exponent pairs
 (i, eps) meaning a^i * b^eps for the dihedral and dicyclic families, and
 residue tuples for products of cyclic groups.  Every product is computed on
 exponents: `FiniteGroup.mul` checks both factors once and calls the family's
-unchecked `_mul`; `FiniteGroup.rank_table` tabulates `_mul` over element ranks
-for the hot loops, and only the most recent group's table is kept.
+unchecked `_mul`; `FiniteGroup.products` tabulates `_mul` over element ranks
+for the hot loops, uncached: each caller owns the table it asks for.
 `FiniteGroup.automorphism_ranks` lists a subgroup of Aut(G), chosen per family
 to be cheap to list, as permutations of element ranks (lists of ints): the
 census searches E_r and the products by these rows, and Z_n, D_n and Dic_n by
 arithmetic on the same subgroup, whose rows the tests keep as the reference.
-`FiniteGroup.generates_ranks` is a breadth-first search, which those three
-families replace by a gcd.
+`FiniteGroup.generates_ranks` is a breadth-first search (`is_generating`),
+which those three families replace by a gcd.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +33,7 @@ __all__ = [
     "DihedralGroup",
     "DicyclicGroup",
     "GroupElement",
+    "is_generating",
 ]
 
 
@@ -45,7 +46,6 @@ class FiniteGroup:
         self.name = name
         self.order = order
         self._elements: Optional[list[GroupElement]] = None
-        self._rank: Optional[dict[GroupElement, int]] = None
 
     # -- family-specific arithmetic ---------------------------------------
 
@@ -94,23 +94,23 @@ class FiniteGroup:
             self._elements = self._build_elements()
         return self._elements
 
+    @cached_property
+    def _ranks(self) -> dict[GroupElement, int]:
+        return {h: i for i, h in enumerate(self.elements())}
+
     def rank(self, g: GroupElement) -> int:
-        if self._rank is None:
-            self._rank = {h: i for i, h in enumerate(self.elements())}
         try:
-            return self._rank[g]
+            return self._ranks[g]
         except KeyError:
             raise ValueError(f"{g!r} is not an element of {self.name}") from None
 
-    @lru_cache(maxsize=1)
-    def rank_table(self) -> tuple[list[list[int]], list[int]]:
-        """(mul, inv) over element ranks: mul[i][j] is the rank of g_i * g_j
-        and inv[i] the rank of g_i^-1. Only the most recent group's table is
-        cached, so a sweep over many groups holds one N x N table at a time."""
-        elems = self.elements()
-        rank = self.rank
-        mul = [[rank(self._mul(g, h)) for h in elems] for g in elems]
-        return mul, [rank(self.inv(g)) for g in elems]
+    def products(self, xs: Sequence[int]) -> list[list[int]]:
+        """The order x len(xs) table over element ranks: slot i of row r is
+        the rank of g_r * g_(xs[i]). products(range(order)) is the whole
+        table, whose row r is the left translation by g_r."""
+        elems, ranks, mul = self.elements(), self._ranks, self._mul
+        right = [elems[x] for x in xs]
+        return [[ranks[mul(g, x)] for x in right] for g in elems]
 
     @cached_property
     def identity_rank(self) -> int:
@@ -121,27 +121,9 @@ class FiniteGroup:
         return self.generates_ranks([self.rank(g) for g in seed])
 
     def generates_ranks(self, xs: Sequence[int]) -> bool:
-        """Do the elements of these ranks generate the group? Breadth-first
-        search on rank_table, stopped as soon as it has reached more than
-        half the group: a proper subgroup has at most |G|/2 elements
-        (Lagrange). One of index 2 has exactly that many, so it is still
-        searched to the end."""
-        mul = self.rank_table()[0]
-        identity = self.identity_rank
-        half = self.order // 2
-        found = [False] * self.order
-        found[identity] = True
-        reached = [identity]
-        for r in reached:  # the list grows while it is read: a queue
-            row = mul[r]
-            for x in xs:
-                h = row[x]
-                if not found[h]:
-                    found[h] = True
-                    reached.append(h)
-            if len(reached) > half:
-                return True
-        return False
+        """Do the elements of these ranks generate the group? The
+        breadth-first search `is_generating` on their products."""
+        return is_generating(self.products(xs), range(len(xs)), self.identity_rank)
 
     def involutions(self) -> list[GroupElement]:
         e = self.identity
@@ -439,6 +421,29 @@ class AbelianProductGroup(FiniteGroup):
                 row = [base + image for base in row for image in images]
             out.append(row)
         return out
+
+
+def is_generating(table, slots: Sequence[int], identity: int) -> bool:
+    """Do these slots of a product table generate the group? Slot s of row g
+    is the rank of g * x_s, for a table from `FiniteGroup.products`, and
+    identity is the identity's rank. Breadth-first search from the
+    identity, stopped as soon as it has reached more than half the group: a
+    proper subgroup has at most |G|/2 elements (Lagrange). One of index 2
+    has exactly that many, so it is still searched to the end."""
+    half = len(table) // 2
+    found = [False] * len(table)
+    found[identity] = True
+    reached = [identity]
+    for r in reached:  # the list grows while it is read: a queue
+        row = table[r]
+        for s in slots:
+            h = row[s]
+            if not found[h]:
+                found[h] = True
+                reached.append(h)
+        if len(reached) > half:
+            return True
+    return False
 
 
 def units(m: int) -> list[int]:

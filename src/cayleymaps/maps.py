@@ -4,14 +4,16 @@ A map is a group together with an ordered generating list (x_1, ..., x_k);
 the rotation R advances the generator slot at a vertex, and the reversal L
 crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
 (slot - 1), so every permutation here is a list of ints over that numbering.
-`skew_morphism` decides regularity by one walk over the group's rank table,
-`rotation_row` and `reversal_row` build R and L, and `arc_code` names a
-regular map's isomorphism class, for maps and for the census alike.
+`skew_morphism` decides regularity by one walk over a product table (a map's
+own N x k table, or the census's whole one), `rotation_row` and `reversal_row`
+build R and L, and `arc_code` names a regular map's isomorphism class, for
+maps and for the census alike.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import arc_bijection_exists
@@ -90,12 +92,25 @@ class CayleyMap:
         # distribution of inverses: the involution with x_i^-1 = x_kappa(i)
         self.kappa = Permutation(tuple(kappa_images))
         self._kappa0 = [s - 1 for s in kappa_images]
-        mul = group.rank_table()[0]
         self._rotation_row = rotation_row(self.n_arcs, k)
-        self._reversal_row = reversal_row(mul, self.xs_ranks(), self._kappa0)
-        self._regular: Optional[bool] = None
         self._code: Optional[bytes] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
+
+    @cached_property
+    def _products(self) -> list[list[int]]:
+        """X's N x k products, slot i of row g holding g * x_i: all that the
+        reversal row and the walk read."""
+        return self.group.products(self.xs_ranks())
+
+    @cached_property
+    def _reversal_row(self) -> list[int]:
+        return reversal_row(self._products, range(self.k), self._kappa0)
+
+    @cached_property
+    def _walk(self) -> Optional[tuple[list[int], list[int]]]:
+        return skew_morphism(
+            self._products, range(self.k), self._kappa0, self.group.identity_rank
+        )
 
     # -- inverse distribution and balance ----------------------------------
 
@@ -128,11 +143,8 @@ class CayleyMap:
 
     def is_regular(self) -> bool:
         """Do the map's automorphisms act regularly on its arcs? Exactly when
-        x_i -> x_(i+1) extends to a skew-morphism (skew_morphism); cached."""
-        if self._regular is None:
-            walk = skew_morphism(self.group, self.xs_ranks(), self._kappa0)
-            self._regular = walk is not None
-        return self._regular
+        x_i -> x_(i+1) extends to a skew-morphism (skew_morphism)."""
+        return self._walk is not None
 
     def arc_code(self) -> bytes:
         """arc_code of this map's rows, cached."""
@@ -144,7 +156,7 @@ class CayleyMap:
         """The group automorphism phi with phi(x_i) = x_(i+1) for every slot,
         as a rank tuple in the row convention of automorphism_ranks, or None:
         skew_morphism's phi when its power function is 1 everywhere."""
-        walk = skew_morphism(self.group, self.xs_ranks(), self._kappa0)
+        walk = self._walk
         return tuple(walk[0]) if walk and set(walk[1]) == {1} else None
 
     def balanced_regular_via_aut(self) -> bool:
@@ -224,8 +236,8 @@ class CayleyMap:
     def is_normal_cayley(self) -> bool:
         """Do all graph automorphisms normalize the left translations?"""
         auts = self.graph_automorphisms()
-        # row g of the table is the left translation h -> g * h
-        left = [tuple(row) for row in self.group.rank_table()[0]]
+        # row g of the whole table is the left translation h -> g * h
+        left = [tuple(row) for row in self.group.products(range(self.group.order))]
         translations = set(left)
         inverses = {}
         for alpha in auts:
@@ -261,22 +273,23 @@ def rotation_row(n_arcs: int, k: int) -> list[int]:
     return [v + i for v in range(0, n_arcs, k) for i in star]
 
 
-def reversal_row(mul, xs: Sequence[int], kappa0: Sequence[int]) -> list[int]:
-    """L: arc (v, i) -> (v * x_i, kappa(i)), where mul is the group's rank
-    table, xs the slot ranks and kappa0[i] the 0-based slot of x_i^-1."""
-    k = len(xs)
-    slots = list(zip(xs, kappa0))
-    return [row[x] * k + j for row in mul for x, j in slots]
+def reversal_row(table, slots: Sequence[int], kappa0: Sequence[int]) -> list[int]:
+    """L: arc (v, i) -> (v * x_i, kappa(i)), where row v of the product
+    table holds v * x_i in slot slots[i], and kappa0[i] is the 0-based slot
+    of x_i^-1."""
+    k = len(slots)
+    return [row[s] * k + j for row in table for s, j in zip(slots, kappa0)]
 
 
 def skew_morphism(
-    group: FiniteGroup, xs: Sequence[int], kappa0: Sequence[int]
+    table, slots: Sequence[int], kappa0: Sequence[int], identity: int
 ) -> Optional[tuple[list[int], list[int]]]:
     """(phi, delta) when x_i -> x_(i+1) extends to a skew-morphism phi of G
-    with power function delta, else None: the map with slot ranks xs and
-    0-based inverse slots kappa0 is regular exactly when it is not None
-    (Jajcay and Siran, Discrete Math. 244, 2002). A breadth-first walk over
-    group.rank_table() from phi(e) = e, delta(e) = 1 sets, on each edge,
+    with power function delta, else None: the map with 0-based inverse
+    slots kappa0 is regular exactly when it is not None (Jajcay and Siran,
+    Discrete Math. 244, 2002). Row g of the product table holds g * x_i in
+    slot slots[i], and identity is the rank of e. A breadth-first walk over
+    the table from phi(e) = e, delta(e) = 1 sets, on each edge,
     phi(g x_i) = phi(g) x_(i+delta(g)) and
     delta(g x_i) = kappa(i + delta(g)) - kappa(i) (mod k),
     and stops at the first clash. It is exact:
@@ -290,18 +303,16 @@ def skew_morphism(
     - A rotation automorphism psi forces kappa(i+1) = kappa(i) + 1, and
       (psi, 1) is then the unique solution; delta = 1 everywhere makes phi
       a homomorphism word by word, so phi is psi."""
-    mul = group.rank_table()[0]
-    k = len(xs)
-    identity = group.identity_rank
-    phi = [-1] * group.order
-    delta = [0] * group.order
+    k = len(slots)
+    phi = [-1] * len(table)
+    delta = [0] * len(table)
     phi[identity], delta[identity] = identity, 1
     reached = [identity]
     for g in reached:  # the list grows while it is read: a queue
-        row, image_row, d = mul[g], mul[phi[g]], delta[g]
-        for i, x in enumerate(xs):
+        row, image_row, d = table[g], table[phi[g]], delta[g]
+        for i, s in enumerate(slots):
             j = (i + d) % k
-            h, image, power = row[x], image_row[xs[j]], (kappa0[j] - kappa0[i]) % k
+            h, image, power = row[s], image_row[slots[j]], (kappa0[j] - kappa0[i]) % k
             if phi[h] < 0:
                 phi[h], delta[h] = image, power
                 reached.append(h)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import cayleymaps
 from cayleymaps._kernels import arc_bijection_exists, closure_table
-from cayleymaps.groups import CyclicGroup, FiniteGroup
+from cayleymaps.groups import CyclicGroup, is_generating
 from cayleymaps.maps import build_map
 
 SRC = str(Path(cayleymaps.__file__).resolve().parents[1])
@@ -36,8 +36,8 @@ def checkout_env() -> dict[str, str]:
 
 def closure(group, seed) -> set:
     """The subgroup seed generates, grown by breadth-first multiplication on
-    elements; checks `FiniteGroup.generates` and `generates_ranks`, the
-    search on the rank table."""
+    elements; checks `FiniteGroup.generates` and `generates_ranks`, and
+    the breadth-first search on a product table (`groups.is_generating`)."""
     gens = [group.check(g) for g in seed]
     found = {group.identity}
     frontier = [group.identity]
@@ -101,9 +101,10 @@ def full_inverse_closed_sets(group, valence) -> list[tuple[int, ...]]:
     """Every unit-free, inverse-closed, generating subset of the given size
     as a sorted rank tuple, rank-lexicographic: the census's enumeration
     (`classify.inverse_closed_sets`) before it kept one set per automorphism
-    orbit. Generation is the breadth-first search of
-    `FiniteGroup.generates_ranks`, never a family's closed form."""
-    _, inv = group.rank_table()
+    orbit. Generation is the breadth-first search `groups.is_generating` on
+    the group's one whole product table, never a family's closed form."""
+    table = group.products(range(group.order))
+    inv = [group.rank(group.inv(g)) for g in group.elements()]
     identity = group.identity_rank
     involutions = [r for r in range(group.order) if r != identity and inv[r] == r]
     pairs = [(r, inv[r]) for r in range(group.order) if r < inv[r]]
@@ -113,7 +114,7 @@ def full_inverse_closed_sets(group, valence) -> list[tuple[int, ...]]:
         for invs in combinations(involutions, n_inv):
             for prs in combinations(pairs, n_pair):
                 xset = tuple(sorted(invs + tuple(x for pr in prs for x in pr)))
-                if FiniteGroup.generates_ranks(group, xset):
+                if is_generating(table, xset, identity):
                     out.append(xset)
     return sorted(out)
 

@@ -48,6 +48,7 @@ from cayleymaps.groups import (
     DicyclicGroup,
     DihedralGroup,
     ElemAbelian2Group,
+    FiniteGroup,
 )
 from cayleymaps.maps import SizeGuardError, build_map, maps_isomorphic
 from cayleymaps.perms import Permutation, all_involutions, reflection_fixing_last
@@ -722,6 +723,28 @@ class TestExhaustiveSearch:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             exhaustive_regular_maps(DihedralGroup(67), 3)
+
+    def test_the_census_builds_one_whole_table_per_group(self, monkeypatch):
+        # the set search and the walks share the group's N x N table; each
+        # class representative computes N x k products of its own
+        widths = []
+        real = FiniteGroup.products
+
+        def products(group, xs):
+            widths.append(len(xs))
+            return real(group, xs)
+
+        monkeypatch.setattr(FiniteGroup, "products", products)
+        for group, valence in (
+            (DihedralGroup(13), 3),
+            (CyclicGroup(10), 5),
+            (ElemAbelian2Group(3), 3),
+            (AbelianProductGroup([2, 4]), 4),
+        ):
+            widths.clear()
+            assert census_entries(group, 0, valence), group
+            assert widths.count(group.order) == 1, group
+            assert set(widths) == {group.order, valence}, group
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -1):

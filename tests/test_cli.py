@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,37 @@ class TestExitCodes:
             assert (code, out) == (3, ""), case
             assert err.startswith("size guard: census guard: "), case
         assert searched == []
+
+    def test_affine_involution_claim_refuses_large_primes_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        # 46,206,736 involutions of degree 17 fix 17; the census guard admits
+        # D3 at valence 17 (102 arcs), so this bound is the claim's own
+        from cayleymaps import claims
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked on a refused request")
+
+        monkeypatch.setattr(claims, "affine_compatible_involutions", no_work)
+        monkeypatch.setattr(classify, "exhaustive_regular_maps", no_work)
+        for p in ("17", "19", "10007"):
+            code, out, err = run_cli(
+                capsys, "verify", "--theorem", "L3.2", "--p", p, "--n-max", "3"
+            )
+            assert (code, out) == (3, ""), p
+            assert err == (
+                "size guard: claim L3.2 closes every involution of degree p "
+                f"fixing p and is bounded at p = 13, got p={p}\n"
+            ), p
+
+    def test_dicyclic_balance_parity_stops_where_the_census_guard_stops(self, capsys):
+        # Dic34 at valence 3 needs 408 arcs, and every later group more
+        claim = ("verify", "--theorem", "2.7-consequence", "--n-max")
+        start = time.perf_counter()
+        huge = run_cli(capsys, *claim, str(10**12))
+        assert time.perf_counter() - start < 20
+        assert huge == run_cli(capsys, *claim, "33")
+        assert huge[0] == 0
 
     def test_three_on_the_abelian_order_bound(self, capsys, monkeypatch):
         def no_search(group, valence, jobs=1):
@@ -664,11 +696,16 @@ class TestStartup:
                 ("dataclasses", "inspect", "json", "traceback"),
             ),
             (["triples", "--p", "3", "--n-max", "30"], ("json", "traceback")),
+            (
+                ["verify", "--theorem", "1.3", "--p", "3", "--n-max", "5"],
+                ("dataclasses", "inspect"),
+            ),
         ],
     )
     def test_commands_skip_the_modules_they_do_not_use(self, args, unused):
         # dataclasses pulls in inspect, ast, dis and tokenize; json serves
-        # only JSON reports and traceback only crashes
+        # only JSON reports and traceback only crashes. numpy imports inspect
+        # itself, so the verify case is a claim that loads no numpy
         code = (
             "import sys\n"
             "from cayleymaps.cli import main\n"

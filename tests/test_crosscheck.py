@@ -1,11 +1,13 @@
 """The census's fast paths against the slow routes they replace.
 
-Maps and the census decide regularity with one walk over the rank table
+Maps and the census decide regularity with one walk over a product table
 (`maps.skew_morphism`: does x_i -> x_(i+1) extend to a skew-morphism of the
-group?), decide isomorphism between regular maps by comparing arc codes (the
+group?), a map over its own N x k table `FiniteGroup.products(xs)` and the
+census over its group's whole table, and the two walks are compared here.
+They decide isomorphism between regular maps by comparing arc codes (the
 breadth-first relabelling of R and L from arc 0, `maps.arc_code`), check
-generation (FiniteGroup.generates) on the rank multiplication table, and
-search one generating set per orbit of group.automorphism_ranks().
+generation (FiniteGroup.generates) by a breadth-first search on a product
+table, and search one generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
 the monodromy closure (`reference.monodromy_closure`, which the stage
 benchmark runs too) and the arc permutation the walk's skew-morphism and
@@ -37,6 +39,7 @@ and GL(r, 2) for E_r (`Gf2Matrix`, which lives only here).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -62,9 +65,16 @@ from cayleymaps.groups import (
     DihedralGroup,
     ElemAbelian2Group,
     FiniteGroup,
+    is_generating,
 )
 from cayleymaps.cli import main
-from cayleymaps.maps import arc_code, build_map, maps_isomorphic, skew_morphism
+from cayleymaps.maps import (
+    arc_code,
+    build_map,
+    maps_isomorphic,
+    reversal_row,
+    skew_morphism,
+)
 from reference import (
     affine_orbit_size,
     classes_by_sweep,
@@ -155,24 +165,23 @@ def full_automorphism_rows(group):
 
 def reference_rotation_automorphism(m):
     """The automorphism phi with phi(x_i) = x_(i+1), as a rank tuple, or
-    None: one breadth-first propagation over the rank table from phi(e) = e
+    None: one breadth-first propagation over X's products from phi(e) = e
     setting phi(g * x_i) = phi(g) * x_(i+1), None at the first clash. The
     generators reach every element; with every edge consistent,
     phi(g * h) = phi(g) * phi(h) follows word by word in h, and phi is onto
     since its image holds every x_(i+1). Conversely an automorphism psi with
     psi(x_i) = x_(i+1) satisfies every equation, so the propagation never
     clashes."""
-    mul = m.group.rank_table()[0]
-    xs = m.xs_ranks()
-    next_xs = xs[1:] + xs[:1]
+    k = m.k
+    mul = m.group.products(m.xs_ranks())
     identity = m.group.identity_rank
     phi = [-1] * m.group.order
     phi[identity] = identity
     reached = [identity]
     for g in reached:  # the list grows while it is read: a queue
         row, image_row = mul[g], mul[phi[g]]
-        for x, y in zip(xs, next_xs):
-            h, image = row[x], image_row[y]
+        for i in range(k):
+            h, image = row[i], image_row[(i + 1) % k]
             if phi[h] < 0:
                 phi[h] = image
                 reached.append(h)
@@ -189,7 +198,7 @@ def check_rotation_automorphism(m):
     phi = m.rotation_automorphism()
     xs = np.array(m.xs_ranks())
     if phi is not None:
-        mul = np.array(m.group.rank_table()[0])
+        mul = np.array(m.group.products(range(m.group.order)))
         row = np.array(phi)
         assert (np.sort(row) == np.arange(m.group.order)).all(), m
         assert (row[mul] == mul[row[:, None], row]).all(), m
@@ -235,14 +244,20 @@ def case(request):
     "group", list({g.name: g for g, _ in CASES}.values()), ids=lambda g: g.name
 )
 def test_rank_table_matches_group_arithmetic(group):
-    mul, inv = group.rank_table()
+    # products(xs), the table of the ranks of g * x over the slots of xs: the
+    # whole table for xs = every rank, then random rank lists, repeats and
+    # the empty list included
     elems = group.elements()
-    assert len(mul) == len(inv) == group.order
-    for i, g in enumerate(elems):
-        assert elems[inv[i]] == group.inv(g)
-        assert len(mul[i]) == group.order
-        for j, h in enumerate(elems):
-            assert elems[mul[i][j]] == group.mul(g, h)
+    rng = random.Random(group.name)
+    rank_lists = [range(group.order)] + [
+        rng.choices(range(group.order), k=k) for k in (0, 1, 3, 5, 8)
+    ]
+    for xs in rank_lists:
+        table = group.products(xs)
+        assert len(table) == group.order
+        for i, g in enumerate(elems):
+            assert table[i] == [group.rank(group._mul(g, elems[x])) for x in xs]
+            assert [elems[r] for r in table[i]] == [group.mul(g, elems[x]) for x in xs]
 
 
 AUT_GROUPS = list({g.name: g for g, _ in CASES}.values()) + [
@@ -265,7 +280,7 @@ def generating_ranks(group):
 @pytest.mark.parametrize("group", AUT_GROUPS, ids=lambda g: g.name)
 def test_automorphism_ranks_form_a_group_of_automorphisms(group):
     auts = np.asarray(group.automorphism_ranks())
-    mul = np.array(group.rank_table()[0])
+    mul = np.array(group.products(range(group.order)))
     n = group.order
     e = group.rank(group.identity)
     assert auts.dtype == np.int64 and auts.shape[1] == n
@@ -399,6 +414,22 @@ def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch
         assert set_ranks(group, valence) == least_orbit_members(group, full_sets), group
 
 
+def test_a_replaced_automorphism_ranks_takes_effect_on_the_next_search(monkeypatch):
+    # the census keeps the tables of the group it searched last, keyed on
+    # the group's bound automorphism_ranks: a method replaced on the group
+    # object is called afresh by its next search, and once
+    for group, valence in ORBIT_CASES:
+        rows = group.automorphism_ranks()
+        expected = set_ranks(group, valence)
+        calls = []
+        monkeypatch.setattr(
+            group, "automorphism_ranks", lambda rows=rows: calls.append(1) or rows
+        )
+        assert set_ranks(group, valence) == set_ranks(group, valence) == expected
+        assert calls == [1], group
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "group",
     [DihedralGroup(n) for n in range(1, 7)]
@@ -407,9 +438,12 @@ def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch
     ids=lambda g: g.name,
 )
 def test_closed_form_generation_matches_the_search_on_every_subset(group):
+    # the breadth-first search on one whole table, as the full enumeration
+    # in tests/reference.py runs it
+    table, e = group.products(range(group.order)), group.identity_rank
     for size in range(group.order + 1):
         for xs in combinations(range(group.order), size):
-            assert group.generates_ranks(xs) == FiniteGroup.generates_ranks(group, xs), xs
+            assert group.generates_ranks(xs) == is_generating(table, xs, e), xs
 
 
 AFFINE_GROUPS = st.one_of(
@@ -486,6 +520,7 @@ def test_affine_census_needs_no_rows_and_no_bfs(args, monkeypatch, capsys):
     expected = (main(list(args)), capsys.readouterr())
     monkeypatch.undo()
     monkeypatch.setattr(FiniteGroup, "generates_ranks", no_rows)
+    monkeypatch.setattr(classify, "is_generating", no_rows)
     for family in AFFINE:
         monkeypatch.setattr(family, "automorphism_ranks", no_rows)
     assert (main(list(args)), capsys.readouterr()) == expected
@@ -497,6 +532,7 @@ def test_cyclic_census_needs_no_rows_and_no_bfs(monkeypatch):
     expected = [[m.xs_ranks() for m in exhaustive_regular_maps(g, p)] for g, p in groups]
     monkeypatch.undo()
     monkeypatch.setattr(FiniteGroup, "generates_ranks", no_rows)
+    monkeypatch.setattr(classify, "is_generating", no_rows)
     monkeypatch.setattr(CyclicGroup, "automorphism_ranks", no_rows)
     found = [[m.xs_ranks() for m in exhaustive_regular_maps(g, p)] for g, p in groups]
     assert found == expected
@@ -521,7 +557,7 @@ def test_skew_morphism_defines_a_map_automorphism(case):
     e = group.identity_rank
     for m in candidates:
         kappa0 = [m.kappa(i) - 1 for i in range(1, m.k + 1)]
-        walk = skew_morphism(group, m.xs_ranks(), kappa0)
+        walk = skew_morphism(group.products(m.xs_ranks()), range(m.k), kappa0, e)
         size, exceeded = monodromy_closure(*map_rows(m))
         if walk is None:
             assert exceeded, m
@@ -535,6 +571,25 @@ def test_skew_morphism_defines_a_map_automorphism(case):
         assert (np.sort(Phi) == arcs).all(), m
         assert (Phi[R] == R[Phi]).all() and (Phi[L] == L[Phi]).all(), m
         assert Phi[e * m.k] == e * m.k + 1, m
+
+
+def test_walk_on_the_map_table_matches_the_walk_on_the_census_table(case):
+    # a map walks its own N x k table with slots 0..k-1, the census its
+    # group's whole table with the ranks as slots: the same verdict, the
+    # same (phi, delta) and the same reversal row on every candidate
+    group, _, candidates = case
+    whole = classify._tables_of(group).table
+    assert whole == group.products(range(group.order))
+    elems, e = group.elements(), group.identity_rank
+    for m in candidates:
+        xs = m.xs_ranks()
+        kappa0 = [xs.index(group.rank(group.inv(elems[r]))) for r in xs]
+        own = m._products
+        assert own == [[row[x] for x in xs] for row in whole], m
+        walk = skew_morphism(own, range(m.k), kappa0, e)
+        assert walk == skew_morphism(whole, xs, kappa0, e), m
+        assert (walk is not None) == m.is_regular(), m
+        assert m._reversal_row == reversal_row(whole, xs, kappa0), m
 
 
 SMALL_GROUPS = st.one_of(
@@ -683,7 +738,7 @@ def test_least_affine_image_of_any_ordering_matches_every_row(group, valence, da
     # any ordering of any identity-free set, mostly inverse-closed, on
     # groups past CASES: powers of a in any slots, and none at all
     assume(group.order > 3)
-    inv = group.rank_table()[1]
+    inv = [group.rank(group.inv(g)) for g in group.elements()]
     drawn = data.draw(
         st.lists(st.integers(1, group.order - 1), min_size=3, max_size=valence, unique=True)
     )

@@ -187,6 +187,23 @@ def test_both_regularity_routes_agree():
         assert m.is_regular() == closure_regular(m._rotation_row, m._reversal_row), m
 
 
+def test_a_map_computes_only_its_own_products(monkeypatch):
+    # its rows, its walk, its faces and its arc code read the N x k products
+    # of X alone: 202 x 3 on D101, and no whole-group table
+    products = []
+    real = DihedralGroup._mul
+    monkeypatch.setattr(
+        DihedralGroup, "_mul", lambda self, g, h: products.append(h) or real(self, g, h)
+    )
+    m = build_map(DihedralGroup(101), [(0, 1), (1, 1), (3, 1)])
+    m.is_regular()
+    m.rotation_automorphism()
+    m.faces_and_genus()
+    m.arc_code()
+    assert len(products) == 202 * 3
+    assert set(products) == set(m.xs)
+
+
 # -- balance ----------------------------------------------------------------------
 
 
