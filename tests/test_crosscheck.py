@@ -469,13 +469,15 @@ def test_closed_form_generation_matches_the_search_on_random_sets(group, data):
 @pytest.mark.parametrize(
     "family, group, valence",
     [("dihedral", DihedralGroup(40), 5), ("dihedral", DihedralGroup(105), 3)]
+    + [("dicyclic", DicyclicGroup(40), 7), ("dicyclic", DicyclicGroup(105), 5)]
     + [("cyclic", CyclicGroup(n), p) for n, p in ((48, 5), (60, 7), (126, 3))],
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_orbit_sizes_add_up_to_the_generating_sets(family, group, valence):
     # orbit-stabilizer over the listed sets against the subgroup recursion:
     # a set missed or listed twice changes the left side (D40 at p = 5 has
-    # 890,800 generating sets in 1,604 orbits)
+    # 890,800 generating sets in 1,604 orbits, Dic40 at p = 7 51,840 in 101
+    # and Dic105 at p = 5 7,560 in 3)
     found = sum(affine_orbit_size(group, x) for x in set_ranks(group, valence))
     assert found == generating_count(family, group.n, valence)
 
@@ -493,9 +495,8 @@ def test_counts_and_orbit_sizes_match_the_full_search(group, valence):
     assert sum(affine_orbit_size(group, x) for x in set_ranks(group, valence)) == len(
         full_sets
     )
-    if not isinstance(group, DicyclicGroup):
-        family = "cyclic" if isinstance(group, CyclicGroup) else "dihedral"
-        assert generating_count(family, group.n, valence) == len(full_sets)
+    family = {CyclicGroup: "cyclic", DihedralGroup: "dihedral", DicyclicGroup: "dicyclic"}
+    assert generating_count(family[type(group)], group.n, valence) == len(full_sets)
 
 
 def no_rows(*args):
