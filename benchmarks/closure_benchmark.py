@@ -28,10 +28,11 @@ fails:
 
 A counting case then times the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
-Horner scan of every l for a prime n, of the lifts of its largest proper
-divisor's answers for a composite n) and `crt_lift_solutions` (the CRT lift
-of each prime power's roots), over n = 1..3000 at p = 3, with the triples
-and root memos emptied before each timed sweep. For n <= 500 it checks
+roots of 1 + x + ... + x^(p-1) over F_n, found by polynomial gcds, for a
+prime n, the lifts of its largest proper divisor's answers for a composite
+n, each confirmed by Horner's rule) and `crt_lift_solutions` (the CRT lift
+of each prime power's roots of unity), over n = 1..3000 at p = 3, with the
+triples and root memos emptied before each timed sweep. For n <= 500 it checks
 `triples_for` against the per-l scalar loop and `crt_lift_solutions`
 against its roots found by Python's `pow`, and exits non-zero on any
 mismatch.

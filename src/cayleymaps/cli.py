@@ -17,7 +17,6 @@ search and the claims.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -266,10 +265,6 @@ def _run_count(args: argparse.Namespace) -> int:
 
 
 def _run_triples(args: argparse.Namespace) -> int:
-    # the scans import numpy; importing it before the first line is printed
-    # keeps a missing numpy from leaving part of a table on stdout
-    import numpy  # noqa: F401
-
     from .counting import UsageError, guard_count_n
 
     if args.n_max < 1:
@@ -305,10 +300,6 @@ def _run_checkmap(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # before numpy's first import (count, triples and claim 3.4 scan numpy
-    # blocks), which would start an OpenBLAS thread per CPU: nothing here
-    # calls BLAS
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         # a failed import, here or in a command, lands in the
         # internal-error branch below

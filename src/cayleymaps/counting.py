@@ -2,33 +2,28 @@
 closed-form class count of regular balanced dihedral maps, and its two
 cross-checks, the triples scan and the CRT lift.
 
-This module imports only the standard library and numpy, so the `count`
-and `triples` commands, which run nothing else, start without the search
-stack. numpy is imported only by the three helpers that build int64 blocks
-(`_residue_blocks`, `_lift_blocks` and `_pow_mod`), so loading the module,
-as every command does, loads no numpy. The block helpers read the block size
-`COUNT_BLOCK` at each call, and the scans' memos are keyed on n, p and the
-prime power alone: the block size changes how a scan runs, never its
-answer. It also holds what every command shares: the error types that the
-command line maps to its exit codes, and the claim ids.
+The three answers are computed independently. The scan (`triples_for`)
+finds, for a prime n, the roots of S_p = 1 + x + ... + x^(p-1) over F_n by
+polynomial gcds, and for a composite n lifts a divisor's answers; Horner's
+rule confirms every answer. The CRT lift (`crt_lift_solutions`) builds the
+p-th roots of unity modulo each prime power from the cyclic group of units.
+Neither calls the other or the closed form.
+
+This module imports only the standard library, so `count` and `triples`
+start without the search stack or numpy. It also holds what every command
+shares: the error types that the command line maps to its exit codes, and
+the claim ids.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# The counting scans (triples_for, crt_lift_solutions) run over int64 blocks
-# of at most COUNT_BLOCK residues, so their memory stays flat in n. A product
-# of two residues mod n is exact in int64 while n^2 < 2^63; MAX_COUNT_N keeps
-# n^2 <= 2^62. It bounds exactness, not time: both scans are linear in a
-# prime n, and a triples_for sweep over n <= N scans about the sum of the
-# primes up to N (a composite n scans only the lifts of a divisor's answers).
-COUNT_BLOCK = 1 << 16
+# The counting commands refuse an n or p above MAX_COUNT_N. Python integers
+# keep every scan exact, so it no longer bounds exactness; it keeps its value,
+# and the refusals their wording, until a bound on the work replaces it.
 MAX_COUNT_N = 2**31
 
 # fixed by the command-line contract; `verify --theorem` takes one of these
@@ -110,17 +105,9 @@ def geosum_order(n: int, l: int) -> Optional[int]:
 
 
 def guard_count_n(n: int) -> None:
-    """SizeGuardError when the counting scans cannot run exactly for n."""
+    """SizeGuardError when n exceeds the counting commands' bound."""
     if n > MAX_COUNT_N:
         raise SizeGuardError(f"count guard: n={n} exceeds {MAX_COUNT_N}")
-
-
-def _residue_blocks(m: int) -> Iterator[np.ndarray]:
-    """The residues 1..m-1 in ascending int64 blocks of at most COUNT_BLOCK."""
-    import numpy as np
-
-    for start in range(1, m, COUNT_BLOCK):
-        yield np.arange(start, min(start + COUNT_BLOCK, m), dtype=np.int64)
 
 
 def triples_for(n: int, p: int) -> list[int]:
@@ -128,20 +115,19 @@ def triples_for(n: int, p: int) -> list[int]:
 
     Only the first p partial sums S_k = 1 + l + ... + l^(k-1) are needed:
     the order equals p exactly when S_p vanishes mod n and no earlier one
-    does (S_1 = 1 never does for n >= 2). They are stepped by Horner's rule,
-    S_2 = l + 1 and S_(k+1) = l * S_k + 1, with one modulus per step: S_k is
-    reduced below n and l < n, so l * S_k + 1 <= (n-1)^2 + 1 < 2^63 stays
-    exact in int64 for n <= MAX_COUNT_N.
+    does (S_1 = 1 never does for n >= 2). Every answer is confirmed by
+    Horner's rule, S_2 = l + 1 and S_(k+1) = l * S_k + 1 (`_has_order_p`).
 
     No l qualifies when p > n: S_1, ..., S_k are distinct mod n up to the
     first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
-    geosum_order(n, l) <= n. A prime n has every l in [1, n) scanned, a
-    block at a time. A composite n scans only the lifts r + j * d of the
-    answers r for d = n / (its smallest prime factor), because an l of
-    order p mod n has order p mod every divisor d >= 2 of n: S_p = 0 mod d
-    (so l is not 0 mod d, where every S_k = 1); if k is the order mod d,
-    then l^k = 1 + (l - 1) S_k = 1 mod d, so S_(j+k) = S_j mod d and the
-    zeros of S mod d are exactly the multiples of k; hence k divides p, and
+    geosum_order(n, l) <= n. For a prime n the candidates are the roots of
+    S_p(x) = 1 + x + ... + x^(p-1) over F_n (`_field_roots`).
+    A composite n checks only the lifts r + j * d of the answers r for
+    d = n / (its smallest prime factor), because an l of order p mod n has
+    order p mod every divisor d >= 2 of n: S_p = 0 mod d (so l is not
+    0 mod d, where every S_k = 1); if k is the order mod d, then
+    l^k = 1 + (l - 1) S_k = 1 mod d, so S_(j+k) = S_j mod d and the zeros
+    of S mod d are exactly the multiples of k; hence k divides p, and
     k != 1 since S_1 = 1, so k = p.
     """
     _require_odd_prime(p)
@@ -150,51 +136,104 @@ def triples_for(n: int, p: int) -> list[int]:
 
 
 # Unbounded: an ascending sweep needs the answer for d = n / q <= n / 2 once
-# it reaches n, and any LRU smaller than the sweep would have evicted it and
-# scan it again, a prime d in full. The memo holds one entry per n and
-# divisor met, while a sweep to N scans about N^2 / (2 ln N) residues, so
-# the scans bound a sweep long before its memo does.
+# it reaches n, which any LRU smaller than the sweep would have evicted and
+# recomputed. The memo holds one entry per n and divisor met.
 @lru_cache(maxsize=None)
 def _triples(n: int, p: int) -> tuple[int, ...]:
-    """triples_for(n, p), scanning int64 blocks of at most COUNT_BLOCK residues."""
+    """triples_for(n, p): the roots of S_p over F_n for a prime n, the lifts
+    of a divisor's answers otherwise, each kept if Horner's rule agrees."""
     if p > n:
         return ()
     q = _smallest_prime_factor(n)
     if q == n:
-        blocks = _residue_blocks(n)
+        candidates: Iterable[int] = _field_roots(n, p)
     else:
         d = n // q
         base = _triples(d, p)
-        if not base:
-            return ()
-        blocks = _lift_blocks(base, d, q)
-    out: list[int] = []
-    for l in blocks:
-        s = l + 1  # S_2, stepped in place
-        s %= n
-        unhit = s != 0
-        for _ in range(p - 3):
-            s *= l
-            s += 1
-            s %= n
-            unhit &= s != 0
-        s *= l
-        s += 1
-        s %= n
-        out.extend(l[unhit & (s == 0)].tolist())
-    return tuple(out)
+        candidates = (r + j * d for j in range(q) for r in base)
+    return tuple(l for l in candidates if _has_order_p(l, n, p))
 
 
-def _lift_blocks(base: Sequence[int], d: int, count: int) -> Iterator[np.ndarray]:
-    """The residues r + j * d for r in base and 0 <= j < count, ascending
-    when base is ascending below d, in int64 blocks of at most COUNT_BLOCK."""
-    import numpy as np
+def _has_order_p(l: int, n: int, p: int) -> bool:
+    """geosum_order(n, l) == p, by Horner's rule over S_2, ..., S_p."""
+    s = (l + 1) % n
+    for _ in range(p - 2):
+        if s == 0:
+            return False
+        s = (s * l + 1) % n
+    return s == 0
 
-    rs = np.array(base, dtype=np.int64)
-    total = len(rs) * count
-    for start in range(0, total, COUNT_BLOCK):
-        i = np.arange(start, min(start + COUNT_BLOCK, total), dtype=np.int64)
-        yield i // len(rs) * d + rs[i % len(rs)]
+
+# -- root finding over F_n (Rabin 1980) -----------------------------------------
+# A polynomial is its coefficient list, lowest degree first, with no trailing 0.
+
+
+def _field_roots(n: int, p: int) -> list[int]:
+    """The roots of S_p over F_n for a prime n, ascending: the linear factors
+    of g = gcd(S_p, x^n - x), each once. As (x - 1) S_p = x^p - 1, x^n is
+    x^(n mod p) mod S_p; for n = p, S_p = (x - 1)^(p-1) and g = x - 1."""
+    s = [1] * p
+    h = _divmod([0] * (n % p) + [1], s, n)[1] + [0, 0]
+    h[1] -= 1
+    return sorted(_split(_gcd(s, _trim([c % n for c in h]), n), n))
+
+
+def _split(g: list[int], n: int) -> list[int]:
+    """The roots of a monic g over F_n, n an odd prime, that is a product of
+    distinct linear factors. gcd(g, (x + a)^((n-1)/2) - 1) holds the roots r
+    with r + a a nonzero square, and some a in [0, n) separates any two."""
+    if len(g) <= 2:
+        return [-g[0] % n] if g[1:] else []
+    for a in range(n):
+        t = [a, 1]  # (x + a)^((n-1)/2) mod g by square-and-multiply
+        for bit in bin((n - 1) // 2)[3:]:
+            t = _mulmod(t, t, g, n)
+            if bit == "1":
+                t = _mulmod(t, [a, 1], g, n)
+        # t != 0: g, squarefree of degree >= 2, divides no power of x + a
+        t[0] = (t[0] - 1) % n
+        d = _gcd(g, _trim(t), n)
+        if 1 < len(d) < len(g):
+            return _split(d, n) + _split(_divmod(g, d, n)[0], n)
+    raise RuntimeError(f"{g} has a repeated or missing root over F_{n}")
+
+
+def _mulmod(a: list[int], b: list[int], f: list[int], n: int) -> list[int]:
+    """a * b mod (f, n) for a monic f, reduced mod n once per coefficient."""
+    m = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k] % n
+        for j in range(m):
+            prod[k - m + j] -= c * f[j]
+    return _trim([c % n for c in prod[:m]])
+
+
+def _divmod(a: list[int], b: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0 over F_n, for a reduced mod n."""
+    a, m, inv = a[:], len(b) - 1, pow(b[-1], -1, n)
+    quot = [0] * max(len(a) - m, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = a[k + m] * inv % n
+        for j, y in enumerate(b):
+            a[k + j] = (a[k + j] - c * y) % n
+    return _trim(quot), _trim(a[:m])
+
+
+def _gcd(a: list[int], b: list[int], n: int) -> list[int]:
+    """The monic gcd of a != 0 and b over F_n."""
+    while b:
+        a, b = b, _divmod(a, b, n)[1]
+    return [c * pow(a[-1], -1, n) % n for c in a]
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 # -- counting formula and CRT enumeration ------------------------------------------
@@ -263,29 +302,21 @@ def crt_lift_solutions(n: int, p: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _prime_power_roots(q: int, e: int, p: int) -> tuple[int, ...]:
     """The x in [1, q^e) with x^p = 1 mod q^e and x != 1 mod q, ascending,
-    by an exhaustive scan in int64 blocks of at most COUNT_BLOCK residues."""
+    for an odd prime q. The units mod q^e form a cyclic group of order
+    phi = (q - 1) q^(e-1): it has no element of order p unless p divides
+    phi, and then y = a^(phi/p) for the least unit a >= 2 with y != 1
+    generates its p-th roots of unity, y^i for i = 1..p-1. Each is kept only
+    if it passes both tests; for q = p all are 1 mod q, so none is."""
     qe = q**e
-    roots: list[int] = []
-    for x in _residue_blocks(qe):
-        keep = (_pow_mod(x, p, qe) == 1) & (x % q != 1)
-        roots.extend(x[keep].tolist())
-    return tuple(roots)
-
-
-def _pow_mod(x: np.ndarray, e: int, m: int) -> np.ndarray:
-    """x^e mod m elementwise by square-and-multiply (e >= 1), exact in int64
-    while m^2 < 2^63."""
-    import numpy as np
-
-    result = np.ones_like(x)
-    base = x % m
-    while True:
-        if e & 1:
-            result = (result * base) % m
-        e >>= 1
-        if not e:
-            return result
-        base = (base * base) % m
+    phi = qe - qe // q
+    if phi % p:
+        return ()
+    for a in range(2, qe):
+        y = pow(a, phi // p, qe)
+        if a % q and y != 1:
+            break
+    roots = (pow(y, i, qe) for i in range(1, p))
+    return tuple(sorted(x for x in roots if pow(x, p, qe) == 1 and x % q != 1))
 
 
 def _crt(moduli: Sequence[int], residues: Sequence[int]) -> int:

@@ -8,10 +8,14 @@ import ast
 import concurrent.futures
 import math
 import os
+import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleymaps import claims, classify, counting, maps
 from cayleymaps.claims import (
@@ -71,6 +75,20 @@ def naive_geosum_order(n: int, l: int, k_max: int):
     return None
 
 
+def primes_up_to(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return [q for q in range(n + 1) if sieve[q]]
+
+
+PRIMES = set(primes_up_to(10**5))
+ODD_PRIMES = [q for q in sorted(PRIMES) if 2 < q <= 20000]
+
+
 def empty_count_memos() -> None:
     counting._triples.cache_clear()
     counting._prime_power_roots.cache_clear()
@@ -83,22 +101,6 @@ def fresh_root_memo():
     empty_count_memos()
     yield
     empty_count_memos()
-
-
-@pytest.fixture
-def scan_blocks(monkeypatch):
-    """The block sizes the residue scans run with, read from COUNT_BLOCK
-    at each call, so that a test patching it can check that the scans saw
-    the patch."""
-    seen = set()
-    residue_blocks = counting._residue_blocks
-
-    def recorded(m):
-        seen.add(counting.COUNT_BLOCK)
-        return residue_blocks(m)
-
-    monkeypatch.setattr(counting, "_residue_blocks", recorded)
-    return seen
 
 
 class TestGeosumOrder:
@@ -155,40 +157,44 @@ class TestTriples:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_scalar_loop_at_block_boundaries(self, p):
-        # one block short, exactly one, one into the second, one into the
-        # third; above 65536 the products l * l exceed 2^32
-        chunk = counting.COUNT_BLOCK
-        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        # around 2^16 and 2^17, the block edges of an earlier int64 scan,
+        # where the products l * l pass 2^32; 65537 is prime
+        for n in (65535, 65536, 65537, 131073):
             assert triples_for(n, p) == scalar_triples_for(n, p), n
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    @pytest.mark.parametrize("block", [None, 1, 2, 7])
-    def test_horner_scan_matches_scalar_loop(
-        self, p, block, monkeypatch, fresh_root_memo, scan_blocks
-    ):
-        # tiny blocks put l = n - 1 (where S_2 = n) and admissible l on
-        # block edges; at 1 and 2 every l is on one, so n <= 100 suffices;
-        # n = p and p^2 are where p divides n
-        if block is not None:
-            monkeypatch.setattr(counting, "COUNT_BLOCK", block)
-        n_top = 100 if block in (1, 2) else 300
-        for n in sorted({1, 2, 3, p, p * p, *range(1, n_top + 1)}):
+    @pytest.mark.parametrize("seed", [None, 1, 2, 7])
+    def test_horner_scan_matches_scalar_loop(self, p, seed, fresh_root_memo):
+        # every n <= 300, with n = p and p^2 where p divides n, ascending
+        # from an empty memo; a seed asks them in a shuffled order instead,
+        # so a composite n may come before the divisors it lifts, and adds
+        # three n up to 3000
+        ns = sorted({1, 2, 3, p, p * p, *range(1, 301)})
+        if seed is not None:
+            rng = random.Random(seed)
+            ns += rng.sample(range(301, 3001), 3)
+            rng.shuffle(ns)
+        for n in ns:
             assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
-        assert scan_blocks == {counting.COUNT_BLOCK}
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_block_size_does_not_change_the_scans(
-        self, block, monkeypatch, fresh_root_memo, scan_blocks
-    ):
-        # tiny blocks put many admissible l and roots on a block boundary
-        monkeypatch.setattr(counting, "COUNT_BLOCK", block)
-        for p in (3, 5, 7):
-            for n in range(1, 100):
-                assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
-            for q, e in ((7, 2), (13, 1), (29, 1), (31, 1)):
-                if q != p:
-                    assert crt_lift_solutions(q**e, p) == pow_roots(q, e, p)
-        assert scan_blocks == {block}
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11, 13]),
+        n=st.sampled_from(ODD_PRIMES),
+        forced=st.sampled_from([None, "p", "1 mod p"]),
+    )
+    def test_prime_moduli_match_scalar_loop(self, p, n, forced):
+        # the root-finding route, with n = p and the least prime n' >= n
+        # with n' = 1 mod p, where S_p has all p - 1 roots, drawn as often
+        # as the rest
+        if forced == "p":
+            n = p
+        elif forced == "1 mod p":
+            n = next(m for m in range(n - n % p + 1, 10**6, p) if m in PRIMES)
+        assert counting._field_roots(n, p) == scalar_triples_for(n, p), (n, p)
+        assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+        roots = counting._prime_power_roots(n, 1, p)
+        assert roots == tuple(pow_roots(n, 1, p)), (n, p)
 
     @pytest.mark.parametrize(
         "p, ns",
@@ -212,37 +218,37 @@ class TestTriples:
 
     def test_a_sweep_scans_each_modulus_once(self, monkeypatch, fresh_root_memo):
         # an ascending sweep needs the answer for d = n / q <= n / 2 when it
-        # reaches n; a memo that has evicted d scans it again, a prime d in
-        # full, so each n is scanned once only if none is evicted
+        # reaches n; a memo that has evicted d computes it again, so each n
+        # is root-found or lifted once only if none is evicted
         n_max, p = 20000, 3
-        scanned = []  # (modulus, residues scanned) per scan
-        residue_blocks, lift_blocks = counting._residue_blocks, counting._lift_blocks
+        found, checked = [], Counter()  # moduli root-found; Horner checks per n
+        field_roots, has_order_p = counting._field_roots, counting._has_order_p
 
-        def residues(m):
-            scanned.append((m, m - 1))
-            return residue_blocks(m)
+        def roots(n, p):
+            found.append(n)
+            return field_roots(n, p)
 
-        def lifts(base, d, count):
-            scanned.append((d * count, len(base) * count))
-            return lift_blocks(base, d, count)
+        def check(l, n, p):
+            checked[n] += 1
+            return has_order_p(l, n, p)
 
-        monkeypatch.setattr(counting, "_residue_blocks", residues)
-        monkeypatch.setattr(counting, "_lift_blocks", lifts)
+        monkeypatch.setattr(counting, "_field_roots", roots)
+        monkeypatch.setattr(counting, "_has_order_p", check)
         answers = {n: triples_for(n, p) for n in range(1, n_max + 1)}
-        moduli = [m for m, _ in scanned]
-        assert len(moduli) == len(set(moduli))
-        # the residues an unbounded memo scans: every prime n >= p in full,
-        # and a composite n's lifts of the answers for n / (least prime q)
         spf = list(range(n_max + 1))
         for q in range(2, math.isqrt(n_max) + 1):
             if spf[q] == q:
                 for m in range(q * q, n_max + 1, q):
                     spf[m] = min(spf[m], q)
-        expected = sum(
-            n - 1 if spf[n] == n else len(answers[n // spf[n]]) * spf[n]
-            for n in range(p, n_max + 1)
-        )
-        assert sum(count for _, count in scanned) == expected
+        # every prime n >= p is root-found once, and each of its roots is an
+        # answer; a composite n checks the q lifts of each answer for n / q,
+        # q its least prime factor
+        assert found == [n for n in range(p, n_max + 1) if spf[n] == n]
+        expected = Counter()
+        for n in range(p, n_max + 1):
+            q = spf[n]
+            expected[n] = len(answers[n]) if q == n else len(answers[n // q]) * q
+        assert checked == +expected
 
     def test_fresh_root_memo_empties_both_memos(self, fresh_root_memo):
         triples_for(91, 3)
@@ -445,12 +451,49 @@ class TestCountingFormula:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_root_scan_matches_pow_above_one_block(self, p):
-        # 7^6 = 117649 spans two blocks, and 7 = 1 mod 3 gives it roots at p=3
+        # 7^6 = 117649, above 2^16, and 7 = 1 mod 3 gives it roots at p=3
         q, e = 7, 6
-        assert q**e > counting.COUNT_BLOCK
         roots = pow_roots(q, e, p)
         assert bool(roots) == (p == 3)
         assert crt_lift_solutions(q**e, p) == roots
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_prime_power_roots_match_pow(self, p, fresh_root_memo):
+        # every odd prime power up to 20,000 but the primes above 2,000,
+        # which test_prime_moduli_match_scalar_loop draws: pow_roots tries
+        # every residue, about 4 s per p for all of them
+        for q in ODD_PRIMES:
+            e = 1 if q <= 2000 else 2
+            while q**e <= 20000:
+                roots = counting._prime_power_roots(q, e, p)
+                assert roots == tuple(pow_roots(q, e, p)), (q, e, p)
+                e += 1
+
+    def test_the_three_answers_are_computed_independently(self):
+        # the module's call graph: the scan never reaches the CRT lift or
+        # the closed form, and neither of those reaches the scan
+        tree = ast.parse(Path(counting.__file__).read_text())
+        names = {
+            f.name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef)
+        }
+
+        def reached(name):
+            seen, todo = set(), [name]
+            while todo:
+                for callee in names[todo.pop()] & names.keys() - seen:
+                    seen.add(callee)
+                    todo.append(callee)
+            return seen
+
+        scan, lift = reached("_triples"), reached("crt_lift_solutions")
+        assert "_field_roots" in scan and "_prime_power_roots" in lift
+        others = {"_prime_power_roots", "_crt", "count_regular_dihedral_maps"}
+        assert not scan & (others | {"crt_lift_solutions"}), scan
+        assert not lift & {"_triples", "triples_for", "_field_roots"}, lift
+        closed_form = reached("count_regular_dihedral_maps")
+        assert not closed_form & {"_triples", "_prime_power_roots", "_crt"}
 
     def test_factorize_matches_trial_division_by_every_integer(self):
         for m in range(1, 3000):
@@ -696,8 +739,12 @@ class TestExhaustiveSearch:
             (AbelianProductGroup([2, 4]), 4),
         ):
             widths.clear()
-            assert census_entries(group, 0, valence), group
+            entries = census_entries(group, 0, valence)
+            assert entries, group
             assert widths.count(group.order) == 1, group
+            # one k-wide table per representative, on E_r and the products
+            # too, whose breadth-first generation test reads the map's own
+            assert widths.count(valence) == len(entries), group
             assert set(widths) == {group.order, valence}, group
 
     def test_jobs_below_one_rejected(self):

@@ -507,8 +507,7 @@ class TestCountAndTriples:
             assert run_cli(capsys, "count", "--p", str(p), "--n", str(n))[:2] == expected
 
     def test_count_above_one_block_matches_the_reference_routes(self, capsys):
-        n, p = 7**6, 7  # 117649 residues: two blocks of the scan
-        assert n > counting.COUNT_BLOCK
+        n, p = 7**6, 7  # 117649, above 2^16
         line, agree, _ = reference_count_line(n, p)
         assert (line, agree) == (f"n={n} p={p} count=0 l=[] AGREE\n", True)
         assert run_cli(capsys, "count", "--p", "7", "--n", str(n))[:2] == (0, line)
@@ -523,8 +522,15 @@ class TestCountAndTriples:
         code, out, _ = run_cli(capsys, "count", "--p", "5", "--n", "11")
         assert code == 0
         assert out == "n=11 p=5 count=4 l=[3,4,5,9] AGREE\n"
-        # the largest prime the guard admits: no geometric-sum order mod n
-        # exceeds n, so nothing is scanned
+        # a prime n near 2^30, and the largest prime the guard admits
+        code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "1000000021")
+        assert code == 0
+        assert out == "n=1000000021 p=3 count=2 l=[33314156,966685864] AGREE\n"
+        code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "2147483647")
+        assert code == 0
+        assert out == "n=2147483647 p=3 count=2 l=[634005911,1513477735] AGREE\n"
+        # the largest prime valence the guard admits: no geometric-sum order
+        # mod n exceeds n, so nothing is searched
         code, out, _ = run_cli(capsys, "count", "--p", "2147483647", "--n", "7")
         assert code == 0
         assert out == "n=7 p=2147483647 count=0 l=[] AGREE\n"
@@ -667,6 +673,7 @@ class TestStartup:
             (["census", "--group", "dihedral", "--p", "3", "--n-max", "5"], True),
             (["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"], True),
             (["verify", "--theorem", "1.3", "--p", "3", "--n-max", "4"], True),
+            (["verify", "--theorem", "3.4", "--p", "3", "--n-max", "30"], True),
         ],
     )
     def test_counting_commands_load_no_search_module(self, args, searches):
@@ -685,8 +692,8 @@ class TestStartup:
         assert ("cayleymaps.classify" in loaded) == searches, loaded
         # the oracle runs without the claims it checks
         assert ("cayleymaps.claims" in loaded) == (args[0] == "verify"), loaded
-        # the counting scans build numpy blocks; the search builds none
-        assert ("numpy" in loaded) != searches, loaded
+        # the counting layer computes in Python integers, the search on lists
+        assert "numpy" not in loaded, loaded
 
     @pytest.mark.parametrize(
         "args, unused",
@@ -738,26 +745,24 @@ class TestStartup:
         assert done.stderr.startswith("internal error:\nTraceback")
         assert done.stderr.endswith("RuntimeError: census crashed\n")
 
-    def test_counting_imports_only_the_standard_library_and_numpy(self):
+    def test_counting_imports_only_the_standard_library(self):
         tree = ast.parse(Path(counting.__file__).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 assert node.level == 0, f"relative import from {node.module!r}"
         roots = imported_roots(ast.walk(tree))
-        assert "numpy" in roots
-        assert roots - {"numpy"} <= set(sys.stdlib_module_names), roots
+        assert roots <= set(sys.stdlib_module_names), roots
 
     def test_no_module_imports_numpy_at_load_time(self):
-        # numpy is imported inside the functions that build arrays (the
-        # counting scans' block helpers and the reference kernels) and by
-        # `triples` before it prints a line
+        # numpy is imported only inside the reference kernels, which build
+        # arrays
         anywhere = set()
         for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
             tree = ast.parse(path.read_text())
             assert "numpy" not in imported_roots(load_time_imports(tree.body)), path
             if "numpy" in imported_roots(ast.walk(tree)):
                 anywhere.add(path.stem)
-        assert anywhere == {"cli", "counting", "_kernels"}
+        assert anywhere == {"_kernels"}
 
     @pytest.mark.parametrize(
         "args",
@@ -781,22 +786,11 @@ class TestStartup:
         assert free.stdout.count("\n") > 1
         assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
 
-    def test_openblas_defaults_to_one_thread(self, capsys, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        assert run_cli(capsys, "count", "--p", "3", "--n", "7")[0] == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-    def test_openblas_keeps_the_callers_setting(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert run_cli(capsys, "count", "--p", "3", "--n", "7")[0] == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/task"), reason="counts threads in /proc"
     )
     def test_a_command_runs_on_one_thread(self):
-        # the default is set before numpy's first import, so OpenBLAS starts
-        # no thread pool
+        # no command loads numpy, so no OpenBLAS thread pool starts
         code = (
             "import os, sys\n"
             "from cayleymaps.cli import main\n"
@@ -810,8 +804,8 @@ class TestStartup:
     @pytest.mark.parametrize(
         "blocked, args",
         [
-            ("numpy", ["count", "--p", "3", "--n", "7"]),
-            ("numpy", ["triples", "--p", "3", "--n-max", "7"]),
+            ("cayleymaps.counting", ["count", "--p", "3", "--n", "7"]),
+            ("cayleymaps.counting", ["triples", "--p", "3", "--n-max", "7"]),
             # count never imports the groups, census fails inside its body
             (
                 "cayleymaps.groups",
