@@ -1,59 +1,53 @@
 """Reference kernels: permutation-closure BFS and arc-bijection search.
 
-Both are plain numpy/Python, and neither runs in the census search: the
-closure gives `perms.cycle_and_involution_group` its order, and the
-bijection search decides isomorphism out of an irregular map. Each imports
-numpy when it is called, so loading this module loads no numpy. Rows are
-permutations stored 0-based (as int64 arrays inside the kernels); composing
-row t with generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
+Both are plain Python, and neither runs in the census search: the closure
+gives `perms.cycle_and_involution_group` its order, and the bijection search
+decides isomorphism out of an irregular map. Rows are permutations stored
+0-based; composing row t with generator g yields t[g], i.e.
+(t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 
 def default_backend() -> str:
-    """Name of the kernel implementation, recorded with benchmark results."""
+    """The label the benchmark records with its results; the kernels have
+    one plain-Python implementation."""
     return "numpy"
 
 
 # -- closure ------------------------------------------------------------------
 
 
-def closure_table(gens, cutoff: int):
+def closure_table(gens: Sequence[Sequence[int]], cutoff: int):
     """BFS closure of the permutation rows under composition.
 
-    Returns (size, exceeded, rows).  size is exact when exceeded is False;
-    otherwise size = cutoff + 1 and rows is empty.
+    Returns (size, exceeded, rows), rows a list of tuples.  size is exact
+    when exceeded is False; otherwise size = cutoff + 1 and rows is empty.
     """
-    import numpy as np
-
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    if gens.ndim != 2 or gens.shape[0] == 0:
-        raise ValueError("gens must be a non-empty 2-d array of permutation rows")
+    gens = [tuple(row) for row in gens]
+    if not gens or not gens[0] or len({len(row) for row in gens}) != 1:
+        raise ValueError("gens must be non-empty permutation rows of one length")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    m = gens.shape[1]
-    ident = np.arange(m, dtype=np.int64)
-    seen = {ident.tobytes(): None}
+    ident = tuple(range(len(gens[0])))
+    if len(ident) == 1:  # itemgetter of one index returns an int, not a tuple
+        return 1, False, [ident]
+    composers = [itemgetter(*gen) for gen in gens]
+    seen = {ident}
     rows = [ident]
-    frontier = ident.reshape(1, m)
-    while frontier.shape[0]:
-        fresh = []
-        for gi in range(gens.shape[0]):
-            for row in frontier[:, gens[gi]]:
-                key = row.tobytes()
-                if key not in seen:
-                    if len(seen) >= cutoff:
-                        return cutoff + 1, True, np.empty((0, m), dtype=np.int64)
-                    seen[key] = None
-                    fresh.append(row)
-        rows.extend(fresh)
-        frontier = (
-            np.stack(fresh) if fresh else np.empty((0, m), dtype=np.int64)
-        )
-    return len(rows), False, np.stack(rows)
+    for row in rows:  # rows grows behind the loop: a queue
+        for compose in composers:
+            image = compose(row)
+            if image not in seen:
+                if len(seen) >= cutoff:
+                    return cutoff + 1, True, []
+                seen.add(image)
+                rows.append(image)
+    return len(rows), False, rows
 
 
 # -- arc-bijection propagation --------------------------------------------------
@@ -71,13 +65,9 @@ def arc_bijection_exists(
     permutations and rejecting on any clash; connectivity of the arc action
     makes a full propagation a complete proof.
     """
-    import numpy as np
-
-    rows = [np.asarray(row, dtype=np.int64) for row in (r1, l1, r2, l2)]
-    if len({row.shape for row in rows}) != 1 or rows[0].ndim != 1:
-        raise ValueError("all four permutation rows must share one 1-d shape")
-    r1l, l1l, r2l, l2l = (row.tolist() for row in rows)
-    m = len(r1l)
+    m = len(r1)
+    if any(len(row) != m for row in (l1, r2, l2)):
+        raise ValueError("all four permutation rows must have one length")
 
     def extends(f: int) -> bool:
         phi = [-1] * m
@@ -86,7 +76,7 @@ def arc_bijection_exists(
         stack = [0]
         while stack:
             a = stack.pop()
-            for p1, p2 in ((r1l, r2l), (l1l, l2l)):
+            for p1, p2 in ((r1, r2), (l1, l2)):
                 b, fb = p1[a], p2[phi[a]]
                 if phi[b] == -1 and fb not in used:
                     phi[b] = fb

@@ -42,7 +42,7 @@ from .perms import (
 MAX_ABELIAN_VERIFY_ORDER = 16
 
 # Claim L3.2's first part closes <(1 ... p), kappa> for every involution kappa
-# of degree p that fixes p: 140,152 of them at p = 13 take about 48 s on a
+# of degree p that fixes p: 140,152 of them at p = 13 take about 20 s on a
 # 2-CPU Xeon, and the 46,206,736 at p = 17 would take hours. The census guard
 # does not see this cost; D3 at valence 17 has only 102 arcs.
 MAX_AFFINE_INVOLUTION_DEGREE = 13

@@ -10,7 +10,7 @@ p-th roots of unity modulo each prime power from the cyclic group of units.
 Neither calls the other or the closed form.
 
 This module imports only the standard library, so `count` and `triples`
-start without the search stack or numpy. It also holds what every command
+start without the search stack. It also holds what every command
 shares: the error types that the command line maps to its exit codes, and
 the claim ids.
 """
@@ -181,10 +181,12 @@ def _field_roots(n: int, p: int) -> list[int]:
 def _split(g: list[int], n: int) -> list[int]:
     """The roots of a monic g over F_n, n an odd prime, that is a product of
     distinct linear factors. gcd(g, (x + a)^((n-1)/2) - 1) holds the roots r
-    with r + a a nonzero square, and some a in [0, n) separates any two."""
+    with r + a a nonzero square, and some a in [1, n) separates any two: a
+    root w of S_p is w^(p+1) = (w^((p+1)/2))^2, a nonzero square, so a = 0
+    separates none."""
     if len(g) <= 2:
         return [-g[0] % n] if g[1:] else []
-    for a in range(n):
+    for a in range(1, n):
         t = [a, 1]  # (x + a)^((n-1)/2) mod g by square-and-multiply
         for bit in bin((n - 1) // 2)[3:]:
             t = _mulmod(t, t, g, n)

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import arc_bijection_exists
 from .counting import SizeGuardError
-from .groups import FiniteGroup, GroupElement, is_generating
+from .groups import FiniteGroup, GroupElement
 from .perms import Permutation
 
 __all__ = [
@@ -82,13 +82,7 @@ class CayleyMap:
                     f"{group.format_element(y)}"
                 )
             kappa_images.append(slot_of[y])
-        if type(group).generates_ranks is FiniteGroup.generates_ranks:
-            # the breadth-first test reads X's products: compute them once
-            self._products = group.products([group.rank(x) for x in xs])
-            generates = is_generating(self._products, range(k), group.identity_rank)
-        else:
-            generates = group.generates(xs)
-        if not generates:
+        if not group.generates(xs):
             raise ValueError("generator set does not generate the group")
 
         self.group = group

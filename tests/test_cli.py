@@ -674,6 +674,7 @@ class TestStartup:
             (["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"], True),
             (["verify", "--theorem", "1.3", "--p", "3", "--n-max", "4"], True),
             (["verify", "--theorem", "3.4", "--p", "3", "--n-max", "30"], True),
+            (["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"], True),
         ],
     )
     def test_counting_commands_load_no_search_module(self, args, searches):
@@ -692,7 +693,8 @@ class TestStartup:
         assert ("cayleymaps.classify" in loaded) == searches, loaded
         # the oracle runs without the claims it checks
         assert ("cayleymaps.claims" in loaded) == (args[0] == "verify"), loaded
-        # the counting layer computes in Python integers, the search on lists
+        # the counting layer computes in Python integers, the search and the
+        # reference kernels on lists
         assert "numpy" not in loaded, loaded
 
     @pytest.mark.parametrize(
@@ -711,13 +713,15 @@ class TestStartup:
                 ["verify", "--theorem", "1.3", "--p", "3", "--n-max", "5"],
                 ("csv", "dataclasses", "inspect"),
             ),
+            (
+                ["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"],
+                ("csv", "dataclasses", "inspect"),
+            ),
         ],
     )
     def test_commands_skip_the_modules_they_do_not_use(self, args, unused):
         # dataclasses pulls in inspect, ast, dis and tokenize; json serves
         # only JSON reports, csv only CSV reports and traceback only crashes.
-        # numpy imports inspect itself, so the verify case is a claim that
-        # loads no numpy
         code = (
             "import sys\n"
             "from cayleymaps.cli import main\n"
@@ -754,15 +758,15 @@ class TestStartup:
         assert roots <= set(sys.stdlib_module_names), roots
 
     def test_no_module_imports_numpy_at_load_time(self):
-        # numpy is imported only inside the reference kernels, which build
-        # arrays
+        # the package runs on the standard library alone: no module imports
+        # numpy, at load time or inside a function
         anywhere = set()
         for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
             tree = ast.parse(path.read_text())
             assert "numpy" not in imported_roots(load_time_imports(tree.body)), path
             if "numpy" in imported_roots(ast.walk(tree)):
                 anywhere.add(path.stem)
-        assert anywhere == {"_kernels"}
+        assert anywhere == set()
 
     @pytest.mark.parametrize(
         "args",
@@ -770,6 +774,7 @@ class TestStartup:
             ["census", "--group", "dihedral", "--p", "3", "--n-max", "20"]
             + ["--format", "csv"],
             ["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"],
+            ["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"],
         ],
     )
     def test_the_search_runs_without_numpy(self, args):
@@ -791,15 +796,20 @@ class TestStartup:
     )
     def test_a_command_runs_on_one_thread(self):
         # no command loads numpy, so no OpenBLAS thread pool starts
-        code = (
-            "import os, sys\n"
-            "from cayleymaps.cli import main\n"
-            "main(['census', '--group', 'dihedral', '--p', '3', '--n-max', '5'])\n"
-            "print(len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
-        )
-        done = run_python(code)
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == "1\n"
+        for args in (
+            ["census", "--group", "dihedral", "--p", "3", "--n-max", "5"],
+            ["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"],
+        ):
+            code = (
+                "import contextlib, io, os, sys\n"
+                "from cayleymaps.cli import main\n"
+                "with contextlib.redirect_stderr(io.StringIO()):\n"
+                f"    main({args!r})\n"
+                "print(len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+            )
+            done = run_python(code)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == "1\n", args
 
     @pytest.mark.parametrize(
         "blocked, args",

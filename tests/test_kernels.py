@@ -1,4 +1,4 @@
-"""Correctness of the numeric kernels.
+"""Correctness of the reference kernels.
 
 The oracle is `reference.naive_closure`, a from-scratch breadth-first
 closure over image tuples; it shares no code with the kernel
@@ -15,6 +15,7 @@ from reference import naive_closure
 
 
 GEN_SETS = {
+    "trivial1": [[0]],
     "cyclic3": [[1, 2, 0]],
     "dihedral5": [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]],
     "sym3": [[1, 0, 2], [1, 2, 0]],
@@ -41,7 +42,7 @@ def test_closure_exceeded_reports_cutoff_plus_one():
     size, exceeded, table = closure_table(rows, cutoff=10)
     assert exceeded
     assert size == 11
-    assert table.shape[0] == 0
+    assert len(table) == 0
     size, exceeded, _ = closure_table(rows, cutoff=120)
     assert (size, exceeded) == (120, False)
 
@@ -72,3 +73,14 @@ def test_closure_rejects_bad_input():
         closure_table(np.zeros((0, 3), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         closure_table(np.array([[1, 0]], dtype=np.int64), 0)
+    for rows in ([[]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            closure_table(rows, 5)
+
+
+def test_arc_bijection_rejects_rows_of_unequal_length():
+    r1 = [1, 2, 0]
+    l1 = [0, 2, 1]
+    for rows in ((r1, l1, r1, [0, 1]), (r1, l1[:2], r1, l1), (r1, l1, r1 + [3], l1)):
+        with pytest.raises(ValueError):
+            arc_bijection_exists(*rows)
