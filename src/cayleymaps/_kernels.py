@@ -1,10 +1,10 @@
 """Reference kernels: permutation-closure BFS and arc-bijection search.
 
-Both are plain Python, and neither runs in the census search: the closure
-gives `perms.cycle_and_involution_group` its order, and the bijection search
-decides isomorphism out of an irregular map. Rows are permutations stored
-0-based; composing row t with generator g yields t[g], i.e.
-(t o g)(x) = t[g[x]].
+Both are plain Python, and neither runs in the census search. No module of
+the package calls the closure: it is the tests' reference route, and the
+benchmark's tracer wraps it. The bijection search decides isomorphism out
+of an irregular map. Rows are permutations stored 0-based; composing row t
+with generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ from .maps import CayleyMap, build_map
 from .perms import (
     Permutation,
     all_involutions,
-    cycle_and_involution_group,
+    compose,
+    full_cycle,
     reflection_fixing_last,
 )
 
@@ -41,10 +42,11 @@ from .perms import (
 # 5 minutes.
 MAX_ABELIAN_VERIFY_ORDER = 16
 
-# Claim L3.2's first part closes <(1 ... p), kappa> for every involution kappa
-# of degree p that fixes p: 140,152 of them at p = 13 take about 20 s on a
-# 2-CPU Xeon, and the 46,206,736 at p = 17 would take hours. The census guard
-# does not see this cost; D3 at valence 17 has only 102 arcs.
+# Claim L3.2's first part tests every involution kappa of degree p that fixes
+# p: the 140,152 at p = 13 take about 2 s on a 2-CPU Xeon (the whole command,
+# with --n-max 3), and the 46,206,736 at p = 17, 330 times as many, would
+# take about 10 minutes. The census guard does not see this cost; D3 at
+# valence 17 has only 102 arcs.
 MAX_AFFINE_INVOLUTION_DEGREE = 13
 
 
@@ -133,18 +135,36 @@ def elem_abelian_map(f: int, p: int) -> CayleyMap:
     return build_map(ElemAbelian2Group(f.bit_length() - 1), _seed_orbit(f, p))
 
 
-def affine_compatible_involutions(k: int) -> list[Permutation]:
-    """Involutions fixing the last point whose joint group with the full
-    k-cycle is no bigger than the affine bound k(k-1) (and divides it)."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    bound = k * (k - 1)
+def affine_compatible_involutions(p: int) -> list[Permutation]:
+    """Involutions kappa fixing the last of p points, p an odd prime, whose
+    joint group G = <rho, kappa> with rho = (1 2 ... p) is no bigger than
+    the affine bound p(p-1) and divides it. These are exactly the kappa
+    with kappa rho kappa in <rho>, the test made here.
+
+    G contains rho, so it is transitive of prime degree. By Burnside's
+    theorem (Theory of Groups of Finite Order, 2nd ed., 1911; Dixon and
+    Mortimer, Permutation Groups, 1996) it then lies in a conjugate of
+    AGL(1, p), or it is doubly transitive. In the first case the
+    translations are the one subgroup of order p of that AGL(1, p), so
+    they are <rho>, and they are normal in it; so G normalises <rho>. In
+    the second case p(p-1) divides |G|. If also |G| <= p(p-1), then
+    |G| = p(p-1) and G is sharply 2-transitive: a Frobenius group whose
+    kernel, the identity and the p - 1 fixed-point-free elements, is normal
+    of order p. That kernel holds the fixed-point-free rho, so it is <rho>.
+    Either way kappa rho kappa lies in <rho>. Conversely, if kappa
+    normalises <rho>, then G = <rho><kappa> has order p or 2p, and both
+    divide p(p-1) because p is odd."""
+    _require_odd_prime(p)
+    rho = full_cycle(p)
+    powers = [rho]
+    for _ in range(p - 2):
+        powers.append(compose(rho, powers[-1]))
+    rotations = set(powers)
     out = []
-    for kappa in all_involutions(k):
-        if kappa(k) != k:
-            continue
-        order, exceeded = cycle_and_involution_group(k, kappa, bound + 1)
-        if not exceeded and bound % order == 0:
+    # an involution of degree p fixing p is one of degree p - 1, extended
+    for head in all_involutions(p - 1):
+        kappa = Permutation(head.images + (p,))
+        if compose(kappa, compose(rho, kappa)) in rotations:
             out.append(kappa)
     return out
 

@@ -1,16 +1,13 @@
-"""Permutations on {1..m}, and the order of the group a k-cycle and an
-involution generate."""
+"""Permutations on {1..m}: composition, cycles, the k-cycle, the reflection
+fixing the last point, and the involutions of a degree."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ._kernels import closure_table
-
 __all__ = [
     "Permutation",
     "compose",
-    "cycle_and_involution_group",
     "full_cycle",
     "reflection_fixing_last",
     "all_involutions",
@@ -126,21 +123,6 @@ def reflection_fixing_last(k: int) -> Permutation:
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     return Permutation(tuple((k - i) % k or k for i in range(1, k + 1)))
-
-
-def cycle_and_involution_group(
-    k: int, kappa: Permutation, cutoff: int
-) -> tuple[int, bool]:
-    """(order, exceeded) for the group generated by the rotation (1 2 ... k)
-    and the involution kappa, closed up to cutoff elements: the order is
-    exact when exceeded is False, and cutoff + 1 otherwise."""
-    if kappa.degree != k:
-        raise ValueError(f"involution degree {kappa.degree} does not match k={k}")
-    if not compose(kappa, kappa).is_identity():
-        raise ValueError(f"{kappa!r} is not an involution")
-    rows = [[i - 1 for i in g.images] for g in (full_cycle(k), kappa)]
-    order, exceeded, _ = closure_table(rows, cutoff)
-    return order, exceeded
 
 
 def all_involutions(m: int) -> Iterator[Permutation]:

@@ -57,7 +57,8 @@ def naive_closure(rows, bound: float = math.inf):
     """Every product of the 0-based permutation rows, composing t with g as
     t[g[x]], grown breadth-first from the identity over image tuples; None
     once more than bound are found. Checks `_kernels.closure_table` and
-    `perms.cycle_and_involution_group`, with which it shares no code."""
+    claim L3.2's normaliser test (`claims.affine_compatible_involutions`),
+    with which it shares no code."""
     m = len(rows[0])
     ident = tuple(range(m))
     seen = {ident}

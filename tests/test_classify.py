@@ -823,7 +823,7 @@ class TestAffineCompatibleInvolutions:
         expected = {Permutation.identity(k), reflection_fixing_last(k)}
         assert set(affine_compatible_involutions(k)) == expected
 
-    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("k", [3, 5, 7, 11])
     def test_matches_naive_closure(self, k):
         cycle = [*range(1, k), 0]
         bound = k * (k - 1)
@@ -839,6 +839,14 @@ class TestAffineCompatibleInvolutions:
     def test_rejects_degenerate_degree(self):
         with pytest.raises(ValueError):
             affine_compatible_involutions(1)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_rejects_composite_degree(self, k):
+        # at k = 4, kappa = (1 3) normalises <rho> but <rho, kappa> = D4 has
+        # order 8, which does not divide 12: the normaliser test needs a
+        # prime degree
+        with pytest.raises(UsageError, match="expected an odd prime"):
+            affine_compatible_involutions(k)
 
 
 # -- report rows -----------------------------------------------------------------

@@ -768,6 +768,18 @@ class TestStartup:
                 anywhere.add(path.stem)
         assert anywhere == set()
 
+    def test_only_the_kernels_module_names_the_closure(self):
+        # claim L3.2 decides by the normaliser, so no module of the package
+        # closes a permutation group; `_kernels` keeps the closure as the
+        # tests' reference route
+        naming = set()
+        for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+                if "closure_table" in names:
+                    naming.add(path.stem)
+        assert naming == {"_kernels"}
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -14,7 +14,6 @@ from cayleymaps.perms import (
     Permutation,
     all_involutions,
     compose,
-    cycle_and_involution_group,
     full_cycle,
     reflection_fixing_last,
 )
@@ -110,22 +109,6 @@ def test_closure_exactness_against_hand_counts():
     ]
     for gens, expected in cases:
         assert order_with_cutoff(gens, expected + 10) == (expected, False)
-
-
-def test_perm_group_exceeded_flag():
-    # (1 2) and the 5-cycle generate all 120 permutations
-    assert cycle_and_involution_group(5, perm_of(5, (1, 2)), 10) == (11, True)
-    assert cycle_and_involution_group(5, perm_of(5, (1, 2)), 120) == (120, False)
-
-
-def test_cycle_and_involution_group_examples():
-    assert cycle_and_involution_group(3, Permutation.identity(3), 6) == (3, False)
-    assert cycle_and_involution_group(3, perm_of(3, (1, 2)), 6) == (6, False)
-    assert cycle_and_involution_group(5, perm_of(5, (1, 4), (2, 3)), 20) == (10, False)
-    with pytest.raises(ValueError):
-        cycle_and_involution_group(3, perm_of(3, (1, 2, 3)), 6)
-    with pytest.raises(ValueError):
-        cycle_and_involution_group(4, perm_of(3, (1, 2)), 24)
 
 
 def test_repr_shows_cycles():
