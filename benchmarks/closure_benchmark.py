@@ -26,16 +26,19 @@ fails:
   same regularity verdict from the monodromy closure (regular when the group
   has exactly |D| elements) and from the skew-morphism walk the census uses.
 
-A counting case then times the two scans that `triples` and
+Two counting cases then time the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
-roots of 1 + x + ... + x^(p-1) over F_n, found by polynomial gcds, for a
-prime n, the lifts of its largest proper divisor's answers for a composite
-n, each confirmed by Horner's rule) and `crt_lift_solutions` (the CRT lift
-of each prime power's roots of unity), over n = 1..3000 at p = 3, with the
-triples and root memos emptied before each timed sweep. For n <= 500 it checks
-`triples_for` against the per-l scalar loop and `crt_lift_solutions`
-against its roots found by Python's `pow`, and exits non-zero on any
-mismatch.
+roots of 1 + x + ... + x^(p-1) over F_n, the values c^((n-1)/p) != 1 of
+the units c, for a prime n, the lifts of its largest proper divisor's
+answers for a composite n, each confirmed by Horner's rule) and
+`crt_lift_solutions` (the CRT lift of each prime power's roots of unity),
+over n = 1..3000 at p = 3 and at p = 211, with the triples and root memos
+emptied before each timed sweep. A prime n = 1 mod p costs the scan about
+p ln p powers and p Horner steps per root, so the large valence shows a
+scan whose cost grows faster in p. Each case checks `triples_for` against
+the per-l scalar loop and `crt_lift_solutions` against its roots found by
+Python's `pow`, for every n up to a bound and at every prime n = 1 mod p,
+where S_p has all p - 1 roots, and exits non-zero on any mismatch.
 
 Run from the checkout, which imports the package from its `src` and these
 slow routes from `tests/reference.py`, where the tests keep them:
@@ -70,6 +73,7 @@ from reference import (
     closure_regular,
     full_inverse_closed_sets,
     least_orbit_members,
+    reference_factorize,
     reference_lift,
     scalar_triples_for,
 )
@@ -110,15 +114,17 @@ def partition(classes) -> set[frozenset[int]]:
     return {frozenset(cls) for cls in classes}
 
 
-COUNT_P = 3
 COUNT_N_MAX = 3000
-COUNT_CHECK_N_MAX = 500
+# (p, the bound up to which every n is checked): p = 3 is perfbench's
+# `triples_p3` workload; the scalar loop takes p steps per l, so p = 211
+# checks a shorter range
+COUNT_CASES = ((3, 500), (211, 300))
 
 
-def count_sweep(scan) -> list[list[int]]:
+def count_sweep(scan, p: int) -> list[list[int]]:
     counting._triples.cache_clear()
     counting._prime_power_roots.cache_clear()
-    return [scan(n, COUNT_P) for n in range(1, COUNT_N_MAX + 1)]
+    return [scan(n, p) for n in range(1, COUNT_N_MAX + 1)]
 
 
 def best_of(repeat: int, fn):
@@ -171,21 +177,29 @@ def check_case(label: str, group, valence: int, repeat: int) -> str:
     )
 
 
-def check_counting(repeat: int) -> str:
-    """Time the two counting sweeps, check them for n <= COUNT_CHECK_N_MAX
-    against their slow routes, and return the summary line; SystemExit
-    names the first n that disagrees."""
-    t_triples, by_horner = best_of(repeat, lambda: count_sweep(triples_for))
-    t_lift, by_crt = best_of(repeat, lambda: count_sweep(crt_lift_solutions))
-    for n in range(1, COUNT_CHECK_N_MAX + 1):
-        if by_horner[n - 1] != scalar_triples_for(n, COUNT_P):
-            raise SystemExit(f"n={n}: triples_for disagrees with the scalar loop")
-        if by_crt[n - 1] != reference_lift(n, COUNT_P):
-            raise SystemExit(f"n={n}: crt_lift_solutions disagrees with pow")
+def check_counting(repeat: int, p: int, check_n_max: int) -> str:
+    """Time the two counting sweeps at p, check them for n <= check_n_max
+    and at the primes n = 1 mod p against their slow routes, and return the
+    summary line; SystemExit names the first n that disagrees."""
+    t_triples, by_horner = best_of(repeat, lambda: count_sweep(triples_for, p))
+    t_lift, by_crt = best_of(repeat, lambda: count_sweep(crt_lift_solutions, p))
+    primes = [
+        n
+        for n in range(check_n_max + 1, COUNT_N_MAX + 1)
+        if n % p == 1 and reference_factorize(n) == [(n, 1)]
+    ]
+    for n in [*range(1, check_n_max + 1), *primes]:
+        if by_horner[n - 1] != scalar_triples_for(n, p):
+            raise SystemExit(
+                f"n={n} p={p}: triples_for disagrees with the scalar loop"
+            )
+        if by_crt[n - 1] != reference_lift(n, p):
+            raise SystemExit(f"n={n} p={p}: crt_lift_solutions disagrees with pow")
     return (
-        f"\ncounting n=1..{COUNT_N_MAX} at p={COUNT_P}: triples_for "
-        f"{t_triples:.4f}s, crt_lift_solutions {t_lift:.4f}s "
-        f"(both checked for n <= {COUNT_CHECK_N_MAX})"
+        f"\ncounting n=1..{COUNT_N_MAX} at p={p}: triples_for "
+        f"{t_triples:.4f}s, crt_lift_solutions {t_lift:.4f}s (both checked "
+        f"for n <= {check_n_max} and at the primes n = 1 mod p above it, "
+        f"{len(primes)})"
     )
 
 
@@ -201,7 +215,8 @@ def main() -> None:
     )
     for label, group, valence in CASES:
         print(check_case(label, group, valence, args.repeat))
-    print(check_counting(args.repeat))
+    for p, check_n_max in COUNT_CASES:
+        print(check_counting(args.repeat, p, check_n_max))
 
 
 if __name__ == "__main__":

@@ -273,7 +273,8 @@ def _run_triples(args: argparse.Namespace) -> int:
     all_agree = True
     for line, agree in _count_lines(range(1, args.n_max + 1), args.p):
         all_agree = all_agree and agree
-        print(line)
+        # one write per line: print makes two, each flushed when unbuffered
+        sys.stdout.write(line + "\n")
     return 0 if all_agree else 1
 
 

@@ -3,11 +3,12 @@ closed-form class count of regular balanced dihedral maps, and its two
 cross-checks, the triples scan and the CRT lift.
 
 The three answers are computed independently. The scan (`triples_for`)
-finds, for a prime n, the roots of S_p = 1 + x + ... + x^(p-1) over F_n by
-polynomial gcds, and for a composite n lifts a divisor's answers; Horner's
-rule confirms every answer. The CRT lift (`crt_lift_solutions`) builds the
-p-th roots of unity modulo each prime power from the cyclic group of units.
-Neither calls the other or the closed form.
+finds, for a prime n, the roots of S_p = 1 + x + ... + x^(p-1) over F_n as
+the values c^((n-1)/p) != 1 of the units c, and for a composite n lifts a
+divisor's answers; Horner's rule confirms every answer. The CRT lift
+(`crt_lift_solutions`) builds the p-th roots of unity modulo each prime
+power from the cyclic group of units. Neither calls the other or the
+closed form.
 
 This module imports only the standard library, so `count` and `triples`
 start without the search stack. It also holds what every command
@@ -123,12 +124,12 @@ def triples_for(n: int, p: int) -> list[int]:
     geosum_order(n, l) <= n. For a prime n the candidates are the roots of
     S_p(x) = 1 + x + ... + x^(p-1) over F_n (`_field_roots`).
     A composite n checks only the lifts r + j * d of the answers r for
-    d = n / (its smallest prime factor), because an l of order p mod n has
-    order p mod every divisor d >= 2 of n: S_p = 0 mod d (so l is not
-    0 mod d, where every S_k = 1); if k is the order mod d, then
-    l^k = 1 + (l - 1) S_k = 1 mod d, so S_(j+k) = S_j mod d and the zeros
-    of S mod d are exactly the multiples of k; hence k divides p, and
-    k != 1 since S_1 = 1, so k = p.
+    d = n / q, q its smallest prime factor, and none at all when q has no
+    answer, because an l of order p mod n has order p mod every divisor
+    d >= 2 of n: S_p = 0 mod d (so l is not 0 mod d, where every S_k = 1);
+    if k is the order mod d, then l^k = 1 + (l - 1) S_k = 1 mod d, so
+    S_(j+k) = S_j mod d and the zeros of S mod d are exactly the multiples
+    of k; hence k divides p, and k != 1 since S_1 = 1, so k = p.
     """
     _require_odd_prime(p)
     guard_count_n(n)
@@ -141,12 +142,15 @@ def triples_for(n: int, p: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _triples(n: int, p: int) -> tuple[int, ...]:
     """triples_for(n, p): the roots of S_p over F_n for a prime n, the lifts
-    of a divisor's answers otherwise, each kept if Horner's rule agrees."""
+    of a divisor's answers otherwise, each kept if Horner's rule agrees. A
+    composite n whose least prime factor has no answer has none."""
     if p > n:
         return ()
     q = _smallest_prime_factor(n)
     if q == n:
         candidates: Iterable[int] = _field_roots(n, p)
+    elif not _triples(q, p):
+        return ()
     else:
         d = n // q
         base = _triples(d, p)
@@ -164,78 +168,35 @@ def _has_order_p(l: int, n: int, p: int) -> bool:
     return s == 0
 
 
-# -- root finding over F_n (Rabin 1980) -----------------------------------------
-# A polynomial is its coefficient list, lowest degree first, with no trailing 0.
+# -- roots of S_p over F_n ---------------------------------------------------
 
 
 def _field_roots(n: int, p: int) -> list[int]:
-    """The roots of S_p over F_n for a prime n, ascending: the linear factors
-    of g = gcd(S_p, x^n - x), each once. As (x - 1) S_p = x^p - 1, x^n is
-    x^(n mod p) mod S_p; for n = p, S_p = (x - 1)^(p-1) and g = x - 1."""
-    s = [1] * p
-    h = _divmod([0] * (n % p) + [1], s, n)[1] + [0, 0]
-    h[1] -= 1
-    return sorted(_split(_gcd(s, _trim([c % n for c in h]), n), n))
+    """The roots of S_p over F_n for a prime n, ascending: [1] for n = p,
+    none when p does not divide n - 1, and otherwise the p - 1 distinct
+    values w = c^e != 1, e = (n - 1) / p, met first for c = 2, 3, ...
 
-
-def _split(g: list[int], n: int) -> list[int]:
-    """The roots of a monic g over F_n, n an odd prime, that is a product of
-    distinct linear factors. gcd(g, (x + a)^((n-1)/2) - 1) holds the roots r
-    with r + a a nonzero square, and some a in [1, n) separates any two: a
-    root w of S_p is w^(p+1) = (w^((p+1)/2))^2, a nonzero square, so a = 0
-    separates none."""
-    if len(g) <= 2:
-        return [-g[0] % n] if g[1:] else []
-    for a in range(1, n):
-        t = [a, 1]  # (x + a)^((n-1)/2) mod g by square-and-multiply
-        for bit in bin((n - 1) // 2)[3:]:
-            t = _mulmod(t, t, g, n)
-            if bit == "1":
-                t = _mulmod(t, [a, 1], g, n)
-        # t != 0: g, squarefree of degree >= 2, divides no power of x + a
-        t[0] = (t[0] - 1) % n
-        d = _gcd(g, _trim(t), n)
-        if 1 < len(d) < len(g):
-            return _split(d, n) + _split(_divmod(g, d, n)[0], n)
-    raise RuntimeError(f"{g} has a repeated or missing root over F_{n}")
-
-
-def _mulmod(a: list[int], b: list[int], f: list[int], n: int) -> list[int]:
-    """a * b mod (f, n) for a monic f, reduced mod n once per coefficient."""
-    m = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k] % n
-        for j in range(m):
-            prod[k - m + j] -= c * f[j]
-    return _trim([c % n for c in prod[:m]])
-
-
-def _divmod(a: list[int], b: list[int], n: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b != 0 over F_n, for a reduced mod n."""
-    a, m, inv = a[:], len(b) - 1, pow(b[-1], -1, n)
-    quot = [0] * max(len(a) - m, 0)
-    for k in reversed(range(len(quot))):
-        c = quot[k] = a[k + m] * inv % n
-        for j, y in enumerate(b):
-            a[k + j] = (a[k + j] - c * y) % n
-    return _trim(quot), _trim(a[:m])
-
-
-def _gcd(a: list[int], b: list[int], n: int) -> list[int]:
-    """The monic gcd of a != 0 and b over F_n."""
-    while b:
-        a, b = b, _divmod(a, b, n)[1]
-    return [c * pow(a[-1], -1, n) % n for c in a]
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    As (x - 1) S_p = x^p - 1 and S_p(1) = p, the roots other than 1 are the
+    l != 1 with l^p = 1, and 1 is one only for n = p. Such an l has order p
+    among the units, so p divides n - 1 (Fermat). Then (c^e)^p = c^(n-1) = 1
+    for every unit c. The units c with c^e = w are roots of x^e - w, at most
+    e of them, so c -> c^e takes at least (n - 1) / e = p values on the
+    units; they are roots of x^p - 1, which has at most p, so they are all
+    p-th roots of unity, and the p - 1 other than 1 turn up before c = n.
+    No generator of the units, and no power of a root found, is used."""
+    if n == p:
+        return [1]
+    e, r = divmod(n - 1, p)
+    if r:
+        return []
+    roots: set[int] = set()
+    c = 2
+    while len(roots) < p - 1:
+        w = pow(c, e, n)
+        if w != 1:
+            roots.add(w)
+        c += 1
+    return sorted(roots)
 
 
 # -- counting formula and CRT enumeration ------------------------------------------

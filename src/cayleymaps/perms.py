@@ -132,14 +132,19 @@ def all_involutions(m: int) -> Iterator[Permutation]:
     before the transposition branches.
     """
 
-    def rec(remaining: tuple[int, ...], images: dict[int, int]) -> Iterator[Permutation]:
+    # images[i - 1] is the image of point i; each call sets every point of
+    # remaining before it yields, so no entry needs undoing
+    images = [0] * m
+
+    def rec(remaining: tuple[int, ...]) -> Iterator[Permutation]:
         if not remaining:
-            yield Permutation(tuple(images[i] for i in range(1, m + 1)))
+            yield Permutation(tuple(images))
             return
         first, rest = remaining[0], remaining[1:]
-        yield from rec(rest, {**images, first: first})
+        images[first - 1] = first
+        yield from rec(rest)
         for partner in rest:
-            others = tuple(x for x in rest if x != partner)
-            yield from rec(others, {**images, first: partner, partner: first})
+            images[first - 1], images[partner - 1] = partner, first
+            yield from rec(tuple(x for x in rest if x != partner))
 
-    return rec(tuple(range(1, m + 1)), {})
+    return rec(tuple(range(1, m + 1)))

@@ -197,6 +197,22 @@ class TestTriples:
         assert roots == tuple(pow_roots(n, 1, p)), (n, p)
 
     @pytest.mark.parametrize(
+        "n, p",
+        [
+            # primes 1 mod p, where S_p has all p - 1 roots
+            (2111, 211),
+            (3209, 401),
+            # 6333 = 3 * 2111: 3 has no answer, so 6333 has none
+            (6333, 211),
+            # 3403 = 41 * 83 and 6889 = 83^2 lift the 40 roots mod 83
+            (3403, 41),
+            (6889, 41),
+        ],
+    )
+    def test_large_valences_match_scalar_loop(self, n, p, fresh_root_memo):
+        assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+
+    @pytest.mark.parametrize(
         "p, ns",
         [
             # non-empty chains, e.g. 1729 = 7 * 13 * 19 lifts 247 = 13 * 19
@@ -242,12 +258,15 @@ class TestTriples:
                     spf[m] = min(spf[m], q)
         # every prime n >= p is root-found once, and each of its roots is an
         # answer; a composite n checks the q lifts of each answer for n / q,
-        # q its least prime factor
+        # q its least prime factor, when q has an answer, and none otherwise
         assert found == [n for n in range(p, n_max + 1) if spf[n] == n]
         expected = Counter()
         for n in range(p, n_max + 1):
             q = spf[n]
-            expected[n] = len(answers[n]) if q == n else len(answers[n // q]) * q
+            if q == n:
+                expected[n] = len(answers[n])
+            elif answers[q]:
+                expected[n] = len(answers[n // q]) * q
         assert checked == +expected
 
     def test_fresh_root_memo_empties_both_memos(self, fresh_root_memo):

@@ -20,6 +20,11 @@ def test_stage_benchmark_checks_pass(monkeypatch):
     for label, counts in expected.items():
         fields = bench.check_case(label, *cases[label], repeat=1)[len(label) :].split()
         assert tuple(int(fields[i]) for i in (0, 1, 5, 6)) == counts, label
-    line = bench.check_counting(repeat=1)
-    assert line.startswith("\ncounting n=1..3000 at p=3: triples_for ")
-    assert line.endswith("(both checked for n <= 500)")
+    ends = {
+        3: "(both checked for n <= 500 and at the primes n = 1 mod p above it, 162)",
+        211: "(both checked for n <= 300 and at the primes n = 1 mod p above it, 1)",
+    }
+    for p, check_n_max in bench.COUNT_CASES:
+        line = bench.check_counting(1, p, check_n_max)
+        assert line.startswith(f"\ncounting n=1..3000 at p={p}: triples_for ")
+        assert line.endswith(ends[p]), line
