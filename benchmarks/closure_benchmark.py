@@ -30,15 +30,18 @@ Two counting cases then time the two scans that `triples` and
 `verify --theorem 3.4` run for every n, separately: `triples_for` (the
 roots of 1 + x + ... + x^(p-1) over F_n, the values c^((n-1)/p) != 1 of
 the units c, for a prime n, the lifts of its largest proper divisor's
-answers for a composite n, each confirmed by Horner's rule) and
+answers for a composite n, each confirmed by one modular power) and
 `crt_lift_solutions` (the CRT lift of each prime power's roots of unity),
 over n = 1..3000 at p = 3 and at p = 211, with the triples and root memos
 emptied before each timed sweep. A prime n = 1 mod p costs the scan about
-p ln p powers and p Horner steps per root, so the large valence shows a
-scan whose cost grows faster in p. Each case checks `triples_for` against
-the per-l scalar loop and `crt_lift_solutions` against its roots found by
-Python's `pow`, for every n up to a bound and at every prime n = 1 mod p,
-where S_p has all p - 1 roots, and exits non-zero on any mismatch.
+p ln p powers for its roots and one power per root, so the large valence
+shows a scan whose cost grows faster in p. Each case checks `triples_for`
+against the per-l scalar loop and `crt_lift_solutions` against its roots
+found by Python's `pow`, for every n up to a bound and at every prime
+n = 1 mod p, where S_p has all p - 1 roots, and exits non-zero on any
+mismatch. A last row times `triples_for(30011, 3001)` from empty memos,
+a prime n = 1 mod p at a valence where the scalar loop would take
+p n steps, and checks its 3000 answers against `pow` instead.
 
 Run from the checkout, which imports the package from its `src` and these
 slow routes from `tests/reference.py`, where the tests keep them:
@@ -52,9 +55,8 @@ import argparse
 import math
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
-
-import numpy as np
 
 # the checkout's own package, ahead of any installed copy, and its tests
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("src", "tests")]
@@ -73,6 +75,7 @@ from reference import (
     closure_regular,
     full_inverse_closed_sets,
     least_orbit_members,
+    pow_roots,
     reference_factorize,
     reference_lift,
     scalar_triples_for,
@@ -119,11 +122,17 @@ COUNT_N_MAX = 3000
 # `triples_p3` workload; the scalar loop takes p steps per l, so p = 211
 # checks a shorter range
 COUNT_CASES = ((3, 500), (211, 300))
+# a prime n = 1 mod p, where S_p has all p - 1 roots
+LARGE_VALENCE = (30011, 3001)
+
+
+def empty_count_memos() -> None:
+    counting._triples.cache_clear()
+    counting._prime_power_roots.cache_clear()
 
 
 def count_sweep(scan, p: int) -> list[list[int]]:
-    counting._triples.cache_clear()
-    counting._prime_power_roots.cache_clear()
+    empty_count_memos()
     return [scan(n, p) for n in range(1, COUNT_N_MAX + 1)]
 
 
@@ -146,8 +155,8 @@ def check_case(label: str, group, valence: int, repeat: int) -> str:
     survivors = [xs for cls in by_census.values() for xs in cls]
     survivor_rows = ordering_rows(group, valence, survivors)
     t_dedup, classes = best_of(repeat, lambda: classes_by_code(survivor_rows))
-    starts = np.cumsum([0] + [len(cls) for cls in by_census.values()])
-    census_classes = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    starts = list(accumulate((len(cls) for cls in by_census.values()), initial=0))
+    census_classes = [range(a, b) for a, b in zip(starts, starts[1:])]
     by_sweep = partition(classes_by_sweep(survivor_rows))
     if partition(classes) != by_sweep or partition(census_classes) != by_sweep:
         raise SystemExit(f"{label}: the arc codes disagree with the sweep")
@@ -203,6 +212,25 @@ def check_counting(repeat: int, p: int, check_n_max: int) -> str:
     )
 
 
+def check_large_valence(repeat: int) -> str:
+    """Time triples_for at LARGE_VALENCE from empty memos, check it against
+    the roots of x^p = 1 other than 1 found by `pow`, and return the summary
+    line; SystemExit if they differ."""
+    n, p = LARGE_VALENCE
+
+    def scan() -> list[int]:
+        empty_count_memos()
+        return triples_for(n, p)
+
+    t_triples, found = best_of(repeat, scan)
+    if found != pow_roots(n, 1, p):
+        raise SystemExit(f"n={n} p={p}: triples_for disagrees with pow")
+    return (
+        f"\ncounting n={n} at p={p}: triples_for {t_triples:.4f}s "
+        f"({len(found)} answers, checked against pow)"
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="timing repeats")
@@ -217,6 +245,7 @@ def main() -> None:
         print(check_case(label, group, valence, args.repeat))
     for p, check_n_max in COUNT_CASES:
         print(check_counting(args.repeat, p, check_n_max))
+    print(check_large_valence(args.repeat))
 
 
 if __name__ == "__main__":

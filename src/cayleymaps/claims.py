@@ -30,8 +30,6 @@ from .maps import CayleyMap, build_map
 from .perms import (
     Permutation,
     all_involutions,
-    compose,
-    full_cycle,
     reflection_fixing_last,
 )
 
@@ -43,9 +41,9 @@ from .perms import (
 MAX_ABELIAN_VERIFY_ORDER = 16
 
 # Claim L3.2's first part tests every involution kappa of degree p that fixes
-# p: the 140,152 at p = 13 take about 2 s on a 2-CPU Xeon (the whole command,
-# with --n-max 3), and the 46,206,736 at p = 17, 330 times as many, would
-# take about 10 minutes. The census guard does not see this cost; D3 at
+# p: the 140,152 at p = 13 take about 0.5 s on a 2-CPU Xeon (the whole
+# command, with --n-max 3), and the 46,206,736 at p = 17, 330 times as many,
+# would take minutes. The census guard does not see this cost; D3 at
 # valence 17 has only 102 arcs.
 MAX_AFFINE_INVOLUTION_DEGREE = 13
 
@@ -139,7 +137,8 @@ def affine_compatible_involutions(p: int) -> list[Permutation]:
     """Involutions kappa fixing the last of p points, p an odd prime, whose
     joint group G = <rho, kappa> with rho = (1 2 ... p) is no bigger than
     the affine bound p(p-1) and divides it. These are exactly the kappa
-    with kappa rho kappa in <rho>, the test made here.
+    with kappa rho kappa in <rho>, and so the kappa that act on the points
+    mod p as x -> kappa(1) x, the test made here.
 
     G contains rho, so it is transitive of prime degree. By Burnside's
     theorem (Theory of Groups of Finite Order, 2nd ed., 1911; Dixon and
@@ -153,19 +152,19 @@ def affine_compatible_involutions(p: int) -> list[Permutation]:
     of order p. That kernel holds the fixed-point-free rho, so it is <rho>.
     Either way kappa rho kappa lies in <rho>. Conversely, if kappa
     normalises <rho>, then G = <rho><kappa> has order p or 2p, and both
-    divide p(p-1) because p is odd."""
+    divide p(p-1) because p is odd.
+
+    Read the points mod p, so that rho is x -> x + 1 and kappa fixes 0.
+    Then kappa rho kappa = rho^a means kappa(x + 1) = kappa(x) + a, that is
+    kappa(x) = a x from kappa(0) = 0, with a = kappa(1); so kappa is kept
+    exactly when kappa(x) = kappa(1) x mod p for x = 1, ..., p - 1."""
     _require_odd_prime(p)
-    rho = full_cycle(p)
-    powers = [rho]
-    for _ in range(p - 2):
-        powers.append(compose(rho, powers[-1]))
-    rotations = set(powers)
     out = []
     # an involution of degree p fixing p is one of degree p - 1, extended
     for head in all_involutions(p - 1):
-        kappa = Permutation(head.images + (p,))
-        if compose(kappa, compose(rho, kappa)) in rotations:
-            out.append(kappa)
+        images = head.images
+        if all(images[x - 1] == images[0] * x % p for x in range(2, p)):
+            out.append(Permutation(images + (p,)))
     return out
 
 

@@ -5,9 +5,9 @@ cross-checks, the triples scan and the CRT lift.
 The three answers are computed independently. The scan (`triples_for`)
 finds, for a prime n, the roots of S_p = 1 + x + ... + x^(p-1) over F_n as
 the values c^((n-1)/p) != 1 of the units c, and for a composite n lifts a
-divisor's answers; Horner's rule confirms every answer. The CRT lift
-(`crt_lift_solutions`) builds the p-th roots of unity modulo each prime
-power from the cyclic group of units. Neither calls the other or the
+divisor's answers; one modular power of l confirms every answer l. The
+CRT lift (`crt_lift_solutions`) builds the p-th roots of unity modulo each
+prime power from the cyclic group of units. Neither calls the other or the
 closed form.
 
 This module imports only the standard library, so `count` and `triples`
@@ -114,10 +114,9 @@ def guard_count_n(n: int) -> None:
 def triples_for(n: int, p: int) -> list[int]:
     """All l with geosum_order(n, l) == p, ascending.
 
-    Only the first p partial sums S_k = 1 + l + ... + l^(k-1) are needed:
-    the order equals p exactly when S_p vanishes mod n and no earlier one
-    does (S_1 = 1 never does for n >= 2). Every answer is confirmed by
-    Horner's rule, S_2 = l + 1 and S_(k+1) = l * S_k + 1 (`_has_order_p`).
+    Of the partial sums S_k = 1 + l + ... + l^(k-1) only S_p is needed:
+    the order is p exactly when S_p vanishes mod n (the lemma below, with
+    d = n), and that one test confirms every answer (`_has_order_p`).
 
     No l qualifies when p > n: S_1, ..., S_k are distinct mod n up to the
     first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
@@ -125,11 +124,11 @@ def triples_for(n: int, p: int) -> list[int]:
     S_p(x) = 1 + x + ... + x^(p-1) over F_n (`_field_roots`).
     A composite n checks only the lifts r + j * d of the answers r for
     d = n / q, q its smallest prime factor, and none at all when q has no
-    answer, because an l of order p mod n has order p mod every divisor
-    d >= 2 of n: S_p = 0 mod d (so l is not 0 mod d, where every S_k = 1);
-    if k is the order mod d, then l^k = 1 + (l - 1) S_k = 1 mod d, so
-    S_(j+k) = S_j mod d and the zeros of S mod d are exactly the multiples
-    of k; hence k divides p, and k != 1 since S_1 = 1, so k = p.
+    answer, because an l with S_p = 0 mod n has order p mod every divisor
+    d >= 2 of n, n included: S_p = 0 mod d (so l is not 0 mod d, where
+    every S_k = 1); if k is the order mod d, then l^k = 1 + (l - 1) S_k = 1
+    mod d, so S_(j+k) = S_j mod d and the zeros of S mod d are exactly the
+    multiples of k; hence k divides p, and k != 1 since S_1 = 1, so k = p.
     """
     _require_odd_prime(p)
     guard_count_n(n)
@@ -142,7 +141,7 @@ def triples_for(n: int, p: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _triples(n: int, p: int) -> tuple[int, ...]:
     """triples_for(n, p): the roots of S_p over F_n for a prime n, the lifts
-    of a divisor's answers otherwise, each kept if Horner's rule agrees. A
+    of a divisor's answers otherwise, each kept if S_p vanishes at it. A
     composite n whose least prime factor has no answer has none."""
     if p > n:
         return ()
@@ -159,13 +158,13 @@ def _triples(n: int, p: int) -> tuple[int, ...]:
 
 
 def _has_order_p(l: int, n: int, p: int) -> bool:
-    """geosum_order(n, l) == p, by Horner's rule over S_2, ..., S_p."""
-    s = (l + 1) % n
-    for _ in range(p - 2):
-        if s == 0:
-            return False
-        s = (s * l + 1) % n
-    return s == 0
+    """geosum_order(n, l) == p for n >= 2, by S_p(l) = 0 mod n alone: the
+    zeros of S mod n are the multiples of l's order (`triples_for`), which
+    is not 1 as S_1 = 1, so it is the prime p. S_p(l) = (l^p - 1) / (l - 1)
+    is exact from l^p mod (l - 1) n, and S_p(1) = p."""
+    if l == 1:
+        return p % n == 0
+    return (pow(l, p, (l - 1) * n) - 1) // (l - 1) % n == 0
 
 
 # -- roots of S_p over F_n ---------------------------------------------------

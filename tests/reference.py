@@ -250,7 +250,7 @@ def classes_by_sweep(rows) -> list[list[int]]:
 def scalar_triples_for(n: int, p: int) -> list[int]:
     """The l in [1, n) whose first vanishing partial sum 1 + l + ... mod n
     is the p-th, by a per-l loop over the first p partial sums in Python
-    integers. Checks the blocked Horner scan `counting.triples_for`."""
+    integers. Checks the scan `counting.triples_for` and its order test."""
     out = []
     for l in range(1, n):
         s, power = 0, 1

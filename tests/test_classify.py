@@ -212,6 +212,20 @@ class TestTriples:
     def test_large_valences_match_scalar_loop(self, n, p, fresh_root_memo):
         assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
 
+    def test_largest_valence_matches_pow(self, fresh_root_memo):
+        # 30011 is prime and 1 mod 3001, so the answers are the 3000 roots
+        # of x^3001 = 1 other than 1
+        assert triples_for(30011, 3001) == pow_roots(30011, 1, 3001)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_order_test_matches_scalar_loop_on_every_l(self, p):
+        # the one-step test on every l < n, not only on the candidates the
+        # scan hands it: l = 1, whose S_p is p, and the l with S_k = 0 mod n
+        # for some k < p, which the test rejects by S_p alone
+        for n in range(1, 301):
+            kept = [l for l in range(1, n) if counting._has_order_p(l, n, p)]
+            assert kept == scalar_triples_for(n, p), (n, p)
+
     @pytest.mark.parametrize(
         "p, ns",
         [

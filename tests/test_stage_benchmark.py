@@ -1,6 +1,6 @@
-"""The stage benchmark's checks on its two smallest cases and its counting
-sweep, with one timing repeat, so that a change to what the script calls
-fails here rather than in its next full run."""
+"""The stage benchmark's checks on its two smallest cases, its counting
+sweeps and its large-valence row, with one timing repeat, so that a change
+to what the script calls fails here rather than in its next full run."""
 
 import importlib.util
 import sys
@@ -28,3 +28,6 @@ def test_stage_benchmark_checks_pass(monkeypatch):
         line = bench.check_counting(1, p, check_n_max)
         assert line.startswith(f"\ncounting n=1..3000 at p={p}: triples_for ")
         assert line.endswith(ends[p]), line
+    line = bench.check_large_valence(1)
+    assert line.startswith("\ncounting n=30011 at p=3001: triples_for ")
+    assert line.endswith("(3000 answers, checked against pow)"), line
