@@ -18,6 +18,7 @@ import math
 import os
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .counting import (
@@ -235,8 +236,9 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     (the pool of m), and every one of them is listed. Generation is tested
     first, set by set: a set that fails it closes up in a small subgroup at
     once, and almost no set of a large elementary abelian pool generates.
-    Each generating set is then tested for being least in its orbit
-    (`_least_in_orbit`) as soon as it is found."""
+    Each generating set is then tested for being least in its orbit as soon
+    as it is found: an image below it must start with m, so it is one of
+    `_row_images`, and the test stops at the first smaller one."""
     tables = _tables_of(group)
     orbit_min = tables.orbit_min
     inv = [group.rank(group.inv(g)) for g in group.elements()]
@@ -264,7 +266,8 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
                     if not is_generating(tables.table, xset, identity):
                         continue
                     # the rows are grouped at the pool's first generating set
-                    if _least_in_orbit(tables.sending_to(m), xset):
+                    images = _row_images(tables, xset)
+                    if all(sorted(image) >= xset for _, image in images):
                         out.append(xset)
     return out
 
@@ -312,17 +315,18 @@ def _tables_of(group: FiniteGroup) -> _Tables:
     return _last_tables
 
 
-def _least_in_orbit(to_m: dict[int, list[list[int]]], xset: list[int]) -> bool:
-    """Is the sorted rank list xset, whose least rank m is an orbit minimum,
-    the least of its sorted images? An image below xset must start with m,
-    so it comes from a row sending some x of xset to m, and those rows are
-    to_m[x] (`_Tables.sending_to`). Stops at the first smaller
-    image."""
-    for x in xset:
+def _row_images(tables: _Tables, s: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+    """(i, image) for each row of H that sends s[i] to m, the least orbit
+    minimum among s's ranks, where image is the tuple of the row's images
+    of s in s's order (s holds at least 3 ranks). Every image of s has
+    least rank m, and these are the images holding m at a known slot i:
+    the rows are `_Tables.sending_to(m)`[s[i]]. Lazy, so a caller can stop
+    at the first image it rejects."""
+    to_m = tables.sending_to(min(map(tables.orbit_min.__getitem__, s)))
+    image = itemgetter(*s)
+    for i, x in enumerate(s):
         for row in to_m.get(x, ()):
-            if sorted(map(row.__getitem__, xset)) < xset:
-                return False
-    return True
+            yield i, image(row)
 
 
 def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
@@ -415,17 +419,12 @@ def _least_image(
     otherwise."""
     if _is_affine(group):
         return min(_least_affine_image(group, s) for s in orderings)
-    auts = _tables_of(group)
-    best = None
-    for s in orderings:
-        to_m = auts.sending_to(min(auts.orbit_min[x] for x in s))
-        for i, x in enumerate(s):
-            for row in to_m.get(x, ()):
-                image = [row[y] for y in s]
-                rotated = tuple(image[i:] + image[:i])
-                if best is None or rotated < best:
-                    best = rotated
-    return best
+    tables = _tables_of(group)
+    return min(
+        image[i:] + image[:i]
+        for s in orderings
+        for i, image in _row_images(tables, s)
+    )
 
 
 def _least_affine_image(group: FiniteGroup, s: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""Permutations on {1..m}: composition, cycles, the k-cycle, the reflection
-fixing the last point, and the involutions of a degree."""
+"""Permutations on {1..m}: cycles, the reflection fixing the last point,
+and the involutions of a degree."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
-    "compose",
-    "full_cycle",
     "reflection_fixing_last",
     "all_involutions",
 ]
@@ -47,12 +45,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.apply(point)
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, img in enumerate(self.images, start=1):
-            out[img - 1] = i
-        return Permutation(tuple(out))
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -102,20 +94,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p(q(i))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation(tuple(p.images[q.images[i] - 1] for i in range(p.degree)))
-
-
-def full_cycle(k: int) -> Permutation:
-    """The rotation (1 2 ... k)."""
-    if k < 1:
-        raise ValueError(f"cycle length must be >= 1, got {k}")
-    return Permutation(tuple(list(range(2, k + 1)) + [1]))
 
 
 def reflection_fixing_last(k: int) -> Permutation:

@@ -210,6 +210,37 @@ def generating_count(family: str, n: int, k: int) -> int:
     )
 
 
+def elem2_orbit_size(r: int, xset) -> int:
+    """r! / |Stab(X)|, the orbit size of the set X of bit masks of E_r
+    under the r! coordinate permutations that
+    ElemAbelian2Group(r).automorphism_ranks() lists, by moving bits and no
+    row."""
+    target = set(xset)
+    fixing = sum(
+        {sum(1 << sigma[j] for j in range(r) if x >> j & 1) for x in xset} == target
+        for sigma in permutations(range(r))
+    )
+    return math.factorial(r) // fixing
+
+
+def elem2_generating_count(r: int, k: int) -> int:
+    """N_gen(E_r, k), the unit-free generating k-subsets of E_r, by no
+    search: every non-identity element is its own inverse, a d-dimensional
+    subspace holds C(2^d - 1, k) k-subsets, and Mobius inversion over the
+    subspace lattice, with mu = (-1)^c * 2^(c(c - 1)/2) at codimension c
+    and [r d]_2 subspaces of dimension d, counts those lying in no proper
+    one. Checks the row route of `classify.inverse_closed_sets` by
+    orbit-stabilizer, as `generating_count` checks the affine one."""
+    total = 0
+    for d in range(r + 1):
+        subspaces = 1  # the Gaussian binomial [r d]_2
+        for i in range(d):
+            subspaces = subspaces * (2 ** (r - i) - 1) // (2 ** (i + 1) - 1)
+        c = r - d
+        total += subspaces * (-1) ** c * 2 ** (c * (c - 1) // 2) * math.comb(2**d - 1, k)
+    return total
+
+
 # -- regularity and isomorphism ------------------------------------------------------
 
 

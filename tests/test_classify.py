@@ -756,9 +756,8 @@ class TestExhaustiveSearch:
 
     def test_the_census_builds_one_whole_table_per_group(self, monkeypatch):
         # the set search and the walks share the group's N x N table; each
-        # class representative computes N x k products of its own, and on
-        # E_r and the products the map's breadth-first generation test
-        # computes them once more
+        # class representative computes N x k products of its own, once, and
+        # its generation test reads them
         widths = []
         real = FiniteGroup.products
 
@@ -767,17 +766,17 @@ class TestExhaustiveSearch:
             return real(group, xs)
 
         monkeypatch.setattr(FiniteGroup, "products", products)
-        for group, valence, per_map in (
-            (DihedralGroup(13), 3, 1),
-            (CyclicGroup(10), 5, 1),
-            (ElemAbelian2Group(3), 3, 2),
-            (AbelianProductGroup([2, 4]), 4, 2),
+        for group, valence in (
+            (DihedralGroup(13), 3),
+            (CyclicGroup(10), 5),
+            (ElemAbelian2Group(3), 3),
+            (AbelianProductGroup([2, 4]), 4),
         ):
             widths.clear()
             entries = census_entries(group, 0, valence)
             assert entries, group
             assert widths.count(group.order) == 1, group
-            assert widths.count(valence) == per_map * len(entries), group
+            assert widths.count(valence) == len(entries), group
             assert set(widths) == {group.order, valence}, group
 
     def test_jobs_below_one_rejected(self):

@@ -25,7 +25,9 @@ list (`reference.least_orbit_members`); their closed-form generation tests
 with the breadth-first search (`FiniteGroup.generates_ranks`); their least
 images by arithmetic with the rows; and their orbit sizes, summed over the
 representatives, with the number of generating sets that the subgroup
-lattice gives (`reference.generating_count`). Claim 1.1's seed maps,
+lattice gives (`reference.generating_count`); E_r's, listed by the row
+route, with the count over its subspace lattice
+(`reference.elem2_generating_count`). Claim 1.1's seed maps,
 built from the divisors of t^p - 1 over GF(2), are compared with the sweep
 over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A
 map's rotation automorphism (CayleyMap.rotation_automorphism, the walk with
@@ -80,6 +82,8 @@ from reference import (
     classes_by_sweep,
     closure,
     closure_regular,
+    elem2_generating_count,
+    elem2_orbit_size,
     full_inverse_closed_sets,
     generating_count,
     least_orbit_members,
@@ -483,6 +487,20 @@ def test_orbit_sizes_add_up_to_the_generating_sets(family, group, valence):
 
 
 @pytest.mark.parametrize(
+    "r, valence",
+    [(r, k) for r in (2, 3, 4) for k in (3, 5, 7)] + [(5, 3), (5, 5)],
+)
+def test_elem2_orbit_sizes_add_up_to_the_generating_sets(r, valence):
+    # the same identity on E_r, whose sets the row route lists: E4 at p = 7
+    # has 6,420 generating sets in 361 orbits, E5 at p = 5 83,328 in 885
+    found = sum(
+        elem2_orbit_size(r, xset)
+        for xset in inverse_closed_sets(ElemAbelian2Group(r), valence)
+    )
+    assert found == elem2_generating_count(r, valence)
+
+
+@pytest.mark.parametrize(
     "group, valence",
     [(DihedralGroup(n), p) for n in (4, 6, 9) for p in (3, 5)]
     + [(DicyclicGroup(n), p) for n in (2, 3, 6) for p in (3, 5)]
@@ -585,7 +603,7 @@ def test_walk_on_the_map_table_matches_the_walk_on_the_census_table(case):
     for m in candidates:
         xs = m.xs_ranks()
         kappa0 = [xs.index(group.rank(group.inv(elems[r]))) for r in xs]
-        own = m._products
+        own = m._table
         assert own == [[row[x] for x in xs] for row in whole], m
         walk = skew_morphism(own, range(m.k), kappa0, e)
         assert walk == skew_morphism(whole, xs, kappa0, e), m
