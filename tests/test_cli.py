@@ -4,6 +4,7 @@ determinism, and the documented example invocations."""
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -357,6 +358,27 @@ class TestCensusCommand:
                 assert code == 0
                 outs.append(out)
             assert outs[0] == outs[1] == outs[2], family
+
+
+# sha256 of the whole stdout of reports whose rows carry the kappa column,
+# one of them with a kappa of two transpositions
+PINNED_REPORTS = {
+    "census --group dihedral --p 5 --n-max 11 --format csv":
+        "4ed3baac87e0b383dc49991dff61de34fd034357bbe27c276c6cd364eefcb44a",
+    "census --group abelian --p 3 --n-max 30 --format csv":
+        "e3d7e83eb74de5fda0cc631020635557dc298f67a4925ffe0549b8f3781b9465",
+    "census --group elem2 --p 5 --n-max 4 --format csv":
+        "64a2a923a7a930162966fc117b86cf281350e1e612ca349a9021f41b86b5d4df",
+    "checkmap --group Dic2 --xs a,b,a^3,a^2*b":
+        "d1f88d20b2e51ad7f91c2147814dde3429b5bcca28f38d8fcb2185b464a80b1a",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_REPORTS)
+def test_report_bytes_are_pinned(command, capsys):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command]
 
 
 # -- verify, count, triples ---------------------------------------------------------
