@@ -10,7 +10,6 @@ a wrapper installed on `classify` sees every search a verification runs.
 
 from __future__ import annotations
 
-import math
 from itertools import takewhile
 from typing import NamedTuple, Optional
 
@@ -19,19 +18,15 @@ from .counting import (
     CLAIM_IDS,
     SizeGuardError,
     UsageError,
+    _has_order_p,
     _require_odd_prime,
     count_agreement,
-    geosum_order,
     guard_count_n,
     triples_for,
 )
 from .groups import CyclicGroup, DihedralGroup, ElemAbelian2Group
 from .maps import CayleyMap, build_map
-from .perms import (
-    Permutation,
-    all_involutions,
-    reflection_fixing_last,
-)
+from .perms import all_involutions, cycles, reflection_fixing_last
 
 # Claim 1.1 sweeps the abelian catalogue up to this order. Its seeds are
 # cheap at any rank; what the bound limits is the search, mostly on groups
@@ -41,10 +36,10 @@ from .perms import (
 MAX_ABELIAN_VERIFY_ORDER = 16
 
 # Claim L3.2's first part tests every involution kappa of degree p that fixes
-# p: the 140,152 at p = 13 take about 0.5 s on a 2-CPU Xeon (the whole
-# command, with --n-max 3), and the 46,206,736 at p = 17, 330 times as many,
-# would take minutes. The census guard does not see this cost; D3 at
-# valence 17 has only 102 arcs.
+# the last slot: the 140,152 at p = 13 take about 0.35 s on a 2-CPU Xeon
+# (the whole command, with --n-max 3), and the 46,206,736 at p = 17, 330
+# times as many, would take minutes. The census guard does not see this
+# cost; D3 at valence 17 has only 102 arcs.
 MAX_AFFINE_INVOLUTION_DEGREE = 13
 
 
@@ -57,15 +52,8 @@ def balanced_dihedral_map(n: int, l: int, p: int) -> CayleyMap:
     _require_odd_prime(p)
     if not 0 < l < n:
         raise ValueError(f"need 0 < l < n, got l={l}, n={n}")
-    # a common factor d keeps every partial sum at 1 mod d, so the
-    # geometric-sum scan below would run n^2 steps to find no order
-    if math.gcd(l, n) != 1:
-        raise ValueError(f"l={l} and n={n} are not coprime")
-    actual = geosum_order(n, l)
-    if actual != p:
-        raise ValueError(
-            f"geometric-sum order of l={l} mod n={n} is {actual}, not {p}"
-        )
+    if not _has_order_p(l, n, p):
+        raise ValueError(f"geometric-sum order of l={l} mod n={n} is not {p}")
     exps = []
     s = 0
     power = 1
@@ -133,9 +121,9 @@ def elem_abelian_map(f: int, p: int) -> CayleyMap:
     return build_map(ElemAbelian2Group(f.bit_length() - 1), _seed_orbit(f, p))
 
 
-def affine_compatible_involutions(p: int) -> list[Permutation]:
-    """Involutions kappa fixing the last of p points, p an odd prime, whose
-    joint group G = <rho, kappa> with rho = (1 2 ... p) is no bigger than
+def affine_compatible_involutions(p: int) -> list[tuple[int, ...]]:
+    """Involutions kappa of 0..p-1 fixing p - 1, p an odd prime, whose
+    joint group G = <rho, kappa> with rho = (0 1 ... p-1) is no bigger than
     the affine bound p(p-1) and divides it. These are exactly the kappa
     with kappa rho kappa in <rho>, and so the kappa that act on the points
     mod p as x -> kappa(1) x, the test made here.
@@ -154,17 +142,18 @@ def affine_compatible_involutions(p: int) -> list[Permutation]:
     normalises <rho>, then G = <rho><kappa> has order p or 2p, and both
     divide p(p-1) because p is odd.
 
-    Read the points mod p, so that rho is x -> x + 1 and kappa fixes 0.
-    Then kappa rho kappa = rho^a means kappa(x + 1) = kappa(x) + a, that is
-    kappa(x) = a x from kappa(0) = 0, with a = kappa(1); so kappa is kept
-    exactly when kappa(x) = kappa(1) x mod p for x = 1, ..., p - 1."""
+    Read slot i as the point i + 1 mod p, so that rho is x -> x + 1 and
+    kappa fixes 0. Then kappa rho kappa = rho^a means kappa(x + 1) =
+    kappa(x) + a, that is kappa(x) = a x from kappa(0) = 0, with
+    a = kappa(1); so kappa is kept exactly when kappa(x) = kappa(1) x mod p
+    for x = 1, ..., p - 1."""
     _require_odd_prime(p)
     out = []
-    # an involution of degree p fixing p is one of degree p - 1, extended
+    # an involution of 0..p-1 fixing p - 1 is one of 0..p-2, extended
     for head in all_involutions(p - 1):
-        images = head.images
-        if all(images[x - 1] == images[0] * x % p for x in range(2, p)):
-            out.append(Permutation(images + (p,)))
+        a = head[0] + 1
+        if all(head[x - 1] + 1 == a * x % p for x in range(2, p)):
+            out.append(head + (p - 1,))
     return out
 
 
@@ -333,9 +322,9 @@ def _balanced_at_odd_valence(m: CayleyMap, valence: int) -> bool:
     return valence % 2 == 1 and m.balance_type().is_balanced
 
 
-def _affine_kappas(k: int) -> set[Permutation]:
-    """The identity and the reflection fixing the last of k points."""
-    return {Permutation.identity(k), reflection_fixing_last(k)}
+def _affine_kappas(k: int) -> set[tuple[int, ...]]:
+    """The identity and the reflection fixing the last of k slots."""
+    return {tuple(range(k)), reflection_fixing_last(k)}
 
 
 def _kappa_not_affine(m: CayleyMap, valence: int) -> bool:
@@ -387,5 +376,5 @@ def _affine_involution_check(p: int) -> tuple[int, list[str]]:
         return 1, []
     return 1, [
         f"p={p}: affine-compatible involutions are "
-        f"{[q.to_cycles() for q in qualifying]}"
+        f"{[cycles(q) for q in qualifying]}"
     ]

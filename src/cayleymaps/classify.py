@@ -49,6 +49,7 @@ from .maps import (
     rotation_row,
     skew_morphism,
 )
+from .perms import cycle_string
 
 MAX_CENSUS_ARCS = 400
 
@@ -236,6 +237,9 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     (the pool of m), and every one of them is listed. Generation is tested
     first, set by set: a set that fails it closes up in a small subgroup at
     once, and almost no set of a large elementary abelian pool generates.
+    A set is its base (m, and m^-1 if it differs), n_inv involutions and
+    n_pair inverse pairs, so it generates what 1 + n_inv + n_pair elements
+    do, and a split with fewer than `_min_generators` is skipped untested.
     Each generating set is then tested for being least in its orbit as soon
     as it is found: an image below it must start with m, so it is one of
     `_row_images`, and the test stops at the first smaller one."""
@@ -243,6 +247,7 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     orbit_min = tables.orbit_min
     inv = [group.rank(group.inv(g)) for g in group.elements()]
     identity = group.identity_rank
+    min_generators = _min_generators(group)
     out: list[list[int]] = []
     for m in range(group.order):
         if m == identity or orbit_min[m] != m:
@@ -258,7 +263,7 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
         free = valence - len(base)
         for n_inv in range(free % 2, min(free, len(involutions)) + 1, 2):
             n_pair = (free - n_inv) // 2
-            if n_pair > len(pairs):
+            if n_pair > len(pairs) or 1 + n_inv + n_pair < min_generators:
                 continue
             for invs in combinations(involutions, n_inv):
                 for prs in combinations(pairs, n_pair):
@@ -270,6 +275,21 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
                     if all(sorted(image) >= xset for _, image in images):
                         out.append(xset)
     return out
+
+
+def _min_generators(group: FiniteGroup) -> int:
+    """A lower bound on the size of a generating set: the rank d(G) of E_r
+    and of a product of cyclic groups, 1 for any other group. The rank of
+    Z_d1 x ... x Z_dj is the most moduli that one prime q divides: G/qG is
+    a vector space of that dimension over F_q, and a generating set of G
+    spans it. A composite q counts no more moduli than its prime factors,
+    so every q from 2 up is tried."""
+    if isinstance(group, ElemAbelian2Group):
+        return group.r
+    if isinstance(group, AbelianProductGroup):
+        mods = group.mods
+        return max(sum(d % q == 0 for d in mods) for q in range(2, max(mods) + 1))
+    return 1
 
 
 class _Tables:
@@ -517,7 +537,7 @@ def entry_for_map(
         xs=tuple(m.group.format_element(x) for x in m.xs),
         regular=regular,
         balance=str(m.balance_type()),
-        kappa=m.kappa.cycle_string(),
+        kappa=cycle_string(m.kappa),
         mon_order=mon,
         genus=genus,
         graph_aut_order=aut_order,

@@ -1,9 +1,11 @@
 """Cayley maps as combinatorial objects.
 
-A map is a group together with an ordered generating list (x_1, ..., x_k);
+A map is a group together with an ordered generating list (x_0, ..., x_(k-1));
 the rotation R advances the generator slot at a vertex, and the reversal L
-crosses to the other end of an edge.  Arcs are numbered (vertex rank) * k +
-(slot - 1), so every permutation here is a list of ints over that numbering.
+crosses to the other end of an edge. Slots are 0-based: arcs are numbered
+(vertex rank) * k + slot, so every permutation here is a list of ints over
+that numbering, and a map's distribution of inverses `kappa` is the tuple of
+slots with x_i^-1 = x_kappa[i].
 `skew_morphism` decides regularity by one walk over a product table (a map's
 own N x k table, or the census's whole one), `rotation_row` and `reversal_row`
 build R and L, and `arc_code` names a regular map's isomorphism class, for
@@ -19,7 +21,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from ._kernels import arc_bijection_exists
 from .counting import SizeGuardError
 from .groups import FiniteGroup, GroupElement, is_generating
-from .perms import Permutation
 
 __all__ = [
     "BalanceType",
@@ -73,8 +74,8 @@ class CayleyMap:
             raise ValueError("generator list contains duplicates")
         if group.identity in xs:
             raise ValueError("generator list must be unit-free (identity found)")
-        slot_of = {x: i for i, x in enumerate(xs, start=1)}
-        kappa_images = []
+        slot_of = {x: i for i, x in enumerate(xs)}
+        kappa = []
         for x in xs:
             y = group.inv(x)
             if y not in slot_of:
@@ -82,7 +83,7 @@ class CayleyMap:
                     f"generator set is not inverse-closed: missing "
                     f"{group.format_element(y)}"
                 )
-            kappa_images.append(slot_of[y])
+            kappa.append(slot_of[y])
         ranks = tuple(group.rank(x) for x in xs)
         # X's N x k products, slot i of row g holding g * x_i: all that the
         # generation test, the reversal row and the walk read
@@ -96,21 +97,20 @@ class CayleyMap:
         self._ranks = ranks
         self._table = table
         self.n_arcs = group.order * k
-        # distribution of inverses: the involution with x_i^-1 = x_kappa(i)
-        self.kappa = Permutation(tuple(kappa_images))
-        self._kappa0 = [s - 1 for s in kappa_images]
+        # distribution of inverses: the involution with x_i^-1 = x_kappa[i]
+        self.kappa = tuple(kappa)
         self._rotation_row = rotation_row(self.n_arcs, k)
         self._code: Optional[bytes] = None
         self._graph_auts: Optional[list[tuple[int, ...]]] = None
 
     @cached_property
     def _reversal_row(self) -> list[int]:
-        return reversal_row(self._table, range(self.k), self._kappa0)
+        return reversal_row(self._table, range(self.k), self.kappa)
 
     @cached_property
     def _walk(self) -> Optional[tuple[list[int], list[int]]]:
         return skew_morphism(
-            self._table, range(self.k), self._kappa0, self.group.identity_rank
+            self._table, range(self.k), self.kappa, self.group.identity_rank
         )
 
     # -- inverse distribution and balance ----------------------------------
@@ -129,10 +129,9 @@ class CayleyMap:
         return CayleyMap(self.group, best)
 
     def balance_type(self) -> BalanceType:
-        kp = self.kappa.images
-        k = self.k
+        kappa, k = self.kappa, self.k
         for t in range(1, k):
-            if all(kp[i % k] == (kp[i - 1] - 1 + t) % k + 1 for i in range(1, k + 1)):
+            if all(kappa[(i + 1) % k] == (kappa[i] + t) % k for i in range(k)):
                 if t == 1:
                     return BalanceType("balanced", 1)
                 if t == k - 1:

@@ -39,7 +39,7 @@ from cayleymaps.counting import (
 )
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import CayleyMap, maps_isomorphic
-from cayleymaps.perms import Permutation, reflection_fixing_last
+from cayleymaps.perms import reflection_fixing_last
 from reference import checkout_env, closure_regular, slow_candidates
 
 
@@ -286,14 +286,11 @@ def test_criterion_6_balanced_regularity_equivalence(capsys):
 def test_criterion_7_involution_dichotomy(capsys, census_pool):
     def body():
         for p in (3, 5, 7):
-            expected = {Permutation.identity(p), reflection_fixing_last(p)}
+            expected = {tuple(range(p)), reflection_fixing_last(p)}
             assert set(affine_compatible_involutions(p)) == expected
         for m in census_pool:
             canonical = m.canonical_base_rotation()
-            allowed = {
-                Permutation.identity(m.k),
-                reflection_fixing_last(m.k),
-            }
+            allowed = {tuple(range(m.k)), reflection_fixing_last(m.k)}
             assert canonical.kappa in allowed, m.xs_ranks()
 
     run_criterion(

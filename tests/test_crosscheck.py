@@ -418,6 +418,34 @@ def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch
         assert set_ranks(group, valence) == least_orbit_members(group, full_sets), group
 
 
+# a set of the row route generates what one element per inverse pair does,
+# so below the rank d(G) none is tested: E4 and Z2xZ2xZ2xZ4 list nothing at
+# valence 3, E3 at 3 and E4 at 5 sit at the bound, and Z2xZ3xZ5 is cyclic,
+# of rank 1 on three moduli
+RANK_CASES = [
+    (ElemAbelian2Group(4), 3),
+    (AbelianProductGroup([2, 2, 2, 4]), 3),
+    (AbelianProductGroup([2, 3, 5]), 3),
+    (ElemAbelian2Group(3), 3),
+    (ElemAbelian2Group(4), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "group, valence", RANK_CASES, ids=[f"{g.name}-p{p}" for g, p in RANK_CASES]
+)
+def test_row_search_lists_the_least_member_of_every_orbit(group, valence):
+    full_sets = full_inverse_closed_sets(group, valence)
+    assert set_ranks(group, valence) == least_orbit_members(group, full_sets)
+
+
+def test_no_set_below_the_rank_is_tested_for_generation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(classify, "is_generating", lambda *args: calls.append(args))
+    assert inverse_closed_sets(ElemAbelian2Group(6), 5) == []
+    assert calls == []
+
+
 def test_a_replaced_automorphism_ranks_takes_effect_on_the_next_search(monkeypatch):
     # the census keeps the tables of the group it searched last, keyed on
     # the group's bound automorphism_ranks: a method replaced on the group
@@ -575,8 +603,7 @@ def test_skew_morphism_defines_a_map_automorphism(case):
     group, _, candidates = case
     e = group.identity_rank
     for m in candidates:
-        kappa0 = [m.kappa(i) - 1 for i in range(1, m.k + 1)]
-        walk = skew_morphism(group.products(m.xs_ranks()), range(m.k), kappa0, e)
+        walk = skew_morphism(group.products(m.xs_ranks()), range(m.k), m.kappa, e)
         size, exceeded = monodromy_closure(*map_rows(m))
         if walk is None:
             assert exceeded, m
@@ -603,6 +630,7 @@ def test_walk_on_the_map_table_matches_the_walk_on_the_census_table(case):
     for m in candidates:
         xs = m.xs_ranks()
         kappa0 = [xs.index(group.rank(group.inv(elems[r]))) for r in xs]
+        assert tuple(kappa0) == m.kappa, m
         own = m._table
         assert own == [[row[x] for x in xs] for row in whole], m
         walk = skew_morphism(own, range(m.k), kappa0, e)
