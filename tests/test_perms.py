@@ -18,10 +18,10 @@ from cayleymaps.perms import (
 )
 
 
-def perm_of(m: int, *cycles_1: tuple[int, ...]) -> tuple[int, ...]:
+def perm_of(m: int, *point_cycles: tuple[int, ...]) -> tuple[int, ...]:
     """The 0-based image tuple of disjoint cycles of 1-based points on 1..m."""
     images = list(range(m))
-    for cycle in cycles_1:
+    for cycle in point_cycles:
         for pos, point in enumerate(cycle):
             images[point - 1] = cycle[(pos + 1) % len(cycle)] - 1
     return tuple(images)
