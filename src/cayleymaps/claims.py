@@ -229,7 +229,7 @@ def verify_claim(
         )
     if claim_id == "L3.2" and p > MAX_AFFINE_INVOLUTION_DEGREE:
         raise SizeGuardError(
-            f"claim L3.2 closes every involution of degree p fixing p and is "
+            f"claim L3.2 tests every involution of degree p fixing p and is "
             f"bounded at p = {MAX_AFFINE_INVOLUTION_DEGREE}, got p={p}"
         )
     if claim_id == "2.7-consequence":

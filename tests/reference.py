@@ -1,11 +1,8 @@
 """The slow routes that the fast paths are checked against, each written
-once: every route more than one test module uses, or a test module and
-`benchmarks/closure_benchmark.py`. Each docstring names the fast path it
-checks.
+once: every route more than one test uses. Each docstring names the fast
+path it checks.
 
-It imports neither pytest nor hypothesis, since the stage benchmark imports
-it too, and pytest does not collect it: its name does not start with
-`test_`.
+Pytest does not collect it: its name does not start with `test_`.
 """
 
 from __future__ import annotations

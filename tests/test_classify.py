@@ -56,7 +56,13 @@ from cayleymaps.groups import (
 )
 from cayleymaps.maps import SizeGuardError, build_map, maps_isomorphic
 from cayleymaps.perms import all_involutions, reflection_fixing_last
-from reference import naive_closure, pow_roots, reference_factorize, scalar_triples_for
+from reference import (
+    naive_closure,
+    pow_roots,
+    reference_factorize,
+    reference_lift,
+    scalar_triples_for,
+)
 
 
 # -- geometric-sum orders and admissible parameters ----------------------------
@@ -202,6 +208,8 @@ class TestTriples:
             # primes 1 mod p, where S_p has all p - 1 roots
             (2111, 211),
             (3209, 401),
+            # n = p, where l = 1 is the one answer
+            (211, 211),
             # 6333 = 3 * 2111: 3 has no answer, so 6333 has none
             (6333, 211),
             # 3403 = 41 * 83 and 6889 = 83^2 lift the 40 roots mod 83
@@ -211,6 +219,7 @@ class TestTriples:
     )
     def test_large_valences_match_scalar_loop(self, n, p, fresh_root_memo):
         assert triples_for(n, p) == scalar_triples_for(n, p), (n, p)
+        assert crt_lift_solutions(n, p) == reference_lift(n, p), (n, p)
 
     def test_largest_valence_matches_pow(self, fresh_root_memo):
         # 30011 is prime and 1 mod 3001, so the answers are the 3000 roots

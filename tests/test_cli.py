@@ -204,7 +204,7 @@ class TestExitCodes:
             )
             assert (code, out) == (3, ""), p
             assert err == (
-                "size guard: claim L3.2 closes every involution of degree p "
+                "size guard: claim L3.2 tests every involution of degree p "
                 f"fixing p and is bounded at p = 13, got p={p}\n"
             ), p
 

@@ -9,9 +9,9 @@ breadth-first relabelling of R and L from arc 0, `maps.arc_code`), check
 generation (FiniteGroup.generates) by a breadth-first search on a product
 table, and search one generating set per orbit of group.automorphism_ranks().
 Here each is compared with its slow route on small groups of every family:
-the monodromy closure (`reference.monodromy_closure`, which the stage
-benchmark runs too) and the arc permutation the walk's skew-morphism and
-power function define, which must commute with R and L; the sweep over every
+the monodromy closure (`reference.monodromy_closure`) and the arc
+permutation the walk's skew-morphism and power function define, which must
+commute with R and L; the sweep over every
 image of arc 0 (`reference.classes_by_sweep`); the element-level
 breadth-first closure in the group (`reference.closure`); and the full
 search over every generating set (`reference_regular_maps`, which lives only
@@ -92,10 +92,10 @@ from reference import (
 )
 
 CASES = (
-    [(DihedralGroup(n), 3) for n in range(3, 11)]
+    [(DihedralGroup(n), 3) for n in (*range(3, 11), 12)]
     + [(DihedralGroup(5), 5), (DihedralGroup(6), 5)]
     + [(DicyclicGroup(n), 3) for n in (2, 3, 4)]
-    + [(DicyclicGroup(3), 5), (DicyclicGroup(4), 5)]
+    + [(DicyclicGroup(n), 5) for n in (3, 4, 6)]
     + [(CyclicGroup(n), 3) for n in (6, 8, 10, 12, 14)]
     + [(CyclicGroup(10), 5)]
     + [(ElemAbelian2Group(r), 3) for r in (2, 3)]
@@ -381,6 +381,7 @@ AFFINE_CASES = {
     f"{g.name}-p{p}": (g, p)
     for g, p in [case for case in CASES if isinstance(case[0], AFFINE)]
     + [(DihedralGroup(n), 3) for n in range(3, 41)]
+    + [(DihedralGroup(11), 5)]
     + [(DicyclicGroup(n), p) for n in range(2, 13) for p in (3, 5)]
     + [(CyclicGroup(n), 3) for n in range(2, 41)]
 }

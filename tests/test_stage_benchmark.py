@@ -1,13 +1,16 @@
-"""The stage benchmark's checks on its two smallest cases, its counting
-sweeps and its large-valence row, with one timing repeat, and the end-to-end
-benchmark's tracer and environment probe on one small census, so that a
-change to what either calls fails here rather than in its next full run."""
+"""The stage benchmark's rows with one timing repeat, its refusal of fewer,
+and the end-to-end benchmark's tracer and environment probe on one small
+census, so that a change to what either calls fails here rather than in its
+next full run. The stage benchmark only times; its stages and scans are
+checked against their slow routes in the other test modules."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cayleymaps import _kernels
 from reference import checkout_env
@@ -16,28 +19,36 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "benchmarks" / "closure_benchmark.py"
 
 
-def test_stage_benchmark_checks_pass(monkeypatch):
+def load_script(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
     spec = importlib.util.spec_from_file_location("closure_benchmark", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    cases = {label: (group, valence) for label, group, valence in bench.CASES}
-    # (sets, orders, classes, full-search maps) of each row
-    expected = {"D12 valence 3": (7, 14, 0, 432), "Dic6 valence 5": (2, 48, 0, 432)}
+    return bench
+
+
+def test_stage_benchmark_prints_every_row(monkeypatch, capsys):
+    load_script(monkeypatch).main(["--repeat", "1"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line]
+    rows = {line[:16].strip(): line[16:].split() for line in lines[1:6]}
+    # (sets, orders, classes) of two rows
+    expected = {"D12 valence 3": (7, 14, 0), "Dic6 valence 5": (2, 48, 0)}
     for label, counts in expected.items():
-        fields = bench.check_case(label, *cases[label], repeat=1)[len(label) :].split()
-        assert tuple(int(fields[i]) for i in (0, 1, 5, 6)) == counts, label
-    ends = {
-        3: "(both checked for n <= 500 and at the primes n = 1 mod p above it, 162)",
-        211: "(both checked for n <= 300 and at the primes n = 1 mod p above it, 1)",
-    }
-    for p, check_n_max in bench.COUNT_CASES:
-        line = bench.check_counting(1, p, check_n_max)
-        assert line.startswith(f"\ncounting n=1..3000 at p={p}: triples_for ")
-        assert line.endswith(ends[p]), line
-    line = bench.check_large_valence(1)
-    assert line.startswith("\ncounting n=30011 at p=3001: triples_for ")
-    assert line.endswith("(3000 answers, checked against pow)"), line
+        assert tuple(int(rows[label][i]) for i in (0, 1, 5)) == counts, label
+    assert lines[6].startswith("counting n=1..3000 at p=3: triples_for ")
+    assert lines[7].startswith("counting n=1..3000 at p=211: triples_for ")
+    assert lines[8].startswith("counting n=30011 at p=3001: triples_for ")
+    assert lines[8].endswith("s (3000 answers)")
+    assert len(lines) == 9
+
+
+def test_stage_benchmark_refuses_a_repeat_below_one(monkeypatch, capsys):
+    # refused by the parser, before any stage runs
+    with pytest.raises(SystemExit) as refusal:
+        load_script(monkeypatch).main(["--repeat", "0"])
+    out, err = capsys.readouterr()
+    assert (refusal.value.code, out) == (2, "")
+    assert "--repeat must be at least 1, got 0" in err
 
 
 def test_benchmark_tracer_and_probe_still_resolve(tmp_path):
