@@ -1,10 +1,9 @@
-"""Reference kernels: permutation-closure BFS and arc-bijection search.
+"""Reference kernel: the permutation-closure BFS, in plain Python.
 
-Both are plain Python, and neither runs in the census search. No module of
-the package calls the closure: it is the tests' reference route, and the
-benchmark's tracer wraps it. The bijection search decides isomorphism out
-of an irregular map. Rows are permutations stored 0-based; composing row t
-with generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
+No module of the package imports this one, so no command loads it: the
+closure is the tests' reference route, and the benchmark's tracer wraps it
+and records `default_backend`. Rows are permutations stored 0-based;
+composing row t with generator g yields t[g], i.e. (t o g)(x) = t[g[x]].
 """
 
 from __future__ import annotations
@@ -48,42 +47,3 @@ def closure_table(gens: Sequence[Sequence[int]], cutoff: int):
                 seen.add(image)
                 rows.append(image)
     return len(rows), False, rows
-
-
-# -- arc-bijection propagation --------------------------------------------------
-
-
-def arc_bijection_exists(
-    r1: Sequence[int],
-    l1: Sequence[int],
-    r2: Sequence[int],
-    l2: Sequence[int],
-) -> bool:
-    """True when some bijection phi of arcs maps (R1, L1) onto (R2, L2).
-
-    phi is grown from phi(0) = f for each arc f, propagating along both
-    permutations and rejecting on any clash; connectivity of the arc action
-    makes a full propagation a complete proof.
-    """
-    m = len(r1)
-    if any(len(row) != m for row in (l1, r2, l2)):
-        raise ValueError("all four permutation rows must have one length")
-
-    def extends(f: int) -> bool:
-        phi = [-1] * m
-        phi[0] = f
-        used = {f}
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            for p1, p2 in ((r1, r2), (l1, l2)):
-                b, fb = p1[a], p2[phi[a]]
-                if phi[b] == -1 and fb not in used:
-                    phi[b] = fb
-                    used.add(fb)
-                    stack.append(b)
-                elif phi[b] != fb:
-                    return False
-        return len(used) == m
-
-    return any(extends(f) for f in range(m))

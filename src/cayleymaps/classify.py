@@ -105,22 +105,19 @@ def _invariant_factor_chains(order: int) -> list[tuple[int, ...]]:
 # -- exhaustive search -------------------------------------------------------------
 
 
-def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple]:
+def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple[int, ...]]:
     """The unit-free, inverse-closed, generating subsets of the given size,
     one per orbit of H = group.automorphism_ranks(): each orbit's
-    rank-lexicographic least member, sorted by element rank; the list itself
-    is rank-lexicographic. An automorphism carries CM(G, X, rho) to the
-    isomorphic map CM(G, psi X, psi rho psi^-1), so the search needs no more.
-    Z_n, D_n and Dic_n list them by arithmetic (`_affine_sets`), every other
-    family by testing candidates against H's rows (`_row_sets`)."""
+    rank-lexicographic least member, as the sorted tuple of its element
+    ranks; the list itself is rank-lexicographic. An automorphism carries
+    CM(G, X, rho) to the isomorphic map CM(G, psi X, psi rho psi^-1), so the
+    search needs no more. Z_n, D_n and Dic_n list them by arithmetic
+    (`_affine_sets`), every other family by testing candidates against H's
+    rows (`_row_sets`)."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
-    if _is_affine(group):
-        ranked = _affine_sets(group, valence)
-    else:
-        ranked = _row_sets(group, valence)
-    elems = group.elements()
-    return [tuple(elems[r] for r in xset) for xset in sorted(ranked)]
+    find = _affine_sets if _is_affine(group) else _row_sets
+    return sorted(map(tuple, find(group, valence)))
 
 
 def _is_affine(group: FiniteGroup) -> bool:
@@ -244,8 +241,7 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     as it is found: an image below it must start with m, so it is one of
     `_row_images`, and the test stops at the first smaller one."""
     tables = _tables_of(group)
-    orbit_min = tables.orbit_min
-    inv = [group.rank(group.inv(g)) for g in group.elements()]
+    orbit_min, inv = tables.orbit_min, tables.inv
     identity = group.identity_rank
     min_generators = _min_generators(group)
     out: list[list[int]] = []
@@ -293,12 +289,14 @@ def _min_generators(group: FiniteGroup) -> int:
 
 
 class _Tables:
-    """One group's whole product table and, built on first use, the rows of
-    H = automorphism_ranks(), their orbit minima, and the rows sending
-    ranks to each orbit minimum asked for."""
+    """One group's whole product table, the rank of each rank's inverse
+    and, built on first use, the rows of H = automorphism_ranks(), their
+    orbit minima, and the rows sending ranks to each orbit minimum asked
+    for."""
 
     def __init__(self, group: FiniteGroup) -> None:
         self.table = group.products(range(group.order))
+        self.inv = [group.rank(group.inv(g)) for g in group.elements()]
         self.rows_of = group.automorphism_ranks  # the key of `_tables_of`
         self._sending_to: dict[int, dict[int, list[list[int]]]] = {}
 
@@ -358,21 +356,21 @@ def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
 
 
 def _survivors_for_sets(
-    group: FiniteGroup, valence: int, sets: Sequence[tuple]
+    group: FiniteGroup, valence: int, sets: Sequence[tuple[int, ...]]
 ) -> dict[bytes, list[tuple[int, ...]]]:
     """Rank tuples of every ordering (first element pinned) of the given
-    inverse-closed sets whose map is regular, grouped by arc code: one
-    group per isomorphism class."""
+    inverse-closed sets, sorted rank tuples as `inverse_closed_sets` lists
+    them, whose map is regular, grouped by arc code: one group per
+    isomorphism class."""
     classes: dict[bytes, list[tuple[int, ...]]] = {}
     if not sets:
         return classes  # spares the product table of a group with no sets
-    table = _tables_of(group).table
+    tables = _tables_of(group)
+    table, inv = tables.table, tables.inv
     row_R = rotation_row(group.order * valence, valence)
     for xset in sets:
-        set_ranks = tuple(group.rank(x) for x in xset)
-        inverse = {r: group.rank(group.inv(x)) for r, x in zip(set_ranks, xset)}
-        for xs_ranks in cyclic_orderings(set_ranks):
-            kappa0 = [xs_ranks.index(inverse[r]) for r in xs_ranks]
+        for xs_ranks in cyclic_orderings(xset):
+            kappa0 = [xs_ranks.index(inv[r]) for r in xs_ranks]
             if skew_morphism(table, xs_ranks, kappa0, group.identity_rank) is not None:
                 row_L = reversal_row(table, xs_ranks, kappa0)
                 classes.setdefault(arc_code(row_R, row_L), []).append(xs_ranks)

@@ -284,6 +284,13 @@ def _run_checkmap(args: argparse.Namespace) -> int:
     from .maps import build_map
 
     try:
+        # E<r> has 2^r elements, so a rank past the guard is refused on r
+        # alone, before 2^r is computed or any group is built
+        rank = re.fullmatch(r"E0*(\d+)", args.group)
+        if rank and (len(rank[1]) > 2 or (1 << int(rank[1])) > MAX_CHECKMAP_ARCS):
+            raise SizeGuardError(
+                f"checkmap guard: |G| = 2^{rank[1]} exceeds {MAX_CHECKMAP_ARCS}"
+            )
         group, n_param = parse_group_spec(args.group)
         xs = parse_generator_list(group, args.xs)
         if group.order * len(xs) > MAX_CHECKMAP_ARCS:

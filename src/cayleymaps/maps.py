@@ -9,7 +9,8 @@ slots with x_i^-1 = x_kappa[i].
 `skew_morphism` decides regularity by one walk over a product table (a map's
 own N x k table, or the census's whole one), `rotation_row` and `reversal_row`
 build R and L, and `arc_code` names a regular map's isomorphism class, for
-maps and for the census alike.
+maps and for the census alike; out of an irregular map, `maps_isomorphic`
+searches for an arc bijection (`arc_bijection_exists`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from array import array
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ._kernels import arc_bijection_exists
 from .counting import SizeGuardError
 from .groups import FiniteGroup, GroupElement, is_generating
 
@@ -339,6 +339,42 @@ def arc_code(R: Sequence[int], L: Sequence[int]) -> bytes:
     code = array("q", [label[R[a]] for a in order])
     code.extend([label[L[a]] for a in order])
     return code.tobytes()
+
+
+def arc_bijection_exists(
+    r1: Sequence[int],
+    l1: Sequence[int],
+    r2: Sequence[int],
+    l2: Sequence[int],
+) -> bool:
+    """True when some bijection phi of arcs maps (R1, L1) onto (R2, L2).
+
+    phi is grown from phi(0) = f for each arc f, propagating along both
+    permutations and rejecting on any clash; connectivity of the arc action
+    makes a full propagation a complete proof.
+    """
+    m = len(r1)
+    if any(len(row) != m for row in (l1, r2, l2)):
+        raise ValueError("all four permutation rows must have one length")
+
+    def extends(f: int) -> bool:
+        phi = [-1] * m
+        phi[0] = f
+        used = {f}
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            for p1, p2 in ((r1, r2), (l1, l2)):
+                b, fb = p1[a], p2[phi[a]]
+                if phi[b] == -1 and fb not in used:
+                    phi[b] = fb
+                    used.add(fb)
+                    stack.append(b)
+                elif phi[b] != fb:
+                    return False
+        return len(used) == m
+
+    return any(extends(f) for f in range(m))
 
 
 def maps_isomorphic(m1: CayleyMap, m2: CayleyMap) -> bool:

@@ -14,9 +14,9 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import cayleymaps
-from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps._kernels import closure_table
 from cayleymaps.groups import CyclicGroup, is_generating
-from cayleymaps.maps import build_map
+from cayleymaps.maps import arc_bijection_exists, build_map
 
 SRC = str(Path(cayleymaps.__file__).resolve().parents[1])
 

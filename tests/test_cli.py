@@ -248,6 +248,28 @@ class TestExitCodes:
         assert err.startswith("size guard: checkmap guard: ")
         assert built == []
 
+    @pytest.mark.parametrize("r", [11, 15_000, 10**6])
+    def test_checkmap_refuses_a_large_rank_before_building_the_group(
+        self, capsys, monkeypatch, r
+    ):
+        # E<r> has 2^r elements: from r = 11 it is past the guard at any
+        # valence, and it is refused on r alone, with valid --xs too
+        built = []
+        monkeypatch.setattr(groups, "ElemAbelian2Group", lambda *a: built.append(a))
+        xs = ",".join(["1" * r] * 3) if r < 10**5 else "1,1,1"
+        code, out, err = run_cli(capsys, "checkmap", "--group", f"E{r}", "--xs", xs)
+        assert (code, out) == (3, "")
+        assert err == f"size guard: checkmap guard: |G| = 2^{r} exceeds 1800\n"
+        assert built == []
+
+    def test_checkmap_bounds_a_small_rank_by_its_arcs(self, capsys):
+        # E10 has 1024 elements, within the guard alone; at valence 3 its
+        # 3072 arcs are not
+        xs = "1000000000,0100000000,0010000000"
+        code, out, err = run_cli(capsys, "checkmap", "--group", "E10", "--xs", xs)
+        assert (code, out) == (3, "")
+        assert err.startswith("size guard: checkmap guard: |G| * valence = 3072 ")
+
     def test_checkmap_at_the_guard_still_reports(self, capsys):
         code, out, _ = run_cli(capsys, "checkmap", "--group", "Z600", "--xs", "1,300,599")
         assert code == 0
@@ -372,6 +394,15 @@ PINNED_REPORTS = {
     "checkmap --group Dic2 --xs a,b,a^3,a^2*b":
         "d1f88d20b2e51ad7f91c2147814dde3429b5bcca28f38d8fcb2185b464a80b1a",
 }
+# a pool of two workers, which the census ships its rank sets to, writes
+# the same bytes
+PINNED_REPORTS.update(
+    {
+        f"{command} --jobs 2": digest
+        for command, digest in PINNED_REPORTS.items()
+        if command.startswith("census")
+    }
+)
 
 
 @pytest.mark.parametrize("command", PINNED_REPORTS)
@@ -643,8 +674,14 @@ SEARCH_MODULES = {
     "cayleymaps.maps",
     "cayleymaps.groups",
     "cayleymaps.perms",
-    "cayleymaps._kernels",
 }
+
+# one command of each kind that runs the search
+SEARCH_COMMANDS = [
+    ["census", "--group", "dihedral", "--p", "3", "--n-max", "20", "--format", "csv"],
+    ["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"],
+    ["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"],
+]
 
 
 def load_time_imports(body: list[ast.stmt]):
@@ -713,6 +750,8 @@ class TestStartup:
         assert "cayleymaps.counting" in loaded
         assert bool(SEARCH_MODULES & set(loaded)) == searches, loaded
         assert ("cayleymaps.classify" in loaded) == searches, loaded
+        # the reference closure kernel is the tests' alone
+        assert "cayleymaps._kernels" not in loaded, loaded
         # the oracle runs without the claims it checks
         assert ("cayleymaps.claims" in loaded) == (args[0] == "verify"), loaded
         # the counting layer computes in Python integers, the search and the
@@ -802,18 +841,25 @@ class TestStartup:
                     naming.add(path.stem)
         assert naming == {"_kernels"}
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["census", "--group", "dihedral", "--p", "3", "--n-max", "20"]
-            + ["--format", "csv"],
-            ["checkmap", "--group", "D7", "--xs", "b,a*b,a^3*b"],
-            ["verify", "--theorem", "L3.2", "--p", "5", "--n-max", "3"],
-        ],
-    )
-    def test_the_search_runs_without_numpy(self, args):
+    def test_no_module_imports_the_kernels(self):
+        # the closure kernel is the tests' reference route and the
+        # arc-bijection search lives in maps, so no command loads `_kernels`
+        importing = set()
+        for path in sorted(Path(SRC, "cayleymaps").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""]
+                    names += [alias.name for alias in node.names]
+                    if "_kernels" in ".".join(names).split("."):
+                        importing.add(path.stem)
+        assert importing == set()
+
+    @staticmethod
+    def assert_runs_without(module: str, args: list[str]) -> None:
+        """The command prints the same bytes, and exits 0, in a fresh
+        interpreter with the module blocked as in one without."""
         runs = []
-        for block in ("", "sys.modules['numpy'] = None\n"):
+        for block in ("", f"sys.modules[{module!r}] = None\n"):
             code = (
                 f"import sys\n{block}"
                 "from cayleymaps.cli import main\n"
@@ -824,6 +870,14 @@ class TestStartup:
         assert blocked.returncode == free.returncode == 0, blocked.stderr
         assert free.stdout.count("\n") > 1
         assert (blocked.stdout, blocked.stderr) == (free.stdout, free.stderr)
+
+    @pytest.mark.parametrize("args", SEARCH_COMMANDS)
+    def test_the_search_runs_without_numpy(self, args):
+        self.assert_runs_without("numpy", args)
+
+    @pytest.mark.parametrize("args", SEARCH_COMMANDS)
+    def test_the_search_runs_without_the_kernels(self, args):
+        self.assert_runs_without("cayleymaps._kernels", args)
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/task"), reason="counts threads in /proc"

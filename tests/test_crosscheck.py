@@ -52,7 +52,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleymaps import classify
-from cayleymaps._kernels import arc_bijection_exists
 from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
     _least_image,
@@ -71,6 +70,7 @@ from cayleymaps.groups import (
 )
 from cayleymaps.cli import main
 from cayleymaps.maps import (
+    arc_bijection_exists,
     arc_code,
     build_map,
     maps_isomorphic,
@@ -222,10 +222,7 @@ def reference_regular_maps(group, valence):
     shown by its rank-lexicographic least member; the class rank tuples,
     sorted."""
     elems = group.elements()
-    sets = [
-        tuple(elems[r] for r in xset)
-        for xset in full_inverse_closed_sets(group, valence)
-    ]
+    sets = full_inverse_closed_sets(group, valence)
     survivors = _survivors_for_sets(group, valence, sets).values()
     found = [
         build_map(group, [elems[r] for r in ranks])
@@ -353,10 +350,7 @@ def test_generation_check_matches_group_closure(case):
     group, valence, candidates = case
     expected = {tuple(sorted(m.xs_ranks())) for m in candidates}
     auts = np.asarray(group.automorphism_ranks())
-    reps = [
-        tuple(group.rank(x) for x in xset)
-        for xset in inverse_closed_sets(group, valence)
-    ]
+    reps = inverse_closed_sets(group, valence)
     assert reps == sorted(set(reps))
     covered: set[tuple[int, ...]] = set()
     for rep in reps:
@@ -365,12 +359,6 @@ def test_generation_check_matches_group_closure(case):
         assert not orbit & covered
         covered |= orbit
     assert covered == expected
-
-
-def set_ranks(group, valence):
-    """The census's set representatives as sorted rank tuples."""
-    sets = inverse_closed_sets(group, valence)
-    return [tuple(group.rank(x) for x in xset) for xset in sets]
 
 
 # groups whose H is affine on exponents; the census lists their sets and
@@ -391,7 +379,7 @@ AFFINE_CASES = {
 def test_affine_search_lists_the_least_member_of_every_orbit(case_id):
     group, valence = AFFINE_CASES[case_id]
     full_sets = full_inverse_closed_sets(group, valence)
-    assert set_ranks(group, valence) == least_orbit_members(group, full_sets)
+    assert inverse_closed_sets(group, valence) == least_orbit_members(group, full_sets)
 
 
 ORBIT_CASES = [
@@ -416,7 +404,8 @@ def test_orbit_block_size_does_not_change_the_representatives(block, monkeypatch
             group, "automorphism_ranks", lambda reordered=reordered: reordered
         )
         full_sets = full_inverse_closed_sets(group, valence)
-        assert set_ranks(group, valence) == least_orbit_members(group, full_sets), group
+        found = inverse_closed_sets(group, valence)
+        assert found == least_orbit_members(group, full_sets), group
 
 
 # a set of the row route generates what one element per inverse pair does,
@@ -437,7 +426,7 @@ RANK_CASES = [
 )
 def test_row_search_lists_the_least_member_of_every_orbit(group, valence):
     full_sets = full_inverse_closed_sets(group, valence)
-    assert set_ranks(group, valence) == least_orbit_members(group, full_sets)
+    assert inverse_closed_sets(group, valence) == least_orbit_members(group, full_sets)
 
 
 def test_no_set_below_the_rank_is_tested_for_generation(monkeypatch):
@@ -453,12 +442,13 @@ def test_a_replaced_automorphism_ranks_takes_effect_on_the_next_search(monkeypat
     # object is called afresh by its next search, and once
     for group, valence in ORBIT_CASES:
         rows = group.automorphism_ranks()
-        expected = set_ranks(group, valence)
+        expected = inverse_closed_sets(group, valence)
         calls = []
         monkeypatch.setattr(
             group, "automorphism_ranks", lambda rows=rows: calls.append(1) or rows
         )
-        assert set_ranks(group, valence) == set_ranks(group, valence) == expected
+        for _ in range(2):
+            assert inverse_closed_sets(group, valence) == expected
         assert calls == [1], group
         monkeypatch.undo()
 
@@ -511,7 +501,8 @@ def test_orbit_sizes_add_up_to_the_generating_sets(family, group, valence):
     # a set missed or listed twice changes the left side (D40 at p = 5 has
     # 890,800 generating sets in 1,604 orbits, Dic40 at p = 7 51,840 in 101
     # and Dic105 at p = 5 7,560 in 3)
-    found = sum(affine_orbit_size(group, x) for x in set_ranks(group, valence))
+    sets = inverse_closed_sets(group, valence)
+    found = sum(affine_orbit_size(group, x) for x in sets)
     assert found == generating_count(family, group.n, valence)
 
 
@@ -539,9 +530,8 @@ def test_elem2_orbit_sizes_add_up_to_the_generating_sets(r, valence):
 def test_counts_and_orbit_sizes_match_the_full_search(group, valence):
     # the two sides of the identity above, each against the full list
     full_sets = full_inverse_closed_sets(group, valence)
-    assert sum(affine_orbit_size(group, x) for x in set_ranks(group, valence)) == len(
-        full_sets
-    )
+    sets = inverse_closed_sets(group, valence)
+    assert sum(affine_orbit_size(group, x) for x in sets) == len(full_sets)
     family = {CyclicGroup: "cyclic", DihedralGroup: "dihedral", DicyclicGroup: "dicyclic"}
     assert generating_count(family[type(group)], group.n, valence) == len(full_sets)
 

@@ -1,8 +1,8 @@
-"""Correctness of the reference kernels.
+"""Correctness of the reference closure kernel (`_kernels.closure_table`)
+and of the arc-bijection search (`maps.arc_bijection_exists`).
 
-The oracle is `reference.naive_closure`, a from-scratch breadth-first
-closure over image tuples; it shares no code with the kernel
-implementations.
+The closure's oracle is `reference.naive_closure`, a from-scratch
+breadth-first closure over image tuples; it shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleymaps._kernels import arc_bijection_exists, closure_table
+from cayleymaps._kernels import closure_table
+from cayleymaps.maps import arc_bijection_exists
 from reference import naive_closure
 
 
