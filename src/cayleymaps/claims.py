@@ -30,9 +30,9 @@ from .perms import all_involutions, cycles, reflection_fixing_last
 
 # Claim 1.1 sweeps the abelian catalogue up to this order. Its seeds are
 # cheap at any rank; what the bound limits is the search, mostly on groups
-# with many involutions: at p = 7, n <= 16 takes about 9 s on a 2-CPU Xeon,
-# 3.9 s of it on E4 and 2.9 s on Z2xZ2xZ4, and p = 13 does not finish in
-# 5 minutes.
+# with many involutions: at p = 7, n <= 16 takes 2.1-2.3 s end to end on a
+# 2-CPU Xeon (three runs), about 1.0 s of it searching E4 and 0.7 s
+# Z2xZ2xZ4 (in-process, one run), and p = 13 does not finish in 5 minutes.
 MAX_ABELIAN_VERIFY_ORDER = 16
 
 # Claim L3.2's first part tests every involution kappa of degree p that fixes

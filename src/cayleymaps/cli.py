@@ -292,6 +292,10 @@ def _run_checkmap(args: argparse.Namespace) -> int:
                 f"checkmap guard: |G| = 2^{rank[1]} exceeds {MAX_CHECKMAP_ARCS}"
             )
         group, n_param = parse_group_spec(args.group)
+        # refused on |G| first, which is never written out: past the guard it
+        # can have more digits than Python will convert to a string
+        if group.order > MAX_CHECKMAP_ARCS:
+            raise SizeGuardError(f"checkmap guard: |G| exceeds {MAX_CHECKMAP_ARCS}")
         xs = parse_generator_list(group, args.xs)
         if group.order * len(xs) > MAX_CHECKMAP_ARCS:
             raise SizeGuardError(

@@ -3,7 +3,10 @@
 Elements are plain hashable values in a canonical normal form: residues for
 cyclic groups, bit masks for elementary abelian 2-groups, exponent pairs
 (i, eps) meaning a^i * b^eps for the dihedral and dicyclic families, and
-residue tuples for products of cyclic groups.  Every product is computed on
+residue tuples for products of cyclic groups; each group holds its identity
+as one such value.  D_n and Dic_n are one presentation,
+<a, b | a^m = e, b^2 = a^t, b^-1 a b = a^-1>, differing only in (m, t), so
+they share one product and one inverse.  Every product is computed on
 exponents: `FiniteGroup.mul` checks both factors once and calls the family's
 unchecked `_mul`; `FiniteGroup.products` tabulates `_mul` over element ranks
 for the hot loops, uncached: each caller owns the table it asks for.
@@ -40,18 +43,15 @@ __all__ = [
 class FiniteGroup:
     """A finite group whose elements are canonical hashable values."""
 
-    def __init__(self, name: str, order: int) -> None:
+    def __init__(self, name: str, order: int, identity: GroupElement) -> None:
         if order < 1:
             raise ValueError(f"group order must be positive, got {order}")
         self.name = name
         self.order = order
+        self.identity = identity
         self._elements: Optional[list[GroupElement]] = None
 
     # -- family-specific arithmetic ---------------------------------------
-
-    @property
-    def identity(self) -> GroupElement:
-        raise NotImplementedError
 
     def contains(self, g: GroupElement) -> bool:
         raise NotImplementedError
@@ -125,10 +125,6 @@ class FiniteGroup:
         breadth-first search `is_generating` on their products."""
         return is_generating(self.products(xs), range(len(xs)), self.identity_rank)
 
-    def involutions(self) -> list[GroupElement]:
-        e = self.identity
-        return [g for g in self.elements() if g != e and self.mul(g, g) == e]
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
@@ -139,12 +135,8 @@ class CyclicGroup(FiniteGroup):
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
-        super().__init__(f"Z{n}", n)
+        super().__init__(f"Z{n}", n, 0)
         self.n = n
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def contains(self, g) -> bool:
         return isinstance(g, int) and 0 <= g < self.n
@@ -187,12 +179,8 @@ class ElemAbelian2Group(FiniteGroup):
     def __init__(self, r: int) -> None:
         if r < 1:
             raise ValueError(f"rank must be >= 1, got {r}")
-        super().__init__(f"E{r}", 1 << r)
+        super().__init__(f"E{r}", 1 << r, 0)
         self.r = r
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def contains(self, g) -> bool:
         return isinstance(g, int) and 0 <= g < self.order
@@ -233,19 +221,15 @@ class ElemAbelian2Group(FiniteGroup):
 
 
 class _ExponentPairGroup(FiniteGroup):
-    """Shared plumbing for groups with normal form a^i * b^eps, 0 <= i < m:
-    D_n with m = n and Dic_n with m = 2n."""
+    """The groups <a, b | a^m = e, b^2 = a^t, b^-1 a b = a^-1> of order 2m,
+    with normal form a^i * b^eps, 0 <= i < m: D_n is (m, t) = (n, 0) and
+    Dic_n is (2n, n)."""
 
-    m: int
-    n: int
-
-    def __init__(self, name: str, order: int, m: int) -> None:
-        super().__init__(name, order)
+    def __init__(self, name: str, n: int, m: int, t: int) -> None:
+        super().__init__(name, 2 * m, (0, 0))
+        self.n = n
         self.m = m
-
-    @property
-    def identity(self) -> tuple[int, int]:
-        return (0, 0)
+        self.t = t
 
     def contains(self, g) -> bool:
         return (
@@ -255,6 +239,18 @@ class _ExponentPairGroup(FiniteGroup):
             and 0 <= g[0] < self.m
             and g[1] in (0, 1)
         )
+
+    def _mul(self, g, h):
+        # (a^i b^e)(a^k b^d) = a^(i + (-1)^e k + t e d) b^(e + d)
+        (i, e), (k, d) = g, h
+        if e:
+            return ((i - k + self.t * d) % self.m, 1 - d)
+        return ((i + k) % self.m, d)
+
+    def inv(self, g):
+        # (a^i b)^-1 = a^(i + t) b, as (a^i b)(a^(i + t) b) = a^(i - (i + t) + t)
+        i, e = self.check(g)
+        return ((i + self.t) % self.m, 1) if e else (-i % self.m, 0)
 
     def _build_elements(self):
         return [(i, e) for e in (0, 1) for i in range(self.m)]
@@ -322,16 +318,7 @@ class DihedralGroup(_ExponentPairGroup):
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-        super().__init__(f"D{n}", 2 * n, n)
-        self.n = n
-
-    def _mul(self, g, h):
-        (i, e), (k, d) = g, h
-        return ((i + (k if e == 0 else -k)) % self.n, (e + d) % 2)
-
-    def inv(self, g):
-        i, e = self.check(g)
-        return (i, 1) if e else ((-i) % self.n, 0)
+        super().__init__(f"D{n}", n, m=n, t=0)
 
 
 class DicyclicGroup(_ExponentPairGroup):
@@ -341,19 +328,7 @@ class DicyclicGroup(_ExponentPairGroup):
         # n = 1 would collapse to Z4; the presentation is kept faithful.
         if n < 2:
             raise ValueError(f"dicyclic parameter must be >= 2, got {n}")
-        super().__init__(f"Dic{n}", 4 * n, 2 * n)
-        self.n = n
-
-    def _mul(self, g, h):
-        (i, e), (k, d) = g, h
-        x = (i + (k if e == 0 else -k)) % self.m
-        if e == 1 and d == 1:
-            x = (x + self.n) % self.m
-        return (x, (e + d) % 2)
-
-    def inv(self, g):
-        i, e = self.check(g)
-        return ((i + self.n) % self.m, 1) if e else ((-i) % self.m, 0)
+        super().__init__(f"Dic{n}", n, m=2 * n, t=n)
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -364,14 +339,9 @@ class AbelianProductGroup(FiniteGroup):
         mods = tuple(int(d) for d in mods)
         if len(mods) < 1 or any(d < 2 for d in mods):
             raise ValueError(f"moduli must all be >= 2, got {mods}")
-        order = math.prod(mods)
-        super().__init__("x".join(f"Z{d}" for d in mods), order)
+        name = "x".join(f"Z{d}" for d in mods)
+        super().__init__(name, math.prod(mods), (0,) * len(mods))
         self.mods = mods
-        self._identity = (0,) * len(mods)
-
-    @property
-    def identity(self):
-        return self._identity
 
     def contains(self, g) -> bool:
         return (

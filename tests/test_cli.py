@@ -262,6 +262,21 @@ class TestExitCodes:
         assert err == f"size guard: checkmap guard: |G| = 2^{r} exceeds 1800\n"
         assert built == []
 
+    @pytest.mark.parametrize(
+        "spec, xs",
+        [
+            ("x".join(["Z2"] * 15_000), ",".join([":".join(["1"] * 15_000)] * 3)),
+            ("D9" + "0" * 4_299, "b,a*b,a^3*b"),
+        ],
+        ids=["Z2^15000", "D-4300-digits"],
+    )
+    def test_checkmap_refuses_a_huge_order_without_writing_it(self, capsys, spec, xs):
+        # |G| here has more digits than Python converts to a string, so it
+        # is refused before |G| * valence is formed, and never written out
+        code, out, err = run_cli(capsys, "checkmap", "--group", spec, "--xs", xs)
+        assert (code, out) == (3, "")
+        assert err == "size guard: checkmap guard: |G| exceeds 1800\n"
+
     def test_checkmap_bounds_a_small_rank_by_its_arcs(self, capsys):
         # E10 has 1024 elements, within the guard alone; at valence 3 its
         # 3072 arcs are not
@@ -437,15 +452,19 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_byte_identical_across_runs(self, capsys):
-        runs = [
-            run_cli(
-                capsys, "verify", "--theorem", "1.2", "--p", "3", "--n-max", "7",
-                "--jobs", jobs,
-            )
-            for jobs in ("1", "2")
-        ]
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 1  # the sphere-map exception is inside this range
+        # the sphere-map exception fails claim 1.2 inside its range; Dic2..Dic8
+        # list sets at valences 4 and 5, so the second pool receives dicyclic
+        # groups
+        for claim, expected_code in (
+            (("1.2", "--p", "3", "--n-max", "7"), 1),
+            (("2.7-consequence", "--n-max", "8"), 0),
+        ):
+            runs = [
+                run_cli(capsys, "verify", "--theorem", *claim, "--jobs", jobs)
+                for jobs in ("1", "2")
+            ]
+            assert runs[0] == runs[1], claim
+            assert runs[0][0] == expected_code, claim
 
 
     def test_completed_runs_report_coverage_on_stderr(self, capsys):
