@@ -5,7 +5,12 @@ Per (group, valence) case it times the three stages that
 generating set per automorphism orbit), regularity (`_survivors_for_sets`,
 the skew-morphism walk over every ordering, first element pinned, each
 survivor keyed by its arc code) and dedup (the survivors' rows grouped by
-`arc_code` alone). Then it times `triples_for` and `crt_lift_solutions`,
+`arc_code` alone). A case's stages share one `_Tables`, as a census's do,
+so its product table, inverse ranks and automorphism rows are built in the
+first repeat of the first stage that reads them: generation for E4, which
+tests its sets against the table, and regularity for the affine cases,
+which list theirs by arithmetic; the best of several repeats leaves that
+build out. Then it times `triples_for` and `crt_lift_solutions`,
 the two scans behind `triples` and `verify --theorem 3.4`, over
 n = 1..3000 at p = 3 and 211, and `triples_for(30011, 3001)`, a prime
 n = 1 mod p where S_p has all p - 1 roots, each from emptied memos. It
@@ -28,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cayleymaps import counting
-from cayleymaps.classify import _survivors_for_sets, inverse_closed_sets
+from cayleymaps.classify import _survivors_for_sets, _Tables, inverse_closed_sets
 from cayleymaps.counting import crt_lift_solutions, triples_for
 from cayleymaps.groups import DicyclicGroup, DihedralGroup, ElemAbelian2Group
 from cayleymaps.maps import arc_code, reversal_row, rotation_row
@@ -55,11 +60,10 @@ def best_of(repeat: int, fn):
     return best, result
 
 
-def survivor_rows(group, valence, by_code) -> list[tuple[list[int], list[int]]]:
+def survivor_rows(tables, valence, by_code) -> list[tuple[list[int], list[int]]]:
     """(R, L) rows of every surviving rank ordering in by_code."""
-    table = group.products(range(group.order))
-    inverse = [group.rank(group.inv(x)) for x in group.elements()]
-    row_R = rotation_row(group.order * valence, valence)
+    table, inverse = tables.table, tables.inv
+    row_R = rotation_row(tables.group.order * valence, valence)
     return [
         (row_R, reversal_row(table, xs, [xs.index(inverse[r]) for r in xs]))
         for orderings in by_code.values()
@@ -69,9 +73,10 @@ def survivor_rows(group, valence, by_code) -> list[tuple[list[int], list[int]]]:
 
 def stage_row(label: str, group, valence: int, repeat: int) -> str:
     """One case's row: its set and ordering counts, stage times and classes."""
-    t_gen, sets = best_of(repeat, lambda: inverse_closed_sets(group, valence))
-    t_reg, by_code = best_of(repeat, lambda: _survivors_for_sets(group, valence, sets))
-    rows = survivor_rows(group, valence, by_code)
+    tables = _Tables(group)
+    t_gen, sets = best_of(repeat, lambda: inverse_closed_sets(group, valence, tables))
+    t_reg, by_code = best_of(repeat, lambda: _survivors_for_sets(tables, valence, sets))
+    rows = survivor_rows(tables, valence, by_code)
     t_dedup, codes = best_of(repeat, lambda: {arc_code(rot, rev) for rot, rev in rows})
     orderings = len(sets) * math.factorial(valence - 1)
     return (

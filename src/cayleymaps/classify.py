@@ -105,7 +105,9 @@ def _invariant_factor_chains(order: int) -> list[tuple[int, ...]]:
 # -- exhaustive search -------------------------------------------------------------
 
 
-def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple[int, ...]]:
+def inverse_closed_sets(
+    group: FiniteGroup, valence: int, tables: Optional[_Tables] = None
+) -> list[tuple[int, ...]]:
     """The unit-free, inverse-closed, generating subsets of the given size,
     one per orbit of H = group.automorphism_ranks(): each orbit's
     rank-lexicographic least member, as the sorted tuple of its element
@@ -113,11 +115,13 @@ def inverse_closed_sets(group: FiniteGroup, valence: int) -> list[tuple[int, ...
     CM(G, X, rho) to the isomorphic map CM(G, psi X, psi rho psi^-1), so the
     search needs no more. Z_n, D_n and Dic_n list them by arithmetic
     (`_affine_sets`), every other family by testing candidates against H's
-    rows (`_row_sets`)."""
+    rows (`_row_sets`), read from the search's tables, or from fresh ones
+    when none are given: the sets are the same either way."""
     if valence < 3:
         raise ValueError(f"valence must be >= 3, got {valence}")
-    find = _affine_sets if _is_affine(group) else _row_sets
-    return sorted(map(tuple, find(group, valence)))
+    if _is_affine(group):
+        return sorted(map(tuple, _affine_sets(group, valence)))
+    return sorted(map(tuple, _row_sets(tables or _Tables(group), valence)))
 
 
 def _is_affine(group: FiniteGroup) -> bool:
@@ -226,7 +230,7 @@ def _rotation_ranks(half: list[int], m: int) -> list[int]:
     return sorted({r for h in half for r in (h, m - h)})
 
 
-def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
+def _row_sets(tables: _Tables, valence: int) -> list[list[int]]:
     """The least members of `inverse_closed_sets` by testing candidates.
     The least member X of an orbit starts with an orbit minimum m (the least
     rank of its H-orbit), and every x in X has an orbit minimum >= m. So for
@@ -239,8 +243,10 @@ def _row_sets(group: FiniteGroup, valence: int) -> list[list[int]]:
     do, and a split with fewer than `_min_generators` is skipped untested.
     Each generating set is then tested for being least in its orbit as soon
     as it is found: an image below it must start with m, so it is one of
-    `_row_images`, and the test stops at the first smaller one."""
-    tables = _tables_of(group)
+    `_row_images`, and the test stops at the first smaller one. The
+    tables' product table is read only when a set is tested, so a group
+    that the rank bound rules out builds none."""
+    group = tables.group
     orbit_min, inv = tables.orbit_min, tables.inv
     identity = group.identity_rank
     min_generators = _min_generators(group)
@@ -289,20 +295,28 @@ def _min_generators(group: FiniteGroup) -> int:
 
 
 class _Tables:
-    """One group's whole product table, the rank of each rank's inverse
-    and, built on first use, the rows of H = automorphism_ranks(), their
-    orbit minima, and the rows sending ranks to each orbit minimum asked
-    for."""
+    """One search's tables of its group, each built on first use: the whole
+    product table, the rank of each rank's inverse, the rows of
+    H = automorphism_ranks(), their orbit minima, and the rows sending ranks
+    to each orbit minimum asked for. `exhaustive_regular_maps` builds one
+    per search and hands it to its stages, so each part is built at most
+    once per search and nothing of it outlives the search."""
 
     def __init__(self, group: FiniteGroup) -> None:
-        self.table = group.products(range(group.order))
-        self.inv = [group.rank(group.inv(g)) for g in group.elements()]
-        self.rows_of = group.automorphism_ranks  # the key of `_tables_of`
+        self.group = group
         self._sending_to: dict[int, dict[int, list[list[int]]]] = {}
 
     @cached_property
+    def table(self) -> list[list[int]]:
+        return self.group.products(range(self.group.order))
+
+    @cached_property
+    def inv(self) -> list[int]:
+        return [self.group.rank(self.group.inv(g)) for g in self.group.elements()]
+
+    @cached_property
     def rows(self) -> list[list[int]]:
-        return self.rows_of()
+        return self.group.automorphism_ranks()
 
     @cached_property
     def orbit_min(self) -> list[int]:
@@ -318,19 +332,6 @@ class _Tables:
                 to_m.setdefault(row.index(m), []).append(row)
             self._sending_to[m] = to_m
         return self._sending_to[m]
-
-
-# The tables of the group searched last, so a census builds each group's
-# tables once and holds one group's at a time. The key is the group's bound
-# automorphism_ranks, so a group whose method is replaced gets its new rows.
-_last_tables: Optional[_Tables] = None
-
-
-def _tables_of(group: FiniteGroup) -> _Tables:
-    global _last_tables
-    if _last_tables is None or _last_tables.rows_of != group.automorphism_ranks:
-        _last_tables = _Tables(group)
-    return _last_tables
 
 
 def _row_images(tables: _Tables, s: Sequence[int]) -> Iterator[tuple[int, tuple]]:
@@ -356,16 +357,17 @@ def cyclic_orderings(xset: Sequence) -> Iterator[tuple]:
 
 
 def _survivors_for_sets(
-    group: FiniteGroup, valence: int, sets: Sequence[tuple[int, ...]]
+    tables: _Tables, valence: int, sets: Sequence[tuple[int, ...]]
 ) -> dict[bytes, list[tuple[int, ...]]]:
     """Rank tuples of every ordering (first element pinned) of the given
     inverse-closed sets, sorted rank tuples as `inverse_closed_sets` lists
     them, whose map is regular, grouped by arc code: one group per
-    isomorphism class."""
+    isomorphism class. The walks read the tables' product table and
+    inverse ranks."""
     classes: dict[bytes, list[tuple[int, ...]]] = {}
     if not sets:
         return classes  # spares the product table of a group with no sets
-    tables = _tables_of(group)
+    group = tables.group
     table, inv = tables.table, tables.inv
     row_R = rotation_row(group.order * valence, valence)
     for xset in sets:
@@ -379,7 +381,7 @@ def _survivors_for_sets(
 
 def _survivor_worker(args: tuple) -> dict[bytes, list[tuple[int, ...]]]:
     group, valence, sets = args
-    return _survivors_for_sets(group, valence, sets)
+    return _survivors_for_sets(_Tables(group), valence, sets)
 
 
 def exhaustive_regular_maps(
@@ -394,7 +396,8 @@ def exhaustive_regular_maps(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _guard_census(group, valence)
-    sets = inverse_closed_sets(group, valence)
+    tables = _Tables(group)
+    sets = inverse_closed_sets(group, valence, tables)
     workers = min(jobs, os.cpu_count() or 1, len(sets))
     if workers > 1:
         # imported here, so a process that never forks a pool (every serial
@@ -411,37 +414,33 @@ def exhaustive_regular_maps(
                 for code, orderings in part.items():
                     classes.setdefault(code, []).extend(orderings)
     else:
-        classes = _survivors_for_sets(group, valence, sets)
+        classes = _survivors_for_sets(tables, valence, sets)
     if not classes:
         return []
     elems = group.elements()
     reps = [
-        build_map(group, [elems[r] for r in _least_image(group, cls)])
+        build_map(group, [elems[r] for r in _least_image(tables, cls)])
         for cls in classes.values()
     ]
     reps.sort(key=CayleyMap.xs_ranks)
     return reps
 
 
-def _least_image(
-    group: FiniteGroup, orderings: list[tuple[int, ...]]
-) -> tuple[int, ...]:
+def _least_image(tables: _Tables, orderings: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The rank-lexicographic least psi(s), rotated to start at its least
-    rank, over the automorphisms psi in H = group.automorphism_ranks() and
-    the orderings s of one class. Regularity and the isomorphism class are
-    invariant under automorphisms, so these are exactly the class's regular
-    orderings over every generating set. The least rank of any image of s
-    is the least orbit minimum among its ranks, and only an image holding it
-    can win, rotated to start there: by arithmetic in Z_n, D_n and Dic_n
-    (`_least_affine_image`), and under the rows sending a rank of s to it
+    rank, over the automorphisms psi in H = automorphism_ranks() of the
+    tables' group and the orderings s of one class. Regularity and the
+    isomorphism class are invariant under automorphisms, so these are
+    exactly the class's regular orderings over every generating set. The
+    least rank of any image of s is the least orbit minimum among its ranks,
+    and only an image holding it can win, rotated to start there: by
+    arithmetic in Z_n, D_n and Dic_n (`_least_affine_image`), which reads
+    no table, and under the tables' rows sending a rank of s to it
     otherwise."""
-    if _is_affine(group):
-        return min(_least_affine_image(group, s) for s in orderings)
-    tables = _tables_of(group)
+    if _is_affine(tables.group):
+        return min(_least_affine_image(tables.group, s) for s in orderings)
     return min(
-        image[i:] + image[:i]
-        for s in orderings
-        for i, image in _row_images(tables, s)
+        image[i:] + image[:i] for s in orderings for i, image in _row_images(tables, s)
     )
 
 

@@ -291,6 +291,12 @@ def _run_checkmap(args: argparse.Namespace) -> int:
             raise SizeGuardError(
                 f"checkmap guard: |G| = 2^{rank[1]} exceeds {MAX_CHECKMAP_ARCS}"
             )
+        # every other form's order is at least each number in it, so one
+        # past four digits is refused before Python is asked to convert it
+        if re.fullmatch(r"Dic\d+|D\d+|Z\d+(?:xZ\d+)*", args.group) and any(
+            len(d.lstrip("0")) > 4 for d in re.findall(r"\d+", args.group)
+        ):
+            raise SizeGuardError(f"checkmap guard: |G| exceeds {MAX_CHECKMAP_ARCS}")
         group, n_param = parse_group_spec(args.group)
         # refused on |G| first, which is never written out: past the guard it
         # can have more digits than Python will convert to a string

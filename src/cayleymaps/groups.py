@@ -274,9 +274,12 @@ class _ExponentPairGroup(FiniteGroup):
         if s == "b":
             return (0, 1)
         match = re.fullmatch(r"a(?:\^(-?\d+))?(\*b)?", s)
-        if match is None:
+        try:
+            i = int(match.group(1) or 1) if match else None
+        except ValueError:  # more digits than Python converts to an int
+            i = None
+        if i is None:
             raise ValueError(f"cannot parse {text!r} as an element of {self.name}")
-        i = int(match.group(1)) if match.group(1) else 1
         return (i % self.m, 1 if match.group(2) else 0)
 
     def generates_ranks(self, xs: Sequence[int]) -> bool:

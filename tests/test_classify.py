@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
+import gc
 import math
 import os
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -766,7 +768,9 @@ class TestExhaustiveSearch:
     def test_the_census_builds_one_whole_table_per_group(self, monkeypatch):
         # the set search and the walks share the group's N x N table; each
         # class representative computes N x k products of its own, once, and
-        # its generation test reads them
+        # its generation test reads them. A group that lists no set builds
+        # no table: E4 and E6 at these valences fall below the rank bound,
+        # and Dic5 lists none by arithmetic, so only the walks could ask
         widths = []
         real = FiniteGroup.products
 
@@ -787,6 +791,27 @@ class TestExhaustiveSearch:
             assert widths.count(group.order) == 1, group
             assert widths.count(valence) == len(entries), group
             assert set(widths) == {group.order, valence}, group
+        for group, valence in (
+            (ElemAbelian2Group(4), 3),
+            (ElemAbelian2Group(6), 5),
+            (DicyclicGroup(5), 3),
+        ):
+            widths.clear()
+            assert census_entries(group, 0, valence) == [], group
+            assert widths == [], group
+
+    @pytest.mark.parametrize(
+        "make", [lambda: ElemAbelian2Group(3), lambda: DihedralGroup(7)], ids=["E3", "D7"]
+    )
+    def test_the_census_keeps_nothing_of_its_group(self, make):
+        # a search's tables live as long as the search: once its maps are
+        # dropped, nothing holds the group or its N x N table
+        group = make()
+        assert exhaustive_regular_maps(group, 3)
+        ref = weakref.ref(group)
+        del group
+        gc.collect()
+        assert ref() is None
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -1):

@@ -267,15 +267,30 @@ class TestExitCodes:
         [
             ("x".join(["Z2"] * 15_000), ",".join([":".join(["1"] * 15_000)] * 3)),
             ("D9" + "0" * 4_299, "b,a*b,a^3*b"),
+            ("D9" + "0" * 4_300, "b,a*b,a^3*b"),
+            ("Dic9" + "0" * 4_300, "b,a*b,a^3*b"),
+            ("Z9" + "0" * 4_300, "1,2,3"),
+            ("Z2xZ9" + "0" * 4_300, "1:0,0:1,0:3"),
         ],
-        ids=["Z2^15000", "D-4300-digits"],
+        ids=["Z2^15000", "D-4300-digits", "D-4301", "Dic-4301", "Z-4301", "Z2xZ-4301"],
     )
     def test_checkmap_refuses_a_huge_order_without_writing_it(self, capsys, spec, xs):
         # |G| here has more digits than Python converts to a string, so it
-        # is refused before |G| * valence is formed, and never written out
+        # is refused before |G| * valence is formed, and never written out;
+        # from 4,301 digits the spec's own number has more digits than
+        # Python converts, and it is refused before it is converted
         code, out, err = run_cli(capsys, "checkmap", "--group", spec, "--xs", xs)
         assert (code, out) == (3, "")
         assert err == "size guard: checkmap guard: |G| exceeds 1800\n"
+
+    def test_checkmap_reports_a_huge_exponent_as_unparsed(self, capsys):
+        # an exponent with more digits than Python converts is no element
+        huge = "a^" + "4" * 4_400 + "*b"
+        code, out, err = run_cli(
+            capsys, "checkmap", "--group", "D7", "--xs", f"b,{huge},a^3*b"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {huge!r} as an element of D7\n"
 
     def test_checkmap_bounds_a_small_rank_by_its_arcs(self, capsys):
         # E10 has 1024 elements, within the guard alone; at valence 3 its

@@ -56,6 +56,7 @@ from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
     _least_image,
     _survivors_for_sets,
+    _Tables,
     exhaustive_regular_maps,
     inverse_closed_sets,
 )
@@ -223,7 +224,7 @@ def reference_regular_maps(group, valence):
     sorted."""
     elems = group.elements()
     sets = full_inverse_closed_sets(group, valence)
-    survivors = _survivors_for_sets(group, valence, sets).values()
+    survivors = _survivors_for_sets(_Tables(group), valence, sets).values()
     found = [
         build_map(group, [elems[r] for r in ranks])
         for orderings in survivors
@@ -437,20 +438,39 @@ def test_no_set_below_the_rank_is_tested_for_generation(monkeypatch):
 
 
 def test_a_replaced_automorphism_ranks_takes_effect_on_the_next_search(monkeypatch):
-    # the census keeps the tables of the group it searched last, keyed on
-    # the group's bound automorphism_ranks: a method replaced on the group
-    # object is called afresh by its next search, and once
-    for group, valence in ORBIT_CASES:
+    # each search builds its own tables of its group: a method replaced on
+    # the group object is called by every search after it, once per search,
+    # whose set listing and least images share its rows (E3 at valence 3
+    # has classes to image; ORBIT_CASES have none)
+    for group, valence in ORBIT_CASES + [(ElemAbelian2Group(3), 3)]:
         rows = group.automorphism_ranks()
-        expected = inverse_closed_sets(group, valence)
-        calls = []
+        expected = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+        reads, calls = [], []
         monkeypatch.setattr(
-            group, "automorphism_ranks", lambda rows=rows: calls.append(1) or rows
+            group, "automorphism_ranks", lambda rows=rows: reads.append(1) or rows
         )
         for _ in range(2):
-            assert inverse_closed_sets(group, valence) == expected
-        assert calls == [1], group
+            found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
+            assert found == expected, group
+            calls.append(len(reads))
+            reads.clear()
+        assert calls == [1, 1], group
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "group, valence",
+    RANK_CASES + ORBIT_CASES,
+    ids=[f"{g.name}-p{p}" for g, p in RANK_CASES + ORBIT_CASES],
+)
+def test_the_tables_given_change_no_set(group, valence):
+    # the search's own tables, their rows already read by an earlier
+    # listing, give the sets that fresh tables give
+    tables = _Tables(group)
+    first = inverse_closed_sets(group, valence, tables)
+    assert "rows" in vars(tables), group
+    assert inverse_closed_sets(group, valence, tables) == first
+    assert first == inverse_closed_sets(group, valence)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +635,7 @@ def test_walk_on_the_map_table_matches_the_walk_on_the_census_table(case):
     # group's whole table with the ranks as slots: the same verdict, the
     # same (phi, delta) and the same reversal row on every candidate
     group, _, candidates = case
-    whole = classify._tables_of(group).table
+    whole = _Tables(group).table
     assert whole == group.products(range(group.order))
     elems, e = group.elements(), group.identity_rank
     for m in candidates:
@@ -750,7 +770,7 @@ def test_least_image_matches_every_row(case, monkeypatch):
     group, valence, _ = case
     auts = reference_rows(group, monkeypatch)
     sets = inverse_closed_sets(group, valence)
-    classes = _survivors_for_sets(group, valence, sets).values()
+    classes = _survivors_for_sets(_Tables(group), valence, sets).values()
     expected = sorted(reference_least_image(auts, cls) for cls in classes)
     found = [m.xs_ranks() for m in exhaustive_regular_maps(group, valence)]
     assert found == expected
@@ -767,7 +787,7 @@ def test_least_image_of_any_rotation_matches_every_row(case, monkeypatch):
         for i in range(valence):
             rotated = s[i:] + s[:i]
             expected = reference_least_image(auts, [rotated])
-            assert _least_image(group, [rotated]) == expected, (m, i)
+            assert _least_image(_Tables(group), [rotated]) == expected, (m, i)
 
 
 @given(group=AFFINE_GROUPS, valence=st.sampled_from([3, 4, 5, 7]), data=st.data())
@@ -783,7 +803,7 @@ def test_least_affine_image_of_any_ordering_matches_every_row(group, valence, da
     xs = list(dict.fromkeys(y for x in drawn for y in (x, inv[x])))[:valence]
     s = tuple(data.draw(st.permutations(xs)))
     expected = reference_least_image(group.automorphism_ranks(), [s])
-    assert _least_image(group, [s]) == expected, s
+    assert _least_image(_Tables(group), [s]) == expected, s
 
 
 def test_orbit_search_matches_full_search(case):

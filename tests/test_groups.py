@@ -295,6 +295,9 @@ def test_parse_dihedral_syntax():
         G.parse_element("c")
     with pytest.raises(ValueError):
         G.parse_element("b*a")
+    # more digits than Python converts: refused as unparsed, not by int()
+    with pytest.raises(ValueError, match="cannot parse"):
+        G.parse_element("a^" + "4" * 4_400)
 
 
 def test_parse_bit_strings():
