@@ -330,8 +330,20 @@ def _affine_kappas(k: int) -> set[tuple[int, ...]]:
 def _kappa_not_affine(m: CayleyMap, valence: int) -> bool:
     """L3.2: a regular dihedral map, rotated so that a self-inverse
     generator is last, has the identity or the reflection fixing the last
-    slot as kappa."""
-    return m.canonical_base_rotation().kappa not in _affine_kappas(valence)
+    slot as kappa. At odd valence k that holds, for every such rotation,
+    exactly when the map is balanced or anti-balanced:
+    - Rotating the slots by s turns kappa into i -> kappa(i + s) - s, with
+      the same steps kappa(i + 1) - kappa(i), so `balance_type` is unchanged.
+    - An involution with kappa(i + 1) = kappa(i) + 1 is i -> kappa(0) + i,
+      and kappa(kappa(0)) = 2 kappa(0) = 0 makes it the identity at odd k,
+      in every rotation.
+    - One with kappa(i + 1) = kappa(i) - 1 is i -> c - i. It fixes exactly
+      the one slot with 2i = c, and rotated to put that slot last it is
+      i -> -2 - i, `reflection_fixing_last(k)`.
+    - Conversely the identity is balanced and that reflection anti-balanced.
+    So the two tests agree on every map, regular or not."""
+    bt = m.balance_type()
+    return not (bt.is_balanced or bt.is_anti_balanced)
 
 
 # the claims checked map by map: is a map found regular at this valence a

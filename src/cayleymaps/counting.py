@@ -1,6 +1,6 @@
-"""The number theory of the counting claim: geometric-sum orders, the
-closed-form class count of regular balanced dihedral maps, and its two
-cross-checks, the triples scan and the CRT lift.
+"""The number theory of the counting claim: the closed-form class count
+of regular balanced dihedral maps, and its two cross-checks, the triples
+scan and the CRT lift.
 
 The three answers are computed independently. The scan (`triples_for`)
 finds, for a prime n, the roots of S_p = 1 + x + ... + x^(p-1) over F_n as
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 # The counting commands refuse an n or p above MAX_COUNT_N. Python integers
 # keep every scan exact, so it no longer bounds exactness; it keeps its value,
@@ -87,24 +87,6 @@ def _smallest_prime_factor(n: int, start: int = 2) -> int:
 # -- geometric-sum orders and triples -----------------------------------------
 
 
-def geosum_order(n: int, l: int) -> Optional[int]:
-    """Smallest k >= 1 with 1 + l + ... + l^(k-1) divisible by n, else None.
-
-    The pair (partial sum, l^k) mod n takes at most n^2 values, so searching
-    k <= n^2 is exhaustive: beyond that the sequence of pairs has cycled.
-    """
-    if not 0 < l < n:
-        raise ValueError(f"need 0 < l < n, got l={l}, n={n}")
-    s = 0
-    power = 1
-    for k in range(1, n * n + 1):
-        s = (s + power) % n
-        if s == 0:
-            return k
-        power = (power * l) % n
-    return None
-
-
 def guard_count_n(n: int) -> None:
     """SizeGuardError when n exceeds the counting commands' bound."""
     if n > MAX_COUNT_N:
@@ -112,7 +94,8 @@ def guard_count_n(n: int) -> None:
 
 
 def triples_for(n: int, p: int) -> list[int]:
-    """All l with geosum_order(n, l) == p, ascending.
+    """All l in [1, n) whose geometric-sum order mod n is p, ascending: the
+    order is the least k >= 1 with n | 1 + l + ... + l^(k-1).
 
     Of the partial sums S_k = 1 + l + ... + l^(k-1) only S_p is needed:
     the order is p exactly when S_p vanishes mod n (the lemma below, with
@@ -120,7 +103,7 @@ def triples_for(n: int, p: int) -> list[int]:
 
     No l qualifies when p > n: S_1, ..., S_k are distinct mod n up to the
     first S_k = 0 (S_k is the k-th iterate of x -> l * x + 1 from 0), so
-    geosum_order(n, l) <= n. For a prime n the candidates are the roots of
+    the order is at most n. For a prime n the candidates are the roots of
     S_p(x) = 1 + x + ... + x^(p-1) over F_n (`_field_roots`).
     A composite n checks only the lifts r + j * d of the answers r for
     d = n / q, q its smallest prime factor, and none at all when q has no
@@ -158,10 +141,11 @@ def _triples(n: int, p: int) -> tuple[int, ...]:
 
 
 def _has_order_p(l: int, n: int, p: int) -> bool:
-    """geosum_order(n, l) == p for n >= 2, by S_p(l) = 0 mod n alone: the
-    zeros of S mod n are the multiples of l's order (`triples_for`), which
-    is not 1 as S_1 = 1, so it is the prime p. S_p(l) = (l^p - 1) / (l - 1)
-    is exact from l^p mod (l - 1) n, and S_p(1) = p."""
+    """Is p the least k >= 1 with n | 1 + l + ... + l^(k-1), for n >= 2?
+    S_p(l) = 0 mod n alone decides it: the zeros of S mod n are the
+    multiples of l's order (`triples_for`), which is not 1 as S_1 = 1, so
+    it is the prime p. S_p(l) = (l^p - 1) / (l - 1) is exact from
+    l^p mod (l - 1) n, and S_p(1) = p."""
     if l == 1:
         return p % n == 0
     return (pow(l, p, (l - 1) * n) - 1) // (l - 1) % n == 0

@@ -10,7 +10,10 @@ slots with x_i^-1 = x_kappa[i].
 own N x k table, or the census's whole one), `rotation_row` and `reversal_row`
 build R and L, and `arc_code` names a regular map's isomorphism class, for
 maps and for the census alike; out of an irregular map, `maps_isomorphic`
-searches for an arc bijection (`arc_bijection_exists`).
+searches for an arc bijection (`arc_bijection_exists`). `graph_aut_order`
+lists the underlying graph's automorphisms for the report. The rotation
+automorphism, one-regularity and normality, which no command reports, are
+functions of a map in the tests' reference routes (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -100,8 +103,6 @@ class CayleyMap:
         # distribution of inverses: the involution with x_i^-1 = x_kappa[i]
         self.kappa = tuple(kappa)
         self._rotation_row = rotation_row(self.n_arcs, k)
-        self._code: Optional[bytes] = None
-        self._graph_auts: Optional[list[tuple[int, ...]]] = None
 
     @cached_property
     def _reversal_row(self) -> list[int]:
@@ -114,19 +115,6 @@ class CayleyMap:
         )
 
     # -- inverse distribution and balance ----------------------------------
-
-    def canonical_base_rotation(self) -> "CayleyMap":
-        """Rotate xs so the last generator is self-inverse, breaking ties by
-        the lexicographically smallest rank tuple."""
-        rotations = []
-        for shift in range(self.k):
-            rotated = self.xs[shift:] + self.xs[:shift]
-            if self.group.inv(rotated[-1]) == rotated[-1]:
-                rotations.append(rotated)
-        if not rotations:
-            raise ValueError("no rotation of xs puts a self-inverse generator last")
-        best = min(rotations, key=lambda xs: tuple(self.group.rank(x) for x in xs))
-        return CayleyMap(self.group, best)
 
     def balance_type(self) -> BalanceType:
         kappa, k = self.kappa, self.k
@@ -146,25 +134,13 @@ class CayleyMap:
         x_i -> x_(i+1) extends to a skew-morphism (skew_morphism)."""
         return self._walk is not None
 
+    @cached_property
+    def _code(self) -> bytes:
+        return arc_code(self._rotation_row, self._reversal_row)
+
     def arc_code(self) -> bytes:
         """arc_code of this map's rows, cached."""
-        if self._code is None:
-            self._code = arc_code(self._rotation_row, self._reversal_row)
         return self._code
-
-    def rotation_automorphism(self) -> Optional[tuple[int, ...]]:
-        """The group automorphism phi with phi(x_i) = x_(i+1) for every slot,
-        as a rank tuple in the row convention of automorphism_ranks, or None:
-        skew_morphism's phi when its power function is 1 everywhere."""
-        walk = self._walk
-        return tuple(walk[0]) if walk and set(walk[1]) == {1} else None
-
-    def balanced_regular_via_aut(self) -> bool:
-        """Skoviera-Siran criterion (Discrete Math. 109, 1992): a balanced
-        Cayley map is regular exactly when x_i -> x_{i+1} extends to an
-        automorphism of the group. The answer means regularity only for a
-        balanced map; is_regular decides it for every map."""
-        return self.rotation_automorphism() is not None
 
     # -- faces and genus -------------------------------------------------------
 
@@ -218,41 +194,10 @@ class CayleyMap:
                 f"graph automorphism search is limited to "
                 f"{GRAPH_AUT_MAX_VERTICES} vertices, got {n}"
             )
-        if self._graph_auts is None:
-            self._graph_auts = _graph_automorphisms(self.underlying_adjacency())
-        return self._graph_auts
+        return _graph_automorphisms(self.underlying_adjacency())
 
     def graph_aut_order(self) -> int:
         return len(self.graph_automorphisms())
-
-    def is_one_regular(self) -> bool:
-        """Arc-transitive with automorphism count equal to the arc count."""
-        auts = self.graph_automorphisms()
-        base_u = 0
-        base_v = (self.underlying_adjacency()[0]).bit_length() - 1
-        arc_orbit = {(alpha[base_u], alpha[base_v]) for alpha in auts}
-        return len(arc_orbit) == self.n_arcs and len(auts) == self.n_arcs
-
-    def is_normal_cayley(self) -> bool:
-        """Do all graph automorphisms normalize the left translations?"""
-        auts = self.graph_automorphisms()
-        # row g of the whole table is the left translation h -> g * h
-        left = [tuple(row) for row in self.group.products(range(self.group.order))]
-        translations = set(left)
-        inverses = {}
-        for alpha in auts:
-            inv = [0] * len(alpha)
-            for i, img in enumerate(alpha):
-                inv[img] = i
-            inverses[alpha] = tuple(inv)
-        for alpha in auts:
-            alpha_inv = inverses[alpha]
-            for x in self.xs_ranks():
-                trans = left[x]
-                conj = tuple(alpha[trans[alpha_inv[v]]] for v in range(len(alpha)))
-                if conj not in translations:
-                    return False
-        return True
 
     def xs_ranks(self) -> tuple[int, ...]:
         return self._ranks

@@ -1,6 +1,9 @@
 """The slow routes that the fast paths are checked against, each written
 once: every route more than one test uses. Each docstring names the fast
-path it checks.
+path it checks. It also holds the structural tests of a map that no command
+runs, which the acceptance criteria check the paper's facts with: the
+rotation automorphism (the Skoviera-Siran criterion), one-regularity and
+normality of the generating set.
 
 Pytest does not collect it: its name does not start with `test_`.
 """
@@ -270,6 +273,81 @@ def classes_by_sweep(rows) -> list[list[int]]:
         else:
             classes.append([i])
     return classes
+
+
+# -- structure of a map ---------------------------------------------------------------
+
+
+def rotation_automorphism(m):
+    """The automorphism phi of m's group with phi(x_i) = x_(i+1), as a rank
+    tuple in the row convention of automorphism_ranks, or None: one
+    breadth-first propagation over X's products from phi(e) = e setting
+    phi(g * x_i) = phi(g) * x_(i+1), None at the first clash. The
+    generators reach every element; with every edge consistent,
+    phi(g * h) = phi(g) * phi(h) follows word by word in h, and phi is onto
+    since its image holds every x_(i+1). Conversely an automorphism psi with
+    psi(x_i) = x_(i+1) satisfies every equation, so the propagation never
+    clashes. A balanced map is regular exactly when it is not None
+    (Skoviera and Siran, Discrete Math. 109, 1992): the second route of
+    acceptance criterion 6, beside the monodromy closure. Checks the
+    skew-morphism walk (`maps.skew_morphism`), whose phi it is when the
+    walk's power function is 1 everywhere."""
+    k = m.k
+    mul = m.group.products(m.xs_ranks())
+    identity = m.group.identity_rank
+    phi = [-1] * m.group.order
+    phi[identity] = identity
+    reached = [identity]
+    for g in reached:  # the list grows while it is read: a queue
+        row, image_row = mul[g], mul[phi[g]]
+        for i in range(k):
+            h, image = row[i], image_row[(i + 1) % k]
+            if phi[h] < 0:
+                phi[h] = image
+                reached.append(h)
+            elif phi[h] != image:
+                return None
+    return tuple(phi)
+
+
+def base_rotations(kappa) -> list[tuple[int, ...]]:
+    """The distribution of inverses of every rotation of the slots that puts
+    a self-inverse generator last: rotating by s gives x'_i = x_(i+s), so
+    kappa_s(i) = kappa(i + s) - s mod k, kept when it fixes k - 1. Claim
+    L3.2 speaks of these; checks its test by balance type
+    (`claims._kappa_not_affine`)."""
+    k = len(kappa)
+    rotations = [
+        tuple((kappa[(i + s) % k] - s) % k for i in range(k)) for s in range(k)
+    ]
+    return [r for r in rotations if r[-1] == k - 1]
+
+
+def is_one_regular(m) -> bool:
+    """Is the underlying graph's automorphism group (`graph_automorphisms`)
+    transitive on its arcs, with as many automorphisms as arcs?"""
+    auts = m.graph_automorphisms()
+    base_v = m.underlying_adjacency()[0].bit_length() - 1
+    arc_orbit = {(alpha[0], alpha[base_v]) for alpha in auts}
+    return len(arc_orbit) == m.n_arcs and len(auts) == m.n_arcs
+
+
+def is_normal_cayley(m) -> bool:
+    """Does every automorphism of the underlying graph normalize the left
+    translations by the generators, on the group's whole product table?"""
+    # row g of the whole table is the left translation h -> g * h
+    left = [tuple(row) for row in m.group.products(range(m.group.order))]
+    translations = set(left)
+    for alpha in m.graph_automorphisms():
+        alpha_inv = [0] * len(alpha)
+        for i, img in enumerate(alpha):
+            alpha_inv[img] = i
+        for x in m.xs_ranks():
+            trans = left[x]
+            conj = tuple(alpha[trans[alpha_inv[v]]] for v in range(len(alpha)))
+            if conj not in translations:
+                return False
+    return True
 
 
 # -- counting ---------------------------------------------------------------------

@@ -45,7 +45,6 @@ from cayleymaps.counting import (
     count_agreement,
     count_regular_dihedral_maps,
     crt_lift_solutions,
-    geosum_order,
     triples_for,
 )
 from cayleymaps.groups import (
@@ -63,6 +62,7 @@ from reference import (
     pow_roots,
     reference_factorize,
     reference_lift,
+    rotation_automorphism,
     scalar_triples_for,
 )
 
@@ -113,25 +113,18 @@ def fresh_root_memo():
 
 class TestGeosumOrder:
     def test_spot_values(self):
+        # the reference scan the triples are checked against
         # 1 + 2 + 4 = 7 and 1 + 4 + 16 = 21 = 3 * 7
-        assert geosum_order(7, 2) == 3
-        assert geosum_order(7, 4) == 3
+        assert naive_geosum_order(7, 2, 49) == 3
+        assert naive_geosum_order(7, 4, 49) == 3
         # 1 + 3 = 4, 1 + 3 + 9 = 13, ... first hit at k = 6
-        assert geosum_order(7, 3) == 6
+        assert naive_geosum_order(7, 3, 49) == 6
         # 1 + 1 + 1 = 3
-        assert geosum_order(3, 1) == 3
-        assert geosum_order(13, 3) == 3
-
-    def test_matches_naive_scan(self):
-        for n in range(2, 26):
-            for l in range(1, n):
-                assert geosum_order(n, l) == naive_geosum_order(n, l, n * n)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            geosum_order(7, 0)
-        with pytest.raises(ValueError):
-            geosum_order(7, 7)
+        assert naive_geosum_order(3, 1, 9) == 3
+        assert naive_geosum_order(13, 3, 169) == 3
+        # the first sum divisible by 25 is 1 + 7 + 49 + 343 = 400 = 16 * 25
+        assert naive_geosum_order(25, 7, 4) == 4
+        assert naive_geosum_order(25, 7, 3) is None
 
 
 class TestTriples:
@@ -146,16 +139,19 @@ class TestTriples:
         assert triples_for(1, 3) == []
 
     def test_matches_geosum_filter(self):
+        # the order is at most n, so the n^2 bound of the scan is ample and
+        # the n < p rows check that triples_for's "p > n gives none" is right
+        def expected(n, p):
+            return [l for l in range(1, n) if naive_geosum_order(n, l, n * n) == p]
+
         for p in (3, 5, 7):
             for n in range(2, 41):
-                expected = [l for l in range(1, n) if geosum_order(n, l) == p]
-                assert triples_for(n, p) == expected
+                assert triples_for(n, p) == expected(n, p)
         # every n < p, which triples_for answers without a scan, and n = p,
         # where l = 1 has order p
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
             for n in range(1, p + 1):
-                expected = [l for l in range(1, n) if geosum_order(n, l) == p]
-                assert triples_for(n, p) == expected, (n, p)
+                assert triples_for(n, p) == expected(n, p), (n, p)
 
     def test_all_parameters_coprime(self):
         for p in (3, 5, 7):
@@ -379,7 +375,7 @@ class TestBalancedDihedralFamily:
                     assert m.balance_type().is_balanced
                     assert entry_for_map(m, n, "x").mon_order == 2 * n * p
                     # a -> a^l, b -> a * b: a^i * b^e -> a^(l*i + e) * b^e
-                    assert m.rotation_automorphism() == tuple(
+                    assert rotation_automorphism(m) == tuple(
                         e * n + (l * i + e) % n for e in (0, 1) for i in range(n)
                     )
 
@@ -455,7 +451,7 @@ class TestElemAbelianSeeds:
         m = elem_abelian_map(f, 3)
         assert m.is_regular()
         assert m.balance_type().is_balanced
-        assert m.balanced_regular_via_aut()
+        assert rotation_automorphism(m) is not None
         assert maps_isomorphic(m, k4)
 
     def test_seed_maps_are_regular_balanced(self):
@@ -467,7 +463,7 @@ class TestElemAbelianSeeds:
                 assert m.group.order == 1 << r and m.k == p
                 assert m.is_regular()
                 assert m.balance_type().is_balanced
-                assert m.balanced_regular_via_aut()
+                assert rotation_automorphism(m) is not None
 
 
 # -- counting formula ------------------------------------------------------------
@@ -746,6 +742,39 @@ class TestExhaustiveSearch:
         assert m.kappa == (2, 3, 0, 1)
         assert m.faces_and_genus() == (4, 3)
 
+    def test_census_classes_are_closed_under_mirror_images(self):
+        # the mirror of the map on x_0, x_1, ..., x_(k-1) is the map on
+        # x_0, x_(k-1), ..., x_1: R^-1 with the same L on the same arcs, so
+        # it is regular, on the same group and set, and its class is listed
+        # too. A class is chiral when its mirror is another class
+        counts = {}
+        for family, p, n_max in (
+            ("dihedral", 3, 66),
+            ("dihedral", 5, 31),
+            ("elem2", 7, 4),
+            ("abelian", 3, 60),
+            ("dicyclic", 5, 16),
+        ):
+            classes = chiral = 0
+            for group, _ in family_groups(family, n_max):
+                reps = exhaustive_regular_maps(group, p)
+                codes = {m.arc_code() for m in reps}
+                for m in reps:
+                    mirror = build_map(group, m.xs[:1] + m.xs[:0:-1]).arc_code()
+                    assert mirror in codes, m
+                    chiral += mirror != m.arc_code()
+                classes += len(reps)
+            counts[family, p] = classes, chiral
+        # (classes, chiral classes) per sweep; Dic_n has no regular map of
+        # odd prime valence
+        assert counts == {
+            ("dihedral", 3): (24, 22),
+            ("dihedral", 5): (9, 8),
+            ("elem2", 7): (4, 4),
+            ("abelian", 3): (3, 0),
+            ("dicyclic", 5): (0, 0),
+        }
+
     def test_parallel_search_matches_serial(self):
         # the pool workers receive the group object itself, pickled
         for group, valence in (
@@ -871,7 +900,7 @@ class TestSphereMapException:
         assert (faces, genus) == (6, 0)
         assert m.face_sizes() == [4] * 6
         assert m.graph_aut_order() == 48
-        assert not m.balanced_regular_via_aut()
+        assert rotation_automorphism(m) is None
 
     def test_no_analogue_on_larger_dihedral_groups(self):
         for n in (6, 8):

@@ -30,13 +30,15 @@ route, with the count over its subspace lattice
 (`reference.elem2_generating_count`). Claim 1.1's seed maps,
 built from the divisors of t^p - 1 over GF(2), are compared with the sweep
 over GL(r, 2) that they replace (`gl_seed_codes`, which lives only here). A
-map's rotation automorphism (CayleyMap.rotation_automorphism, the walk with
-power function 1) is compared with a propagation of
-phi(g * x_i) = phi(g) * x_(i+1) alone (`reference_rotation_automorphism`,
-which lives only here) in every family,
-and with the rows of Aut(G) that send each x_i to x_(i+1) where a reference
-lists all of Aut(G): the automorphism_ranks() of Z_n and of D_n with n >= 3,
-and GL(r, 2) for E_r (`Gf2Matrix`, which lives only here).
+map's rotation automorphism, a propagation of phi(g * x_i) = phi(g) * x_(i+1)
+alone (`reference.rotation_automorphism`), is compared with the walk's
+skew-morphism where its power function is 1 in every family, and with the
+rows of Aut(G) that send each x_i to x_(i+1) where a reference lists all of
+Aut(G): the automorphism_ranks() of Z_n and of D_n with n >= 3, and
+GL(r, 2) for E_r (`Gf2Matrix`, which lives only here). Claim L3.2's test by
+balance type (`claims._kappa_not_affine`) is compared with the lemma's own
+statement, every rotation of kappa that puts a fixed slot last
+(`reference.base_rotations`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cayleymaps import classify
+from cayleymaps import claims, classify
 from cayleymaps.claims import elem_abelian_map, elem_abelian_seeds
 from cayleymaps.classify import (
     _least_image,
@@ -78,8 +80,10 @@ from cayleymaps.maps import (
     reversal_row,
     skew_morphism,
 )
+from cayleymaps.perms import reflection_fixing_last
 from reference import (
     affine_orbit_size,
+    base_rotations,
     classes_by_sweep,
     closure,
     closure_regular,
@@ -89,6 +93,7 @@ from reference import (
     generating_count,
     least_orbit_members,
     monodromy_closure,
+    rotation_automorphism,
     slow_candidates,
 )
 
@@ -168,39 +173,13 @@ def full_automorphism_rows(group):
     return None
 
 
-def reference_rotation_automorphism(m):
-    """The automorphism phi with phi(x_i) = x_(i+1), as a rank tuple, or
-    None: one breadth-first propagation over X's products from phi(e) = e
-    setting phi(g * x_i) = phi(g) * x_(i+1), None at the first clash. The
-    generators reach every element; with every edge consistent,
-    phi(g * h) = phi(g) * phi(h) follows word by word in h, and phi is onto
-    since its image holds every x_(i+1). Conversely an automorphism psi with
-    psi(x_i) = x_(i+1) satisfies every equation, so the propagation never
-    clashes."""
-    k = m.k
-    mul = m.group.products(m.xs_ranks())
-    identity = m.group.identity_rank
-    phi = [-1] * m.group.order
-    phi[identity] = identity
-    reached = [identity]
-    for g in reached:  # the list grows while it is read: a queue
-        row, image_row = mul[g], mul[phi[g]]
-        for i in range(k):
-            h, image = row[i], image_row[(i + 1) % k]
-            if phi[h] < 0:
-                phi[h] = image
-                reached.append(h)
-            elif phi[h] != image:
-                return None
-    return tuple(phi)
-
-
 def check_rotation_automorphism(m):
     """A non-None rotation automorphism is a bijective homomorphism on the
-    full product table sending each x_i to x_(i+1); it is the reference
-    propagation's answer in every family, and where Aut(G) is listed, it is
+    full product table sending each x_i to x_(i+1); in every family it is
+    the skew-morphism walk's phi when the walk's power function is 1
+    everywhere, and None otherwise; and where Aut(G) is listed, it is
     the row that does so, and None exactly when no row does."""
-    phi = m.rotation_automorphism()
+    phi = rotation_automorphism(m)
     xs = np.array(m.xs_ranks())
     if phi is not None:
         mul = np.array(m.group.products(range(m.group.order)))
@@ -208,7 +187,8 @@ def check_rotation_automorphism(m):
         assert (np.sort(row) == np.arange(m.group.order)).all(), m
         assert (row[mul] == mul[row[:, None], row]).all(), m
         assert (row[xs] == np.roll(xs, -1)).all(), m
-    assert phi == reference_rotation_automorphism(m), m
+    walk = m._walk
+    assert phi == (tuple(walk[0]) if walk and set(walk[1]) == {1} else None), m
     auts = full_automorphism_rows(m.group)
     if auts is not None:
         extending = auts[(auts[:, xs] == np.roll(xs, -1)).all(axis=1)]
@@ -678,7 +658,7 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     regular = closure_regular(*map_rows(m))
     assert m.is_regular() == regular, m
     if m.balance_type().is_balanced:
-        assert m.balanced_regular_via_aut() == regular, m
+        assert (rotation_automorphism(m) is not None) == regular, m
     # and a balanced map x_(i+h) = x_i^-1 on h drawn inverse pairs: a
     # balanced map of odd valence has only involutions, so Z_n, Dic_n and the
     # products have balanced maps of even valence only
@@ -688,7 +668,8 @@ def test_regularity_verdict_agrees_across_routes(group, valence, data):
     if len(balanced) >= 4 and len(closure(group, balanced)) == group.order:
         m = build_map(group, balanced)
         assert m.balance_type().is_balanced
-        assert m.balanced_regular_via_aut() == closure_regular(*map_rows(m)), m
+        via_aut = rotation_automorphism(m) is not None
+        assert via_aut == closure_regular(*map_rows(m)), m
 
 
 def test_rotation_automorphism_matches_references(case):
@@ -713,6 +694,19 @@ def test_rotation_automorphism_on_more_maps():
         e4 += [build_map(seed.group, seed.xs[:4] + t) for t in permutations(seed.xs[4:])]
     found = [check_rotation_automorphism(m) is not None for m in e4]
     assert any(found) and not all(found)
+
+
+def test_kappa_rule_by_balance_type_matches_the_rotation_rule(case):
+    # L3.2's counterexample test reads the balance type; the lemma speaks of
+    # kappa rotated to put a self-inverse generator last. The two agree on
+    # every candidate, regular or not, whichever such rotation is taken
+    _, valence, candidates = case
+    allowed = {tuple(range(valence)), reflection_fixing_last(valence)}
+    for m in candidates:
+        rotations = base_rotations(m.kappa)
+        assert rotations, m
+        outside = any(kappa not in allowed for kappa in rotations)
+        assert claims._kappa_not_affine(m, valence) == outside, m
 
 
 def test_candidate_zero_isomorphism_matches_full_sweep(case):

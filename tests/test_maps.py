@@ -26,7 +26,12 @@ from cayleymaps.maps import (
     maps_isomorphic,
 )
 from cayleymaps.perms import cycle_string
-from reference import closure_regular
+from reference import (
+    closure_regular,
+    is_normal_cayley,
+    is_one_regular,
+    rotation_automorphism,
+)
 
 
 def heawood_map():
@@ -133,27 +138,6 @@ def test_kappa_examples():
     assert cycle_string(heawood_map().kappa) == "id"
 
 
-def test_canonical_base_rotation_moves_self_inverse_last():
-    rotated = k33_map().canonical_base_rotation()
-    assert rotated.xs == (5, 1, 3)
-    assert rotated.kappa == (1, 0, 2)
-
-    odd10 = build_map(CyclicGroup(10), [1, 3, 5, 7, 9])
-    assert odd10.canonical_base_rotation().xs == (7, 9, 1, 3, 5)
-
-
-def test_canonical_base_rotation_identity_kappa_picks_lex_smallest():
-    m = build_map(DihedralGroup(7), [(1, 1), (3, 1), (0, 1)])
-    assert m.canonical_base_rotation().xs == ((0, 1), (1, 1), (3, 1))
-
-
-def test_canonical_base_rotation_requires_fixed_point():
-    m = build_map(CyclicGroup(5), [1, 4, 2, 3])
-    assert all(m.kappa[i] != i for i in range(m.k))
-    with pytest.raises(ValueError, match="self-inverse"):
-        m.canonical_base_rotation()
-
-
 # -- regularity -------------------------------------------------------------------
 
 
@@ -196,7 +180,6 @@ def test_a_map_computes_only_its_own_products(monkeypatch):
     )
     m = build_map(DihedralGroup(101), [(0, 1), (1, 1), (3, 1)])
     m.is_regular()
-    m.rotation_automorphism()
     m.faces_and_genus()
     m.arc_code()
     assert len(products) == 202 * 3
@@ -228,18 +211,22 @@ def test_all_involution_sets_are_balanced():
 
 
 def test_balanced_regular_via_aut():
+    # a balanced map is regular exactly when x_i -> x_(i+1) extends to a
+    # group automorphism
     m = heawood_map()
-    assert m.balanced_regular_via_aut()
+    assert m.is_regular()
     # a -> a^2, b -> a * b: rank e * 7 + i goes to e * 7 + (2 * i + e) % 7
-    assert m.rotation_automorphism() == tuple(
+    assert rotation_automorphism(m) == tuple(
         e * 7 + (2 * i + e) % 7 for e in (0, 1) for i in range(7)
     )
 
     irregular = build_map(DihedralGroup(4), [(0, 1), (1, 1), (2, 1)])
-    assert not irregular.balanced_regular_via_aut()
+    assert not irregular.is_regular()
+    assert rotation_automorphism(irregular) is None
 
     seeded_k4 = k4_map()
-    assert seeded_k4.balanced_regular_via_aut()
+    assert seeded_k4.is_regular()
+    assert rotation_automorphism(seeded_k4) is not None
 
 
 # -- isomorphism --------------------------------------------------------------------
@@ -327,35 +314,35 @@ def test_graph_aut_orders_known_graphs():
 
 
 def test_heawood_is_not_one_regular():
-    assert not heawood_map().is_one_regular()
-    assert not heawood_map().is_normal_cayley()
+    assert not is_one_regular(heawood_map())
+    assert not is_normal_cayley(heawood_map())
 
 
 def test_k4_and_cube_are_normal():
-    assert k4_map().is_normal_cayley()
-    assert cube_map().is_normal_cayley()
+    assert is_normal_cayley(k4_map())
+    assert is_normal_cayley(cube_map())
 
 
 def test_k33_translations_are_not_normal():
     # frozen via scratch conjugation oracle: Aut(K33) has order 72 but the
     # cyclic translation subgroup is not normal inside it
-    assert not k33_map().is_normal_cayley()
+    assert not is_normal_cayley(k33_map())
 
 
 def test_one_regular_positive_case():
     # frozen via scratch oracle: graph-aut order 78 equals the arc count
     m = build_map(DihedralGroup(13), [(0, 1), (1, 1), (4, 1)])
     assert m.graph_aut_order() == 78
-    assert m.is_one_regular()
-    assert m.is_normal_cayley()
+    assert is_one_regular(m)
+    assert is_normal_cayley(m)
 
 
 def test_circulant_with_diameter_is_normal_but_not_one_regular():
     # frozen via scratch oracle: aut order 20 < 30 arcs
     m = build_map(CyclicGroup(10), [1, 9, 5])
     assert m.graph_aut_order() == 20
-    assert not m.is_one_regular()
-    assert m.is_normal_cayley()
+    assert not is_one_regular(m)
+    assert is_normal_cayley(m)
 
 
 def test_graph_automorphisms_are_automorphisms():
@@ -413,5 +400,6 @@ def test_random_reflection_maps_are_wellformed(data):
     faces, genus = m.faces_and_genus()
     assert genus >= 0
     assert sum(m.face_sizes()) == m.n_arcs
-    assert m.balanced_regular_via_aut() == closure_regular(m._rotation_row, m._reversal_row)
-    assert m.is_regular() == m.balanced_regular_via_aut()
+    via_aut = rotation_automorphism(m) is not None
+    assert via_aut == closure_regular(m._rotation_row, m._reversal_row)
+    assert m.is_regular() == via_aut
